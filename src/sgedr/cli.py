@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,12 +17,13 @@ from . import __version__
 from .experiment import (
     ExperimentConfig1922,
     format_table,
+    k_grid,
     parse_config,
     reference_checks,
     report_to_json,
     run_chain,
 )
-from .measurement import LWParams, lund_wiseman, qrms_disturbance, qrms_error
+from .measurement import lw_sweep
 from .probe import GaussianProbe
 from .sgmodel import (
     INFINITE,
@@ -33,7 +36,7 @@ from .sgmodel import (
     sweep_region,
     tau_condition,
 )
-from .spin import STATE_SY_PLUS, PauliObservable
+from .spin import STATE_SY_PLUS
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -61,47 +64,44 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(path: str, command: str, header: list[str], rows: list[tuple]) -> None:
     lines = [f"# sgedr {command} schema v{SCHEMA_VERSION}"]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_range(spec: str) -> tuple[float, float]:
+def _finite_range(spec: str) -> tuple[float, float]:
+    """argparse type of a range 'lo:hi'; a ValueError here is reported as bad usage."""
     lo, _, hi = spec.partition(":")
-    return float(lo), float(hi)
+    bounds = float(lo), float(hi)
+    if not all(map(math.isfinite, bounds)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {spec!r}")
+    return bounds
 
 
 def cmd_lw(args) -> int:
     n = args.steps
     if n < 2:
         raise _UsageError("--steps must be >= 2")
-    state = STATE_SY_PLUS
-    sz, sx = PauliObservable.z(), PauliObservable.x()
-    rows = []
-    for theta in np.linspace(0.0, np.pi / 2.0, n):
-        mp = lund_wiseman(LWParams(float(theta)))
-        eps = qrms_error(mp, state, sz)
-        eta = qrms_disturbance(mp, state, sx)
-        eps_sq, eta_sq = eps * eps, eta * eta
-        tight_lhs = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2
-        rows.append((float(theta), eps, eta, eps_sq, eta_sq, tight_lhs, eps * eta))
+    eps_sq, eta_sq = lw_sweep(n, STATE_SY_PLUS).T
+    eps, eta = np.sqrt(eps_sq), np.sqrt(eta_sq)
+    tight_lhs = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2
+    columns = (np.linspace(0.0, np.pi / 2.0, n), eps, eta, eps_sq, eta_sq, tight_lhs, eps * eta)
+    rows = list(zip(*(c.tolist() for c in columns)))
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
     if args.format == "csv":
         _write_csv(args.out, "lw", header, rows)
@@ -118,35 +118,24 @@ def cmd_region(args) -> int:
     steps = args.steps
     if steps < 1:
         raise _UsageError("--steps must be >= 1")
-    lre_lo, lre_hi = _parse_range(args.lambda_re)
-    lim_lo, lim_hi = _parse_range(args.lambda_im)
-    b0_lo, b0_hi = _parse_range(args.b0)
-    tau_lo, tau_hi = _parse_range(args.tau)
-    if lre_lo <= 0.0:
+    if min(args.lambda_re) <= 0.0:
         raise _UsageError("Re(lambda) range must be positive")
-    if tau_lo < 0.0:
+    if min(args.tau) < 0.0:
         raise _UsageError("tau range must be nonnegative")
 
     base = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=1.0)
-    lambdas = [
-        complex(re, im)
-        for re in np.linspace(lre_lo, lre_hi, steps)
-        for im in np.linspace(lim_lo, lim_hi, steps)
-    ]
-    points = sweep_region(
-        base,
-        lambdas,
-        np.linspace(b0_lo, b0_hi, steps),
-        np.linspace(tau_lo, tau_hi, steps),
-    )
-    rows = []
-    for pt in points:
-        tight_ok = (pt.eps_sq - 2.0) ** 2 + (pt.eta_sq - 2.0) ** 2 <= 4.0 + 1e-9
-        heis_violated = np.sqrt(pt.eps_sq * pt.eta_sq) < 1.0  # D = 1 state
-        rows.append((pt.eps_sq, pt.eta_sq, in_region(pt), bool(tight_ok), bool(heis_violated)))
-    boundary = [
-        (float(e), region_bound(float(e))) for e in np.linspace(0.0, 4.0, 1024)
-    ]
+    lambdas = np.add.outer(
+        np.linspace(*args.lambda_re, steps), 1j * np.linspace(*args.lambda_im, steps)
+    ).ravel()
+    eps_sq, eta_sq = sweep_region(
+        base, lambdas, np.linspace(*args.b0, steps), np.linspace(*args.tau, steps)
+    ).T
+    tight_ok = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2 <= 4.0 + 1e-9
+    heis_violated = np.sqrt(eps_sq * eta_sq) < 1.0  # D = 1 state
+    columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, heis_violated)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    b_eps_sq = np.linspace(0.0, 4.0, 1024)
+    boundary = list(zip(b_eps_sq.tolist(), region_bound(b_eps_sq).tolist()))
     header = ["eps_sq", "eta_sq", "in_region", "tight_ok", "heisenberg_violated"]
     bheader = ["eps_sq", "max_abs_half_two_minus_eta_sq"]
     if args.format == "csv":
@@ -168,17 +157,13 @@ def cmd_experiment(args) -> int:
         cfg, k_from_file = parse_config(args.config)
     else:
         cfg, k_from_file = ExperimentConfig1922(), None
-    flags_given = any(v is not None for v in (args.k_min, args.k_max, args.k_steps))
-    if k_from_file is None or flags_given:
-        k_min = args.k_min if args.k_min is not None else 0.6
-        k_max = args.k_max if args.k_max is not None else 1.0
-        k_steps = args.k_steps if args.k_steps is not None else 2
-        if k_steps == 1:
-            k_values: tuple[float, ...] = (k_min,)
-        else:
-            k_values = tuple(float(x) for x in np.linspace(k_min, k_max, k_steps))
-    else:
-        k_values = k_from_file
+    k_flags = {k: v for k, v in vars(args).items() if k.startswith("k_") and v is not None}
+    k_values = k_from_file
+    if k_from_file is None or k_flags:
+        try:
+            k_values = k_grid(**k_flags)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
 
     report = run_chain(cfg, k_values=k_values)
     print(format_table(report))
@@ -213,6 +198,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tau_opt(args) -> int:
+    if args.steps < 1:
+        raise _UsageError("--steps must be >= 1")
     probe = GaussianProbe(args.lambda_re, args.lambda_im, hbar=1.0, mass=1.0)
     p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
     has_min = tau_condition(p, probe)
@@ -223,16 +210,10 @@ def cmd_tau_opt(args) -> int:
         tau_grid = np.geomspace(1e-3, 1e3, args.steps) * p.dt
     else:
         print(f"condition holds: {has_min}; tau0 = {tau0:.17g}")
-        at_tau0 = error_sq(
-            SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt, tau=tau0),
-            probe,
-        )
-        print(f"eps^2(tau0) = {at_tau0:.17g}")
+        print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
         tau_grid = np.linspace(0.0, 10.0 * tau0, args.steps)
-    rows = []
-    for tau in tau_grid:
-        q = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt, tau=float(tau))
-        rows.append((float(tau), error_sq(q, probe)))
+    eps_sq = error_sq(replace(p, tau=tau_grid), probe)
+    rows = list(zip(tau_grid.tolist(), eps_sq.tolist()))
     if args.format == "csv":
         _write_csv(args.out, "tau-opt", ["tau", "eps_sq"], rows)
     else:
@@ -262,10 +243,10 @@ def build_parser() -> _Parser:
     p_region = sub.add_parser("region", help="achievable error-disturbance region sweep")
     p_region.add_argument("--steps", type=int, default=8, help="steps per parameter axis")
     p_region.add_argument("--b1", type=float, default=3.0)
-    p_region.add_argument("--lambda-re", default="0.25:4.0", help="range lo:hi")
-    p_region.add_argument("--lambda-im", default="-2.0:2.0", help="range lo:hi")
-    p_region.add_argument("--b0", default="0.0:2.0", help="range lo:hi")
-    p_region.add_argument("--tau", default="0.0:2.0", help="range lo:hi")
+    p_region.add_argument("--lambda-re", type=_finite_range, default="0.25:4.0", help="range lo:hi")
+    p_region.add_argument("--lambda-im", type=_finite_range, default="-2.0:2.0", help="range lo:hi")
+    p_region.add_argument("--b0", type=_finite_range, default="0.0:2.0", help="range lo:hi")
+    p_region.add_argument("--tau", type=_finite_range, default="0.0:2.0", help="range lo:hi")
     add_io(p_region)
     p_region.set_defaults(func=cmd_region)
 

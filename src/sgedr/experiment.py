@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .probe import CollimatorModel, GaussianProbe, collimator_posterior, moments, sigma_t
-from .sgmodel import SGParams, disturbance_sq, error_sq, g0
+from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
 
 REFERENCE_RTOL = 5e-3
@@ -112,13 +112,14 @@ def run_chain(
     c = c or PhysicalConstants()
     if not k_values:
         raise ValueError("k_values must be nonempty")
-    if any(not (0.6 <= k <= 1.0) for k in k_values):
-        raise ValueError("every K must lie in [0.6, 1.0]")
 
     m = silver_mass(cfg.atomic_weight, c)
     v_y = rms_velocity(cfg.T, m, c)
     dt = cfg.L2 / v_y
     tau = cfg.L3 / v_y
+    params = SGParams(
+        mu=c.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=c.hbar, dt=dt, tau=tau
+    )
 
     rows = []
     for k in k_values:
@@ -126,17 +127,8 @@ def run_chain(
             d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=c.hbar, K=k
         )
         probe = collimator_posterior(cm)
-        params = SGParams(
-            mu=c.mu_electron, B0=cfg.B0, B1=cfg.B1,
-            mass=m, hbar=c.hbar, dt=dt, tau=tau,
-        )
         var_z, _, _ = moments(probe)
         spread = sigma_t(probe, dt + tau)
-        arg = abs(g0(params)) / (np.sqrt(2.0) * spread)
-        damping = (
-            2.0 * (c.mu_electron * cfg.B1 * dt / c.hbar) ** 2
-            * sigma_t(probe, dt / 2.0) ** 2
-        )
         rows.append(
             KRow(
                 K=k,
@@ -144,19 +136,12 @@ def run_chain(
                 D_z=cm.D_z,
                 var_z=var_z,
                 sigma_dt_sq=spread * spread,
-                erfc_arg=float(arg),
-                damping_exponent=float(damping),
+                erfc_arg=erfc_arg(params, probe),
+                damping_exponent=damping_exponent(params, probe),
                 eps_sq=error_sq(params, probe),
                 eta_sq=disturbance_sq(params, probe),
             )
         )
-
-    ref = CollimatorModel(
-        d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=c.hbar, K=1.0
-    )
-    params = SGParams(
-        mu=c.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=c.hbar, dt=dt, tau=tau
-    )
 
     eps_min = min(r.eps_sq for r in rows)
     eps_max = max(r.eps_sq for r in rows)
@@ -170,8 +155,8 @@ def run_chain(
         v_y=v_y,
         dt=dt,
         tau=tau,
-        delta_p=ref.delta_p,
-        delta_z=ref.delta_z,
+        delta_p=cm.delta_p,  # K-independent
+        delta_z=cm.delta_z,
         g0=g0(params),
         rows=tuple(rows),
         eps_sq_min=eps_min,
@@ -304,7 +289,7 @@ def parse_config(path: str) -> tuple[ExperimentConfig1922, tuple[float, ...]]:
     """
     cfg_keys = {"T", "B1", "L1", "L2", "L3", "d1", "d2", "atomic_weight", "B0"}
     values: dict[str, float] = {}
-    k_min, k_max, k_steps = 0.6, 1.0, 2
+    k_args: dict[str, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -320,18 +305,22 @@ def parse_config(path: str) -> tuple[ExperimentConfig1922, tuple[float, ...]]:
                 raise ValueError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
             if key in cfg_keys:
                 values[key] = num
-            elif key == "K_min":
-                k_min = num
-            elif key == "K_max":
-                k_max = num
-            elif key == "K_steps":
-                k_steps = int(num)
+            elif key in ("K_min", "K_max", "K_steps"):
+                k_args[key.lower()] = num
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    if k_steps < 1:
-        raise ValueError("K_steps must be >= 1")
-    if k_steps == 1:
-        k_values: tuple[float, ...] = (k_min,)
-    else:
-        k_values = tuple(float(x) for x in np.linspace(k_min, k_max, k_steps))
-    return ExperimentConfig1922(**values), k_values
+    return ExperimentConfig1922(**values), k_grid(**k_args)
+
+
+def k_grid(k_min: float = 0.6, k_max: float = 1.0, k_steps: float = 2) -> tuple[float, ...]:
+    """k_steps values of K spanning [k_min, k_max] (k_min alone for one step).
+
+    Raises ValueError unless k_steps is a positive integer and every K lies
+    in the collimator's bracket [0.6, 1.0].
+    """
+    if not (k_steps >= 1 and float(k_steps).is_integer()):
+        raise ValueError(f"K_steps must be a positive integer, got {k_steps}")
+    k_values = tuple(float(x) for x in np.linspace(k_min, k_max, int(k_steps)))
+    if any(not (0.6 <= k <= 1.0) for k in k_values):
+        raise ValueError("every K must lie in [0.6, 1.0]")
+    return k_values

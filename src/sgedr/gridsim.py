@@ -9,13 +9,13 @@ feed SI-scale inputs through a rescaling, not directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .probe import GaussianProbe, moments, sigma_t
-from .sgmodel import SGParams, TauLimit
-from .spin import QubitState
+from .sgmodel import SGParams, TauLimit, g0
+from .spin import QubitState, eigen_mix
 
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-10
@@ -63,9 +63,6 @@ class SpinorField:
             * self.grid.dz
         )
 
-    def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.up.copy(), self.down.copy())
-
     def edge_probability(self) -> float:
         """Probability in the outermost cells on each side."""
         c = _EDGE_CELLS
@@ -104,7 +101,7 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
 def _half_width(p: SGParams, probe: GaussianProbe, margin: float) -> float:
     tau = 0.0 if isinstance(p.tau, TauLimit) else p.tau
     t_f = p.dt + tau
-    deflection = abs(p.mu * p.B1 * p.dt * (p.dt / 2.0 + tau) / p.mass)
+    deflection = abs(g0(replace(p, tau=tau)))
     spread = max(sigma_t(probe, 0.0), sigma_t(probe, t_f))
     return deflection + margin * spread
 
@@ -266,13 +263,7 @@ def _mixed_rms(
     _check_domain(grid, p, probe)
     if steps is None:
         steps = suggest_steps(grid, p, probe)
-    probs, vecs = spin.eigensystem()
-    total = 0.0
-    for weight, psi in zip(probs, vecs.T):
-        if weight <= 0.0:
-            continue
-        total += weight * pure_fn(grid, p, psi, probe, steps)
-    return float(np.sqrt(max(total, 0.0)))
+    return eigen_mix(spin, lambda psi: pure_fn(grid, p, psi, probe, steps))
 
 
 def measure_error(

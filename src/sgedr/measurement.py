@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SIGMA_X, SIGMA_Z, EDPoint, PauliObservable, QubitState
+from .spin import SIGMA_X, SIGMA_Z, PauliObservable, QubitState, clamp_sq, eigen_mix
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -98,37 +98,18 @@ def _pure_deviation_sq(
     return float(np.vdot(diff, diff).real)
 
 
-def _mixed_rms(
-    mp: MeasuringProcess,
-    state: QubitState,
-    obs: PauliObservable,
-    heisenberg_probe_meter: bool,
-) -> float:
-    if obs.matrix.shape != (2, 2):
-        raise ValueError("system observable must be 2x2")
-    probs, vecs = state.eigensystem()
-    total = 0.0
-    for p, psi in zip(probs, vecs.T):
-        if p <= 0.0:
-            continue
-        total += p * _pure_deviation_sq(
-            mp, psi, np.asarray(obs.matrix), heisenberg_probe_meter
-        )
-    return float(np.sqrt(max(total, 0.0)))
-
-
 def qrms_error(
     mp: MeasuringProcess, state: QubitState, measured: PauliObservable
 ) -> float:
     """Quantum rms error of the meter against the measured observable."""
-    return _mixed_rms(mp, state, measured, heisenberg_probe_meter=True)
+    return eigen_mix(state, lambda psi: _pure_deviation_sq(mp, psi, measured.matrix, True))
 
 
 def qrms_disturbance(
     mp: MeasuringProcess, state: QubitState, disturbed: PauliObservable
 ) -> float:
     """Quantum rms change of the disturbed observable across the interaction."""
-    return _mixed_rms(mp, state, disturbed, heisenberg_probe_meter=False)
+    return eigen_mix(state, lambda psi: _pure_deviation_sq(mp, psi, disturbed.matrix, False))
 
 
 def lund_wiseman(params: LWParams) -> MeasuringProcess:
@@ -143,11 +124,11 @@ def lund_wiseman(params: LWParams) -> MeasuringProcess:
     return MeasuringProcess(probe_dim=2, probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
 
 
-def lw_sweep(n: int, state: QubitState | None = None) -> list[EDPoint]:
-    """Error-disturbance points of the CNOT family at n equally spaced angles.
+def lw_sweep(n: int, state: QubitState | None = None) -> np.ndarray:
+    """(eps^2, eta^2) of the CNOT family at n equally spaced angles, shape (n, 2).
 
-    Angles span [0, pi/2]; each point goes through qrms_error and
-    qrms_disturbance, not the closed forms.
+    Angles span [0, pi/2] as np.linspace(0, pi/2, n); each point goes through
+    qrms_error and qrms_disturbance, not the closed forms.
     """
     if n < 2:
         raise ValueError("need at least 2 sweep points")
@@ -155,11 +136,8 @@ def lw_sweep(n: int, state: QubitState | None = None) -> list[EDPoint]:
         state = QubitState.from_bloch(0.0, 1.0, 0.0)
     sz = PauliObservable.z()
     sx = PauliObservable.x()
-    points = []
+    rms = []
     for theta in np.linspace(0.0, np.pi / 2.0, n):
         mp = lund_wiseman(LWParams(theta))
-        eps = qrms_error(mp, state, sz)
-        eta = qrms_disturbance(mp, state, sx)
-        # rounding can push the theta = pi/2 endpoint a few ulp past 4
-        points.append(EDPoint(eps_sq=min(eps * eps, 4.0), eta_sq=min(eta * eta, 4.0)))
-    return points
+        rms.append((qrms_error(mp, state, sz), qrms_disturbance(mp, state, sx)))
+    return clamp_sq(np.square(rms))

@@ -2,15 +2,37 @@
 
 The probe wave function is exp(-lambda z^2) with Re(lambda) > 0.  Second
 moments follow closed forms; the test suite checks them against a quadrature
-oracle before anything downstream relies on them.
+oracle before anything downstream relies on them; they broadcast over arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MIN_UNCERTAINTY_RTOL = 1e-10
+
+
+def everywhere(cond) -> bool:
+    """bool(np.all(cond)) without np.all's per-call cost on scalars."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def require_in(obj, names: tuple[str, ...], low: float = -math.inf) -> None:
+    """Raise ValueError naming the first field of obj not inside (low, inf)."""
+    for name in names:
+        value = getattr(obj, name)
+        inside = (low < value) & (value < math.inf)
+        if not everywhere(inside):
+            bad = np.extract(~np.asarray(inside), value)[0]
+            raise ValueError(f"{name} must lie in ({low}, inf), got {bad}")
+
+
+def unwrap(x):
+    """x as a Python scalar when it is zero-dimensional, else as it is."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -23,10 +45,9 @@ class GaussianProbe:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lambda_re <= 0.0:
-            raise ValueError("Re(lambda) must be positive for normalizability")
-        if self.hbar <= 0.0 or self.mass <= 0.0:
-            raise ValueError("hbar and mass must be positive")
+        require_in(self, ("lambda_im",))
+        # Re(lambda) > 0 for normalizability
+        require_in(self, ("lambda_re", "hbar", "mass"), 0.0)
 
     @property
     def lam(self) -> complex:
@@ -49,13 +70,13 @@ def moments(probe: GaussianProbe) -> tuple[float, float, float]:
     return var_z, var_p, anticom
 
 
-def sigma_t(probe: GaussianProbe, t: float) -> float:
+def sigma_t(probe: GaussianProbe, t):
     """Ballistic spread <(Z + tP/m)^2>^(1/2) at time t (negative t allowed)."""
     var_z, var_p, anticom = moments(probe)
     s = t / probe.mass
     radicand = var_z + s * anticom + s * s * var_p
     # exact value is a Hermitian square; clamp rounding residue
-    return float(np.sqrt(max(radicand, 0.0)))
+    return unwrap(np.sqrt(np.maximum(radicand, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -75,9 +96,7 @@ class CollimatorModel:
     K: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("d1", "d2", "L1", "v_y", "mass", "hbar"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        require_in(self, ("d1", "d2", "L1", "v_y", "mass", "hbar"), 0.0)
         if not (0.6 <= self.K <= 1.0):
             raise ValueError("K must lie in [0.6, 1.0]")
 

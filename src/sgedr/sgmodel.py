@@ -4,19 +4,21 @@ Error comes from the finite spread of the packet on the screen, disturbance
 from uncontrolled precession inside the magnet.  The free-flight time tau can
 be a distinguished INFINITE value, in which case the error is the limiting
 expression rather than the finite-tau formula.
+
+The formulas broadcast over array-valued fields; scalar inputs return floats.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.special import erfc, erfinv
 
-from .spin import EDPoint
-from .probe import GaussianProbe, moments, sigma_t
+from .probe import GaussianProbe, everywhere, moments, require_in, sigma_t, unwrap
+from .spin import check_sq, clamp_sq
 
 REGION_TOL = 1e-12
 
@@ -27,7 +29,14 @@ class TauLimit(enum.Enum):
 
 INFINITE = TauLimit.INFINITE
 
-Tau = Union[float, TauLimit]
+Tau = Union[float, np.ndarray, TauLimit]
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x):
+    """Complementary error function: math.erfc applied elementwise."""
+    return np.asarray(_erfc(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -43,23 +52,32 @@ class SGParams:
     tau: Tau = 0.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("transit time dt must be positive")
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass and hbar must be positive")
+        require_in(self, ("mu", "B0", "B1"))
+        require_in(self, ("mass", "hbar", "dt"), 0.0)
         if not isinstance(self.tau, TauLimit):
-            if not np.isfinite(self.tau) or self.tau < 0.0:
+            if not everywhere((0.0 <= self.tau) & (self.tau < math.inf)):
                 raise ValueError("tau must be >= 0 or INFINITE")
 
 
-def g0(p: SGParams) -> float:
+def g0(p: SGParams):
     """Half-separation of the packet centers at the screen."""
     if isinstance(p.tau, TauLimit):
         raise ValueError("g0 undefined at INFINITE tau; use error_sq_limit")
-    return p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass
+    return unwrap(p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass)
 
 
-def error_sq(p: SGParams, probe: GaussianProbe) -> float:
+def erfc_arg(p: SGParams, probe: GaussianProbe):
+    """|g0| / (sqrt(2) sigma(dt + tau)), the argument of error_sq's erfc."""
+    return unwrap(abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt + p.tau)))
+
+
+def damping_exponent(p: SGParams, probe: GaussianProbe):
+    """(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2, the decay of <sigma_x>."""
+    spread = sigma_t(probe, p.dt / 2.0)
+    return unwrap(2.0 * (p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread))
+
+
+def error_sq(p: SGParams, probe: GaussianProbe):
     """Squared q-rms error 2*erfc(|g0| / (sqrt(2) sigma(dt + tau))).
 
     Routed to error_sq_limit when tau is INFINITE.  The |g0| convention keeps
@@ -68,29 +86,25 @@ def error_sq(p: SGParams, probe: GaussianProbe) -> float:
     """
     if isinstance(p.tau, TauLimit):
         return error_sq_limit(p, probe)
-    spread = sigma_t(probe, p.dt + p.tau)
-    arg = abs(g0(p)) / (np.sqrt(2.0) * spread)
-    return float(2.0 * erfc(arg))
+    return unwrap(2.0 * erfc(erfc_arg(p, probe)))
 
 
-def error_sq_limit(p: SGParams, probe: GaussianProbe) -> float:
+def error_sq_limit(p: SGParams, probe: GaussianProbe):
     """Limit of error_sq as the free flight grows without bound."""
     _, var_p, _ = moments(probe)
     arg = abs(p.mu * p.B1 * p.dt) / (np.sqrt(2.0) * np.sqrt(var_p))
-    return float(2.0 * erfc(arg))
+    return unwrap(2.0 * erfc(arg))
 
 
-def disturbance_sq(p: SGParams, probe: GaussianProbe) -> float:
+def disturbance_sq(p: SGParams, probe: GaussianProbe):
     """Squared q-rms disturbance of sigma_x; independent of tau.
 
     2 - 2 exp(-(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2) cos(2 mu dt B0 / hbar);
     equals exactly 2 once the damping exponent underflows exp to zero.
     """
-    spread_sq = sigma_t(probe, p.dt / 2.0) ** 2
-    exponent = 2.0 * (p.mu * p.B1 * p.dt / p.hbar) ** 2 * spread_sq
-    damping = np.exp(-exponent) if exponent < 745.0 else 0.0
+    damping = np.exp(-damping_exponent(p, probe))
     phase = np.cos(2.0 * p.mu * p.dt * p.B0 / p.hbar)
-    return float(2.0 - 2.0 * damping * phase)
+    return unwrap(2.0 - 2.0 * damping * phase)
 
 
 def tau_condition(p: SGParams, probe: GaussianProbe) -> bool:
@@ -110,23 +124,41 @@ def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
     return float(-num / (2.0 * denom))
 
 
-def region_bound(eps_sq: float) -> float:
+def _erfc_inverse(y: np.ndarray) -> np.ndarray:
+    """u >= 0 with erfc(u) = y for y in (0, 1]: Newton steps on the nearly
+    quadratic log erfc(u) - log y from Winitzki's approximation of erfinv(1 - y).
+    """
+    # below 1e-300 the bound is under 1e-297; the floor keeps exp(u*u) finite
+    y = np.maximum(y, 1e-300)
+    a = 0.147
+    log_1mx2 = np.log(y * (2.0 - y))  # log(1 - x^2) with x = 1 - y
+    t = 2.0 / (np.pi * a) + log_1mx2 / 2.0
+    u = np.sqrt(np.maximum(np.sqrt(t * t - log_1mx2 / a) - t, 0.0))
+    # three steps reach the fixed point on [1e-300, 1]; the fourth is margin
+    for _ in range(4):
+        erfc_u = erfc(u)
+        u = u + (np.log(erfc_u) - np.log(y)) * erfc_u * np.exp(u * u) * (np.sqrt(np.pi) / 2.0)
+    return u
+
+
+def region_bound(eps_sq):
     """Largest achievable |2 - eta_sq|/2 at a given squared error.
 
-    exp(-erfinv((2 - eps_sq)/2)^2); saturates to exactly 0 at eps_sq in {0, 4}.
+    exp(-erfinv((2 - eps_sq)/2)^2), solved as erfc(u) = min(eps_sq, 4 - eps_sq)/2
+    so the tails keep full precision; exactly 0 at eps_sq in {0, 4}.
     """
-    if not (0.0 <= eps_sq <= 4.0):
-        raise ValueError(f"eps_sq must lie in [0, 4], got {eps_sq}")
-    x = (2.0 - eps_sq) / 2.0
-    if abs(x) >= 1.0:
-        return 0.0
-    u = float(erfinv(x))
-    return float(np.exp(-u * u))
+    eps_sq = np.asarray(eps_sq, dtype=float)
+    check_sq("eps_sq", eps_sq)
+    y = np.minimum(eps_sq, 4.0 - eps_sq) / 2.0
+    u = _erfc_inverse(y)
+    return unwrap(np.where(y > 0.0, np.exp(-u * u), 0.0))
 
 
-def in_region(point: EDPoint) -> bool:
-    """Whether an error-disturbance pair lies in the achievable region."""
-    return abs(2.0 - point.eta_sq) / 2.0 <= region_bound(point.eps_sq) + REGION_TOL
+def in_region(eps_sq, eta_sq):
+    """Whether error-disturbance pairs lie in the achievable region."""
+    eta_sq = np.asarray(eta_sq, dtype=float)
+    check_sq("eta_sq", eta_sq)
+    return unwrap(np.abs(2.0 - eta_sq) / 2.0 <= region_bound(eps_sq) + REGION_TOL)
 
 
 def sweep_region(
@@ -134,28 +166,16 @@ def sweep_region(
     lambdas: Iterable[complex],
     b0_values: Iterable[float],
     taus: Iterable[float],
-) -> list[EDPoint]:
-    """Error-disturbance pairs over a grid of (lambda, B0, tau).
+) -> np.ndarray:
+    """(eps^2, eta^2) over a grid of (lambda, B0, tau), shape (N, 2).
 
-    Ordering is the itertools.product order of the inputs; deterministic for
-    fixed inputs.
+    Rows follow the itertools.product order of the inputs; deterministic for
+    fixed inputs.  base supplies every field but B0 and tau.
     """
-    points = []
-    for lam, b0, tau in itertools.product(lambdas, b0_values, taus):
-        lam = complex(lam)
-        if lam.real <= 0.0:
-            raise ValueError("Re(lambda) must be positive")
-        if tau < 0.0:
-            raise ValueError("tau must be >= 0")
-        probe = GaussianProbe(lam.real, lam.imag, hbar=base.hbar, mass=base.mass)
-        params = SGParams(
-            mu=base.mu, B0=b0, B1=base.B1,
-            mass=base.mass, hbar=base.hbar, dt=base.dt, tau=tau,
-        )
-        points.append(
-            EDPoint(
-                eps_sq=min(error_sq(params, probe), 4.0),
-                eta_sq=min(max(disturbance_sq(params, probe), 0.0), 4.0),
-            )
-        )
-    return points
+    lam = np.fromiter(lambdas, complex).reshape(-1, 1, 1)
+    b0 = np.fromiter(b0_values, float).reshape(1, -1, 1)
+    tau = np.fromiter(taus, float).reshape(1, 1, -1)
+    probe = GaussianProbe(lam.real, lam.imag, hbar=base.hbar, mass=base.mass)
+    params = dataclasses.replace(base, B0=b0, tau=tau)
+    eps_sq, eta_sq = np.broadcast_arrays(error_sq(params, probe), disturbance_sq(params, probe))
+    return clamp_sq(np.stack([eps_sq.ravel(), eta_sq.ravel()], axis=1))

@@ -7,8 +7,11 @@ floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from .probe import everywhere
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -117,9 +120,15 @@ class QubitState:
         return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-# convenient named states
+# convenient named state
 STATE_SY_PLUS = QubitState.from_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
-STATE_ZERO = QubitState(np.array([[1, 0], [0, 0]], dtype=complex))
+
+
+def eigen_mix(state: QubitState, pure_sq: Callable[[np.ndarray], float]) -> float:
+    """sqrt(sum_k p_k pure_sq(psi_k)) over the eigenvectors psi_k of a mixed state."""
+    probs, vecs = state.eigensystem()
+    total = sum(p * pure_sq(psi) for p, psi in zip(probs, vecs.T) if p > 0.0)
+    return float(np.sqrt(max(total, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,19 @@ class PauliObservable:
         return cls(SIGMA_Z, "Z")
 
 
+def check_sq(name: str, x) -> None:
+    """Raise ValueError naming the input unless every value of x lies in [0, 4]."""
+    inside = (0.0 <= x) & (x <= 4.0)
+    if not everywhere(inside):
+        raise ValueError(f"{name} must lie in [0, 4], got {np.extract(~np.asarray(inside), x)[0]}")
+
+
+def clamp_sq(x):
+    """Clip squared errors or disturbances into [0, 4], which rounding leaves
+    by a few ulp at most (4.0000000000000018 at theta = pi/2 of lw_sweep)."""
+    return np.clip(x, 0.0, 4.0)
+
+
 @dataclass(frozen=True)
 class EDPoint:
     """A squared error / squared disturbance pair for +-1-valued observables."""
@@ -165,10 +187,8 @@ class EDPoint:
     eta_sq: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.eps_sq <= 4.0):
-            raise ValueError(f"eps_sq must lie in [0, 4], got {self.eps_sq}")
-        if not (0.0 <= self.eta_sq <= 4.0):
-            raise ValueError(f"eta_sq must lie in [0, 4], got {self.eta_sq}")
+        check_sq("eps_sq", self.eps_sq)
+        check_sq("eta_sq", self.eta_sq)
 
 
 @dataclass(frozen=True)

@@ -170,17 +170,16 @@ def test_criterion_5_region_containment():
     failures = []
     if len(points) != 10_000:
         failures.append(f"sweep has {len(points)} points, wanted 10000")
-    outside_region = sum(not in_region(pt) for pt in points)
-    outside_tight = sum(
-        (pt.eps_sq - 2.0) ** 2 + (pt.eta_sq - 2.0) ** 2 > 4.0 + 1e-9 for pt in points
-    )
+    eps_sq, eta_sq = points.T
+    outside_region = int(np.sum(~in_region(eps_sq, eta_sq)))
+    outside_tight = int(np.sum((eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2 > 4.0 + 1e-9))
     if outside_region:
         failures.append(f"{outside_region} points outside the achievable region")
     if outside_tight:
         failures.append(f"{outside_tight} points outside the tight disk")
     if d_quantity(STATE_SY_PLUS, SZ, SX) != pytest.approx(1.0, abs=1e-12):
         failures.append("reference state does not have D = 1")
-    if not any(np.sqrt(pt.eps_sq * pt.eta_sq) < 1.0 for pt in points):
+    if not np.any(np.sqrt(eps_sq * eta_sq) < 1.0):
         failures.append("no swept point violates the Heisenberg product bound")
     verdict(5, "region containment and tight EDR", failures)
 

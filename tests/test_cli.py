@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sgedr
 from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -88,6 +92,11 @@ class TestRegion:
         assert main(["region", "--tau", "-1:0"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", ["foo", "1", "1:", "nan:2", "1:2:3"])
+    def test_rejects_malformed_range(self, spec, capsys):
+        assert main(["region", "--lambda-re", spec]) == EXIT_USAGE
+        assert "lambda-re" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_defaults_report_known_reference_mismatches(self, capsys):
@@ -128,6 +137,17 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
         capsys.readouterr()
 
+    def test_fractional_k_steps_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("K_steps = 2.7\n")
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "K_steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--k-min", "0.5"], ["--k-max", "1.5"], ["--k-steps", "0"]])
+    def test_rejects_bad_k_flags(self, flags, capsys):
+        assert main(["experiment", *flags]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_default_grid_passes(self, capsys):
@@ -160,6 +180,11 @@ class TestTauOpt:
         eps_at_tau0 = float(text.split("eps^2(tau0) = ")[1].split()[0])
         assert all(row["eps_sq"] >= eps_at_tau0 - 1e-12 for row in data["rows"])
 
+    def test_rejects_empty_grid(self, capsys):
+        assert main(["tau-opt", "--steps", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "steps" in captured.err and captured.out == ""
+
     def test_monotone_tail_without_minimizer(self, tmp_path, capsys):
         out = tmp_path / "tau.json"
         code = main([
@@ -185,3 +210,13 @@ class TestTopLevel:
     def test_unwritable_output(self, capsys):
         assert main(["lw", "--out", "/no/such/dir/out.csv"]) == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sgedr.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, sgedr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -146,20 +146,20 @@ class TestClosedFormAgreement:
 
 class TestLwSweep:
     def test_endpoints(self):
-        pts = lw_sweep(2)
-        assert pts[0].eps_sq == pytest.approx(0.0, abs=1e-12)
-        assert pts[0].eta_sq == pytest.approx(2.0, abs=1e-12)
-        assert pts[1].eps_sq == pytest.approx(4.0, abs=1e-12)
-        assert pts[1].eta_sq == pytest.approx(2.0, abs=1e-12)
+        (eps0_sq, eta0_sq), (eps1_sq, eta1_sq) = lw_sweep(2)
+        assert eps0_sq == pytest.approx(0.0, abs=1e-12)
+        assert eta0_sq == pytest.approx(2.0, abs=1e-12)
+        assert eps1_sq == pytest.approx(4.0, abs=1e-12)
+        assert eta1_sq == pytest.approx(2.0, abs=1e-12)
 
     def test_midpoint(self):
-        pts = lw_sweep(3)
-        assert pts[1].eps_sq == pytest.approx(2.0, abs=1e-12)
-        assert pts[1].eta_sq == pytest.approx(0.0, abs=1e-12)
+        eps_sq, eta_sq = lw_sweep(3)[1]
+        assert eps_sq == pytest.approx(2.0, abs=1e-12)
+        assert eta_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_all_points_on_tight_boundary(self):
-        for pt in lw_sweep(37):
-            lhs = (pt.eps_sq - 2.0) ** 2 + (pt.eta_sq - 2.0) ** 2
+        for eps_sq, eta_sq in lw_sweep(37):
+            lhs = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2
             assert lhs == pytest.approx(4.0, abs=1e-10)
 
     def test_rejects_small_n(self):

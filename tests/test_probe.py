@@ -76,6 +76,17 @@ class TestMoments:
         with pytest.raises(ValueError):
             GaussianProbe(-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_re", "lambda_im", "hbar", "mass"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        fields = {"lambda_re": 1.0, "lambda_im": 0.5, "hbar": 1.0, "mass": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            GaussianProbe(**fields)
+
+    def test_rejects_non_finite_array_element(self):
+        with pytest.raises(ValueError, match="lambda_im"):
+            GaussianProbe(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
+
 
 class TestSigmaT:
     def test_zero_time_gives_position_spread(self):

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc as scipy_erfc
+from scipy.special import erfinv as scipy_erfinv
 
 from sgedr.probe import GaussianProbe, collimator_posterior, CollimatorModel, moments, sigma_t
 from sgedr.sgmodel import (
@@ -8,6 +11,7 @@ from sgedr.sgmodel import (
     SGParams,
     TauLimit,
     disturbance_sq,
+    erfc,
     error_sq,
     error_sq_limit,
     g0,
@@ -17,7 +21,6 @@ from sgedr.sgmodel import (
     sweep_region,
     tau_condition,
 )
-from sgedr.spin import EDPoint
 
 HBAR = 1.054571817e-34
 MU_E = -9.2847647043e-24
@@ -116,6 +119,14 @@ class TestErrorSqLimit:
             error_sq(p_far, probe), abs=1e-6
         )
 
+    def test_broadcasts_over_probe_widths(self):
+        lambdas = np.array([0.5, 1.0, 4.0])
+        p = unit_params(mu_b1=2.0)
+        got = error_sq_limit(p, GaussianProbe(lambdas, 0.3))
+        assert got.shape == (3,)
+        for lam, value in zip(lambdas, got):
+            assert value == error_sq_limit(p, GaussianProbe(float(lam), 0.3))
+
     def test_routed_from_error_sq_at_infinite(self):
         probe = GaussianProbe(1.0)
         p = unit_params(tau=INFINITE)
@@ -206,6 +217,17 @@ class TestRegion:
         for e in np.linspace(0.0, 4.0, 101):
             assert region_bound(e) == pytest.approx(region_bound(4.0 - e), abs=1e-12)
 
+    def test_bound_matches_scipy_erfinv(self):
+        specials = [0.0, 5e-324, 1e-300, 1e-17, 4.0 - 4e-16, 4.0]
+        eps_sq = np.concatenate([np.linspace(0.0, 4.0, 4097 - len(specials)), specials])
+        got = region_bound(eps_sq)
+        assert got.shape == (4097,)
+        assert np.all(np.isfinite(got)) and np.all((0.0 <= got) & (got <= 1.0))
+        want = np.exp(-scipy_erfinv((2.0 - eps_sq) / 2.0) ** 2)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        for e in specials:
+            assert 0.0 <= region_bound(e) <= 1.0
+
     def test_bound_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             region_bound(-0.1)
@@ -213,12 +235,18 @@ class TestRegion:
             region_bound(4.1)
 
     def test_in_region_examples(self):
-        assert in_region(EDPoint(2.0, 0.0))
-        assert in_region(EDPoint(0.0, 2.0))
-        assert not in_region(EDPoint(0.0, 0.0))
+        assert in_region(2.0, 0.0)
+        assert in_region(0.0, 2.0)
+        assert not in_region(0.0, 0.0)
 
     def test_1922_point_inside(self):
-        assert in_region(EDPoint(0.338, 2.0))
+        assert in_region(0.338, 2.0)
+
+
+class TestErfc:
+    def test_matches_scipy(self):
+        x = np.linspace(0.0, 10.0, 10001)
+        np.testing.assert_allclose(erfc(x), scipy_erfc(x), rtol=1e-14, atol=0.0)
 
 
 class TestSweepRegion:
@@ -227,8 +255,8 @@ class TestSweepRegion:
     def test_no_gradient_line(self):
         base = SGParams(mu=1.0, B0=0.0, B1=0.0, mass=1.0, hbar=1.0, dt=1.0)
         pts = sweep_region(base, [1.0 + 0.0j], [0.3, 0.9], [0.0])
-        for pt in pts:
-            assert pt.eps_sq == pytest.approx(2.0)
+        for eps_sq, _ in pts:
+            assert eps_sq == pytest.approx(2.0)
 
     def test_containment(self):
         lambdas = [
@@ -237,9 +265,9 @@ class TestSweepRegion:
             for im in np.linspace(-2.0, 2.0, 6)
         ]
         pts = sweep_region(self.BASE, lambdas, np.linspace(0, 2, 5), np.linspace(0, 2, 5))
-        for pt in pts:
-            assert abs(2.0 - pt.eta_sq) / 2.0 <= region_bound(pt.eps_sq) + 1e-9
-            assert (pt.eps_sq - 2.0) ** 2 + (pt.eta_sq - 2.0) ** 2 <= 4.0 + 1e-9
+        for eps_sq, eta_sq in pts:
+            assert abs(2.0 - eta_sq) / 2.0 <= region_bound(eps_sq) + 1e-9
+            assert (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2 <= 4.0 + 1e-9
 
     def test_contains_heisenberg_violations(self):
         pts = sweep_region(
@@ -248,7 +276,23 @@ class TestSweepRegion:
             [0.0],
             [0.0],
         )
-        assert any(np.sqrt(pt.eps_sq * pt.eta_sq) < 1.0 for pt in pts)
+        assert any(np.sqrt(eps_sq * eta_sq) < 1.0 for eps_sq, eta_sq in pts)
+
+    def test_matches_scalar_path_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        lambdas = [complex(re, im) for re, im in zip(rng.uniform(0.25, 4.0, 5), rng.uniform(-2, 2, 5))]
+        b0_values = rng.uniform(0.1, 2.0, 4)
+        taus = rng.uniform(0.1, 2.0, 4)
+        pts = sweep_region(self.BASE, lambdas, b0_values, taus)
+        expected = []
+        for lam, b0, tau in itertools.product(lambdas, b0_values, taus):
+            probe = GaussianProbe(lam.real, lam.imag)
+            params = SGParams(mu=1.0, B0=float(b0), B1=3.0, mass=1.0, hbar=1.0, dt=1.0, tau=float(tau))
+            eps_sq, eta_sq = error_sq(params, probe), disturbance_sq(params, probe)
+            assert isinstance(eps_sq, float) and isinstance(eta_sq, float)
+            expected.append((min(eps_sq, 4.0), min(max(eta_sq, 0.0), 4.0)))
+        assert pts.shape == (80, 2)
+        assert np.array_equal(pts, np.array(expected))
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -265,6 +309,18 @@ class TestSGParams:
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
             unit_params(tau=-1.0)
+
+    @pytest.mark.parametrize("field", ["mu", "B0", "B1", "mass", "hbar", "dt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        fields = {"mu": 1.0, "B0": 0.0, "B1": 1.0, "mass": 1.0, "hbar": 1.0, "dt": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SGParams(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, bad):
+        with pytest.raises(ValueError, match="tau"):
+            unit_params(tau=bad)
 
     def test_infinite_is_enum(self):
         assert isinstance(INFINITE, TauLimit)
