@@ -157,7 +157,8 @@ def cmd_experiment(args) -> int:
         cfg, k_from_file = parse_config(args.config)
     else:
         cfg, k_from_file = ExperimentConfig1922(), None
-    k_flags = {k: v for k, v in vars(args).items() if k.startswith("k_") and v is not None}
+    k_flags = {"k_min": args.k_min, "k_max": args.k_max, "k_steps": args.k_steps}
+    k_flags = {k: v for k, v in k_flags.items() if v is not None}
     k_values = k_from_file
     if k_from_file is None or k_flags:
         try:

@@ -8,7 +8,7 @@ factor K in [0.6, 1].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -121,11 +121,10 @@ def run_chain(
         mu=c.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=c.hbar, dt=dt, tau=tau
     )
 
+    collimator = CollimatorModel(d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=c.hbar)
     rows = []
     for k in k_values:
-        cm = CollimatorModel(
-            d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=c.hbar, K=k
-        )
+        cm = replace(collimator, K=k)
         probe = collimator_posterior(cm)
         var_z, _, _ = moments(probe)
         spread = sigma_t(probe, dt + tau)
@@ -155,8 +154,8 @@ def run_chain(
         v_y=v_y,
         dt=dt,
         tau=tau,
-        delta_p=cm.delta_p,  # K-independent
-        delta_z=cm.delta_z,
+        delta_p=collimator.delta_p,
+        delta_z=collimator.delta_z,
         g0=g0(params),
         rows=tuple(rows),
         eps_sq_min=eps_min,

@@ -231,11 +231,7 @@ def _pure_error_sq(
     f = _meter_sign(grid.z)
     hit = SpinorField(grid, f * fwd.up, f * fwd.down)
     back = _propagate(hit, p, steps, backward=True, check_leak=False)
-    diff_up = back.up - start.up
-    diff_down = back.down + start.down
-    return float(
-        (np.sum(np.abs(diff_up) ** 2) + np.sum(np.abs(diff_down) ** 2)) * grid.dz
-    )
+    return SpinorField(grid, back.up - start.up, back.down + start.down).norm_sq()
 
 
 def _pure_disturbance_sq(
@@ -245,11 +241,7 @@ def _pure_disturbance_sq(
     fwd = _propagate(start, p, steps)
     flipped = SpinorField(grid, fwd.down.copy(), fwd.up.copy())
     back = _propagate(flipped, p, steps, backward=True)
-    diff_up = back.up - start.down
-    diff_down = back.down - start.up
-    return float(
-        (np.sum(np.abs(diff_up) ** 2) + np.sum(np.abs(diff_down) ** 2)) * grid.dz
-    )
+    return SpinorField(grid, back.up - start.down, back.down - start.up).norm_sq()
 
 
 def _mixed_rms(

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SIGMA_X, SIGMA_Z, PauliObservable, QubitState, clamp_sq, eigen_mix
+from ._arrays import clamp_sq
+from .spin import SIGMA_X, SIGMA_Z, PauliObservable, QubitState, eigen_mix
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12

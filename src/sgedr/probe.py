@@ -6,33 +6,13 @@ oracle before anything downstream relies on them; they broadcast over arrays.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import require_in, unwrap
+
 MIN_UNCERTAINTY_RTOL = 1e-10
-
-
-def everywhere(cond) -> bool:
-    """bool(np.all(cond)) without np.all's per-call cost on scalars."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
-def require_in(obj, names: tuple[str, ...], low: float = -math.inf) -> None:
-    """Raise ValueError naming the first field of obj not inside (low, inf)."""
-    for name in names:
-        value = getattr(obj, name)
-        inside = (low < value) & (value < math.inf)
-        if not everywhere(inside):
-            bad = np.extract(~np.asarray(inside), value)[0]
-            raise ValueError(f"{name} must lie in ({low}, inf), got {bad}")
-
-
-def unwrap(x):
-    """x as a Python scalar when it is zero-dimensional, else as it is."""
-    x = np.asarray(x)
-    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)

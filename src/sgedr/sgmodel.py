@@ -17,8 +17,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .probe import GaussianProbe, everywhere, moments, require_in, sigma_t, unwrap
-from .spin import check_sq, clamp_sq
+from ._arrays import check_sq, clamp_sq, require_in, unwrap
+from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
 
@@ -36,7 +36,7 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def erfc(x):
     """Complementary error function: math.erfc applied elementwise."""
-    return np.asarray(_erfc(x), dtype=float)
+    return unwrap(np.asarray(_erfc(x), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class SGParams:
         require_in(self, ("mu", "B0", "B1"))
         require_in(self, ("mass", "hbar", "dt"), 0.0)
         if not isinstance(self.tau, TauLimit):
-            if not everywhere((0.0 <= self.tau) & (self.tau < math.inf)):
+            if not np.all((0.0 <= self.tau) & (self.tau < math.inf)):
                 raise ValueError("tau must be >= 0 or INFINITE")
 
 
@@ -63,18 +63,18 @@ def g0(p: SGParams):
     """Half-separation of the packet centers at the screen."""
     if isinstance(p.tau, TauLimit):
         raise ValueError("g0 undefined at INFINITE tau; use error_sq_limit")
-    return unwrap(p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass)
+    return p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass
 
 
 def erfc_arg(p: SGParams, probe: GaussianProbe):
     """|g0| / (sqrt(2) sigma(dt + tau)), the argument of error_sq's erfc."""
-    return unwrap(abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt + p.tau)))
+    return abs(g0(p)) / (math.sqrt(2.0) * sigma_t(probe, p.dt + p.tau))
 
 
 def damping_exponent(p: SGParams, probe: GaussianProbe):
     """(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2, the decay of <sigma_x>."""
     spread = sigma_t(probe, p.dt / 2.0)
-    return unwrap(2.0 * (p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread))
+    return 2.0 * (p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread)
 
 
 def error_sq(p: SGParams, probe: GaussianProbe):
@@ -86,14 +86,13 @@ def error_sq(p: SGParams, probe: GaussianProbe):
     """
     if isinstance(p.tau, TauLimit):
         return error_sq_limit(p, probe)
-    return unwrap(2.0 * erfc(erfc_arg(p, probe)))
+    return 2.0 * erfc(erfc_arg(p, probe))
 
 
 def error_sq_limit(p: SGParams, probe: GaussianProbe):
     """Limit of error_sq as the free flight grows without bound."""
     _, var_p, _ = moments(probe)
-    arg = abs(p.mu * p.B1 * p.dt) / (np.sqrt(2.0) * np.sqrt(var_p))
-    return unwrap(2.0 * erfc(arg))
+    return 2.0 * erfc(abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(var_p)))
 
 
 def disturbance_sq(p: SGParams, probe: GaussianProbe):

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .probe import everywhere
+from ._arrays import check_sq
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -164,19 +164,6 @@ class PauliObservable:
     @classmethod
     def z(cls) -> "PauliObservable":
         return cls(SIGMA_Z, "Z")
-
-
-def check_sq(name: str, x) -> None:
-    """Raise ValueError naming the input unless every value of x lies in [0, 4]."""
-    inside = (0.0 <= x) & (x <= 4.0)
-    if not everywhere(inside):
-        raise ValueError(f"{name} must lie in [0, 4], got {np.extract(~np.asarray(inside), x)[0]}")
-
-
-def clamp_sq(x):
-    """Clip squared errors or disturbances into [0, 4], which rounding leaves
-    by a few ulp at most (4.0000000000000018 at theta = pi/2 of lw_sweep)."""
-    return np.clip(x, 0.0, 4.0)
 
 
 @dataclass(frozen=True)

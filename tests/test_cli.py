@@ -36,6 +36,13 @@ class TestLw:
         for row in rows:
             assert float(row[5]) == pytest.approx(4.0, abs=1e-10)
 
+    def test_last_row_is_exact(self, tmp_path):
+        # lw_sweep clips eps^2 into [0, 4], so theta = pi/2 gives eps = 2 exactly
+        out = tmp_path / "lw.csv"
+        assert main(["lw", "--steps", "5", "--out", str(out)]) == EXIT_OK
+        theta, eps, _, eps_sq, _, tight_lhs, _ = (float(v) for v in read_csv(out)[1][-1])
+        assert (theta, eps, eps_sq, tight_lhs) == (np.pi / 2, 2.0, 4.0, 4.0)
+
     def test_json_to_stdout(self, capsys):
         assert main(["lw", "--steps", "3", "--format", "json"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
@@ -126,6 +133,12 @@ class TestExperiment:
         tail = capsys.readouterr().out.split("{", 1)[1]
         data = json.loads("{" + tail)
         assert [row["K"] for row in data["rows"]] == [0.8]
+
+    def test_config_k_checked_when_flags_override_it(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("T = 1600\nK_min = 0.5\n")
+        assert main(["experiment", "--config", str(cfg), "--k-min", "0.7"]) == EXIT_VALIDATION
+        assert "[0.6, 1.0]" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["experiment", "--config", "/nonexistent.cfg"]) == EXIT_IO
