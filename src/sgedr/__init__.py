@@ -50,7 +50,6 @@ from .gridsim import (
     measure_disturbance,
     measure_error,
     suggest_grid,
-    suggest_steps,
 )
 from .experiment import (
     ChainReport,

@@ -8,7 +8,6 @@ feed SI-scale inputs through a rescaling, not directly.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -113,22 +112,6 @@ def _check_domain(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> None:
         raise ValueError(f"grid span {span:.3g} below required {need:.3g}")
 
 
-def suggest_steps(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> int:
-    """Step count keeping per-step phases below pi/4.
-
-    The potential phase is bounded over the whole grid; the kinetic phase is
-    bounded at the largest momentum that carries amplitude (magnet kick plus
-    packet tails), since the kinetic factor is applied exactly and empty
-    Nyquist modes do not constrain accuracy.
-    """
-    _, var_p, _ = moments(probe)
-    v_max = abs(p.mu) * (abs(p.B0) + abs(p.B1) * max(abs(grid.z_min), abs(grid.z_max)))
-    p_char = abs(p.mu * p.B1) * p.dt + 8.0 * np.sqrt(var_p)
-    rate = max(v_max, p_char**2 / (2.0 * p.mass)) / p.hbar
-    limit = np.pi / 4.0
-    return max(int(np.ceil(p.dt * rate / limit)), 16)
-
-
 def init_state(
     grid: Grid1D, spin: np.ndarray, probe: GaussianProbe
 ) -> SpinorField:
@@ -153,16 +136,28 @@ def init_state(
 def _propagate(
     field: SpinorField,
     p: SGParams,
-    steps: int,
+    steps: int = 1,
     backward: bool = False,
     check_leak: bool = True,
 ) -> SpinorField:
-    """Apply the magnet interval with Strang steps, then the free flight.
+    """Apply the magnet interval as symmetric splits, then the free flight.
 
+    One split is exact.  In each sigma_z branch the magnet potential
+    V = +-mu (B0 + B1 z) is linear in z, so [V, T] is linear in P,
+    [V, [V, T]] is the c-number -(mu B1)^2 hbar^2 / m and [T, [T, V]] = 0.
+    The BCH series of e^{-iV dt/2} e^{-iT dt} e^{-iV dt/2} (hbar = 1)
+    therefore ends at a global phase proportional to (mu B1)^2 dt^3 / m,
+    the same in both branches, which cancels in every q-rms norm (Feit,
+    Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  `steps` > 1 repeats
+    the split and serves as a self-consistency check.
+
+    The argument holds for z on the line.  On the periodic grid z wraps
+    around at the edges, so the packets must stay clear of them: the norm
+    check runs on every propagation, the edge check on every one it can.
     Backward applies the exact adjoint: inverse free flight first, then the
-    magnet steps with conjugated phases (each Strang step is symmetric).
-    The edge check only makes sense for smooth packets; the backward pass of
-    a meter-multiplied state legitimately carries broadband components.
+    magnet splits with conjugated phases.  The edge check only makes sense
+    for smooth packets; the backward pass of a meter-multiplied state
+    legitimately carries broadband components.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -213,7 +208,7 @@ def _propagate(
     return out
 
 
-def evolve(field: SpinorField, p: SGParams, steps: int) -> SpinorField:
+def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     """Forward evolution through the magnet and the free flight."""
     return _propagate(field, p, steps, backward=False)
 
@@ -249,12 +244,10 @@ def _mixed_rms(
     p: SGParams,
     spin: QubitState,
     probe: GaussianProbe,
-    steps: int | None,
+    steps: int,
     pure_fn,
 ) -> float:
     _check_domain(grid, p, probe)
-    if steps is None:
-        steps = suggest_steps(grid, p, probe)
     return eigen_mix(spin, lambda psi: pure_fn(grid, p, psi, probe, steps))
 
 
@@ -263,7 +256,7 @@ def measure_error(
     p: SGParams,
     spin: QubitState,
     probe: GaussianProbe,
-    steps: int | None = None,
+    steps: int = 1,
 ) -> float:
     """q-rms error of the sign-of-position meter against sigma_z."""
     return _mixed_rms(grid, p, spin, probe, steps, _pure_error_sq)
@@ -274,18 +267,7 @@ def measure_disturbance(
     p: SGParams,
     spin: QubitState,
     probe: GaussianProbe,
-    steps: int | None = None,
+    steps: int = 1,
 ) -> float:
     """q-rms disturbance of sigma_x across the magnet transit."""
     return _mixed_rms(grid, p, spin, probe, steps, _pure_disturbance_sq)
-
-
-def dump_profile(field: SpinorField, path: str) -> None:
-    """Write |up|^2 and |down|^2 densities per grid point as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "p_up", "p_down"])
-        for z, pu, pd in zip(
-            field.grid.z, np.abs(field.up) ** 2, np.abs(field.down) ** 2
-        ):
-            writer.writerow([repr(float(z)), repr(float(pu)), repr(float(pd))])

@@ -69,7 +69,7 @@ def default_cases() -> list[ValidationCase]:
 def run_case(
     case: ValidationCase,
     n: int = 1024,
-    steps: int | None = None,
+    steps: int = 1,
     state: QubitState | None = None,
 ) -> ValidationResult:
     state = state or STATE_SY_PLUS
@@ -88,6 +88,6 @@ def run_case(
 
 
 def run_validation(
-    n: int = 1024, steps: int | None = None
+    n: int = 1024, steps: int = 1
 ) -> list[ValidationResult]:
     return [run_case(c, n=n, steps=steps) for c in default_cases()]

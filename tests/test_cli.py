@@ -173,6 +173,15 @@ class TestValidate:
         assert main(["validate", "--grid-n", "256"]) == EXIT_VALIDATION
         assert "unresolvable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--grid-n", "1000"], ["--grid-n", "128"],
+        ["--dt-steps", "0"], ["--dt-steps", "-3"],
+    ])
+    def test_rejects_bad_arguments(self, flags, capsys):
+        assert main(["validate", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err and captured.out == ""
+
 
 class TestTauOpt:
     def test_finite_minimizer(self, tmp_path, capsys):

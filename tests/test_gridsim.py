@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -11,9 +9,7 @@ from sgedr.gridsim import (
     init_state,
     measure_disturbance,
     measure_error,
-    dump_profile,
     suggest_grid,
-    suggest_steps,
 )
 from sgedr.probe import GaussianProbe, moments, sigma_t
 from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
@@ -124,7 +120,7 @@ class TestEvolve:
         p = unit_params(mu_b1=3.0, b0=0.5, tau=1.0)
         probe = GaussianProbe(1.0, 0.5)
         grid = suggest_grid(p, probe)
-        field = evolve(init_state(grid, SY_SPIN, probe), p, suggest_steps(grid, p, probe))
+        field = evolve(init_state(grid, SY_SPIN, probe), p, steps=1)
         assert abs(field.norm_sq() - 1.0) <= 1e-10
 
     def test_backward_inverts_forward(self):
@@ -226,6 +222,34 @@ class TestValidation:
     def test_full_set_passes(self):
         assert all(r.passed for r in run_validation(n=1024))
 
+    def test_one_step_matches_many(self):
+        # one split is exact for the linear magnet field (see _propagate)
+        for case in default_cases():
+            one = run_case(case, steps=1)
+            many = run_case(case, steps=64)
+            assert abs(one.eps_sq_grid - many.eps_sq_grid) <= 1e-10
+            assert abs(one.eta_sq_grid - many.eta_sq_grid) <= 1e-10
+
+    def test_default_is_one_step(self):
+        for case in default_cases():
+            assert run_case(case) == run_case(case, steps=1)
+
+    def test_fft_call_budget(self, monkeypatch):
+        # one FFT pair per branch for the magnet and one for the free flight,
+        # per propagation: at most 192 calls over the whole validation set
+        calls = []
+
+        def counted(fn):
+            def wrapper(a):
+                calls.append(fn.__name__)
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
+        run_validation(n=1024)
+        assert 0 < len(calls) <= 192
+
     def test_self_convergence_under_refinement(self):
         case = ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0)
         coarse = run_case(case, n=512)
@@ -233,18 +257,3 @@ class TestValidation:
         assert abs(fine.eps_sq_grid - coarse.eps_sq_grid) <= 2e-3
         assert abs(fine.eta_sq_grid - coarse.eta_sq_grid) <= 2e-3
         assert fine.eps_rel <= coarse.eps_rel + 1e-6
-
-
-class TestDumpProfile:
-    def test_writes_densities(self, tmp_path):
-        probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        field = init_state(grid, SY_SPIN, probe)
-        out = tmp_path / "profile.csv"
-        dump_profile(field, str(out))
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["z", "p_up", "p_down"]
-        assert len(rows) == grid.n + 1
-        total = sum(float(r[1]) + float(r[2]) for r in rows[1:]) * grid.dz
-        assert total == pytest.approx(1.0, abs=1e-10)
