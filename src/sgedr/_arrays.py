@@ -6,14 +6,18 @@ import math
 import numpy as np
 
 
-def require_in(obj, names: tuple[str, ...], low: float = -math.inf) -> None:
-    """Raise ValueError naming the first field of obj not inside (low, inf)."""
+def require_in(
+    obj, names: tuple[str, ...], low: float = -math.inf, closed: bool = False
+) -> None:
+    """Raise ValueError naming the first field of obj not inside (low, inf),
+    or [low, inf) when closed."""
     for name in names:
         value = getattr(obj, name)
-        inside = (low < value) & (value < math.inf)
+        inside = ((low <= value) if closed else (low < value)) & (value < math.inf)
         if not np.all(inside):
             bad = np.extract(~np.asarray(inside), value)[0]
-            raise ValueError(f"{name} must lie in ({low}, inf), got {bad}")
+            bracket = "[" if closed else "("
+            raise ValueError(f"{name} must lie in {bracket}{low}, inf), got {bad}")
 
 
 def check_sq(name: str, x) -> None:

@@ -124,7 +124,10 @@ def cmd_region(args) -> int:
     if min(args.tau) < 0.0:
         raise _UsageError("tau range must be nonnegative")
 
-    base = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=1.0)
+    try:
+        base = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=1.0)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     lambdas = np.add.outer(
         np.linspace(*args.lambda_re, steps), 1j * np.linspace(*args.lambda_im, steps)
     ).ravel()
@@ -208,8 +211,11 @@ def cmd_validate(args) -> int:
 def cmd_tau_opt(args) -> int:
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
-    probe = GaussianProbe(args.lambda_re, args.lambda_im, hbar=1.0, mass=1.0)
-    p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
+    try:
+        probe = GaussianProbe(args.lambda_re, args.lambda_im, hbar=1.0, mass=1.0)
+        p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     has_min = tau_condition(p, probe)
     tau0 = optimal_tau(p, probe)
     if tau0 is INFINITE:

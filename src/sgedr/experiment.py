@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._arrays import require_in
 from .probe import CollimatorModel, GaussianProbe, collimator_posterior, moments, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
@@ -42,6 +43,12 @@ class ExperimentConfig1922:
     d2: float = 4.0e-5
     atomic_weight: float = 107.86822
     B0: float = 0.0
+
+    def __post_init__(self) -> None:
+        # T > 0: the transit time L2 / v_y is infinite at T = 0
+        require_in(self, ("B1", "B0"))
+        require_in(self, ("T", "L1", "L2", "d1", "d2", "atomic_weight"), 0.0)
+        require_in(self, ("L3",), 0.0, closed=True)
 
 
 @dataclass(frozen=True)

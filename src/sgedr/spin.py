@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._arrays import check_sq
+from ._arrays import check_sq, unwrap
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -124,11 +124,16 @@ class QubitState:
 STATE_SY_PLUS = QubitState.from_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
 
 
-def eigen_mix(state: QubitState, pure_sq: Callable[[np.ndarray], float]) -> float:
-    """sqrt(sum_k p_k pure_sq(psi_k)) over the eigenvectors psi_k of a mixed state."""
+def eigen_mix(
+    state: QubitState, pure_sq: Callable[[np.ndarray], float | np.ndarray]
+) -> float | np.ndarray:
+    """sqrt(sum_k p_k pure_sq(psi_k)) over the eigenvectors psi_k of a mixed state.
+
+    A float when pure_sq returns scalars, an array of its shape otherwise.
+    """
     probs, vecs = state.eigensystem()
     total = sum(p * pure_sq(psi) for p, psi in zip(probs, vecs.T) if p > 0.0)
-    return float(np.sqrt(max(total, 0.0)))
+    return unwrap(np.sqrt(np.maximum(total, 0.0)))
 
 
 @dataclass(frozen=True)

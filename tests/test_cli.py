@@ -99,6 +99,11 @@ class TestRegion:
         assert main(["region", "--tau", "-1:0"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_rejects_bad_b1(self, capsys):
+        assert main(["region", "--b1", "nan"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "B1 must lie in" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("spec", ["foo", "1", "1:", "nan:2", "1:2:3"])
     def test_rejects_malformed_range(self, spec, capsys):
         assert main(["region", "--lambda-re", spec]) == EXIT_USAGE
@@ -149,6 +154,15 @@ class TestExperiment:
         cfg.write_text("T := 1500\n")
         assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "line, field", [("T = nan", "T"), ("atomic_weight = nan", "atomic_weight")]
+    )
+    def test_config_field_named(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert f"error: {field} must lie in" in capsys.readouterr().err
 
     def test_fractional_k_steps_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
@@ -206,6 +220,18 @@ class TestTauOpt:
         assert main(["tau-opt", "--steps", "0"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert "steps" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lambda-re", "nan", "lambda_re"),
+        ("--lambda-re", "-1", "lambda_re"),
+        ("--b1", "nan", "B1"),
+        ("--dt", "inf", "dt"),
+        ("--dt", "0", "dt"),
+    ])
+    def test_rejects_bad_field(self, flag, value, field, capsys):
+        assert main(["tau-opt", flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{field} must lie in" in captured.err and captured.out == ""
 
     def test_monotone_tail_without_minimizer(self, tmp_path, capsys):
         out = tmp_path / "tau.json"

@@ -164,6 +164,16 @@ class TestReportSerialization:
         assert "eps^2 interval" in table
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("T", np.nan), ("T", 0.0), ("atomic_weight", np.nan), ("atomic_weight", -1.0),
+        ("L3", -1.0), ("L3", np.inf), ("d1", 0.0), ("B1", np.nan), ("B0", np.inf),
+    ])
+    def test_rejects_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in"):
+            ExperimentConfig1922(**{field: value})
+
+
 class TestParseConfig:
     def write(self, tmp_path, text):
         path = tmp_path / "run.cfg"

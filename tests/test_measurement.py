@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgedr.measurement
 from sgedr.measurement import (
     LWParams,
     MeasuringProcess,
@@ -13,6 +16,13 @@ from sgedr.spin import STATE_SY_PLUS, PauliObservable, QubitState
 
 SX = PauliObservable.x()
 SZ = PauliObservable.z()
+
+bloch_vectors = st.tuples(
+    st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
+).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0)
+theta_arrays = st.lists(
+    st.floats(-10, 10, allow_nan=False), min_size=1, max_size=40
+).map(np.array)
 
 
 def lw_error_closed(theta):
@@ -50,6 +60,37 @@ class TestMeasuringProcess:
     def test_rejects_non_hermitian_meter(self):
         with pytest.raises(ValueError, match="meter"):
             MeasuringProcess(2, np.array([1, 0]), np.eye(4), np.array([[0, 1], [0, 0]]))
+
+    def test_rejects_stack_with_one_unnormalized_row(self):
+        probes = np.array([[1, 0], [0.6, 0.8], [1, 1e-5], [0, 1]])
+        with pytest.raises(ValueError, match="normalized"):
+            MeasuringProcess(2, probes, np.eye(4), np.eye(2))
+
+    def test_lw_params_reject_one_nan(self):
+        with pytest.raises(ValueError, match="theta"):
+            LWParams(np.array([0.0, 0.5, np.nan, 1.0]))
+
+
+class TestStackedProbes:
+    @given(bloch_vectors, theta_arrays)
+    @settings(max_examples=100, deadline=None)
+    def test_stack_matches_per_angle_calls(self, v, thetas):
+        state = QubitState.from_bloch(*v)
+        mp = lund_wiseman(LWParams(thetas))
+        per_angle = [lund_wiseman(LWParams(t)) for t in thetas]
+        assert np.array_equal(
+            qrms_error(mp, state, SZ), [qrms_error(m, state, SZ) for m in per_angle]
+        )
+        assert np.array_equal(
+            qrms_disturbance(mp, state, SX),
+            [qrms_disturbance(m, state, SX) for m in per_angle],
+        )
+
+    def test_single_probe_returns_float(self):
+        mp = lund_wiseman(LWParams(0.3))
+        assert mp.probe_state.shape == (2,)
+        assert type(qrms_error(mp, STATE_SY_PLUS, SZ)) is float
+        assert type(qrms_disturbance(mp, STATE_SY_PLUS, SX)) is float
 
 
 class TestQrmsError:
@@ -165,3 +206,19 @@ class TestLwSweep:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             lw_sweep(1)
+
+    def test_one_qrms_call_each(self, monkeypatch):
+        calls = {"error": 0, "disturbance": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sgedr.measurement, "qrms_error", counted("error", qrms_error))
+        monkeypatch.setattr(
+            sgedr.measurement, "qrms_disturbance", counted("disturbance", qrms_disturbance)
+        )
+        assert lw_sweep(2001).shape == (2001, 2)
+        assert calls == {"error": 1, "disturbance": 1}
