@@ -14,7 +14,7 @@ import numpy as np
 
 from .probe import GaussianProbe, moments, sigma_t
 from .sgmodel import SGParams, TauLimit, g0
-from .spin import QubitState, eigen_mix
+from .spin import QubitState
 
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-10
@@ -119,7 +119,12 @@ def init_state(
     spin = np.asarray(spin, dtype=complex)
     if spin.shape != (2,):
         raise ValueError("spin must be a 2-component vector")
-    spin = spin / np.linalg.norm(spin)
+    if not np.all(np.isfinite(spin)):
+        raise ValueError("spin must be finite")
+    norm = np.linalg.norm(spin)
+    if norm == 0.0:
+        raise ValueError("spin must have nonzero norm")
+    spin = spin / norm
     var_z, _, _ = moments(probe)
     width = np.sqrt(var_z)
     span = grid.z_max - grid.z_min
@@ -133,13 +138,7 @@ def init_state(
     return SpinorField(grid, spin[0] * xi, spin[1] * xi)
 
 
-def _propagate(
-    field: SpinorField,
-    p: SGParams,
-    steps: int = 1,
-    backward: bool = False,
-    check_leak: bool = True,
-) -> SpinorField:
+def _propagate(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     """Apply the magnet interval as symmetric splits, then the free flight.
 
     One split is exact.  In each sigma_z branch the magnet potential
@@ -153,102 +152,54 @@ def _propagate(
 
     The argument holds for z on the line.  On the periodic grid z wraps
     around at the edges, so the packets must stay clear of them: the norm
-    check runs on every propagation, the edge check on every one it can.
-    Backward applies the exact adjoint: inverse free flight first, then the
-    magnet splits with conjugated phases.  The edge check only makes sense
-    for smooth packets; the backward pass of a meter-multiplied state
-    legitimately carries broadband components.
+    and edge checks run on every propagation, which is always forward and
+    always of a smooth packet.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     tau = 0.0 if isinstance(p.tau, TauLimit) else p.tau
     grid = field.grid
-    sign = -1.0 if backward else 1.0
     dt_step = p.dt / steps
 
-    half_phase = sign * p.mu * (p.B0 + p.B1 * grid.z) * dt_step / (2.0 * p.hbar)
+    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * dt_step / (2.0 * p.hbar)
     phase_up = np.exp(-1j * half_phase)
     phase_down = np.exp(1j * half_phase)
-    kin_step = np.exp(-1j * sign * p.hbar * grid.k**2 * dt_step / (2.0 * p.mass))
-    kin_free = np.exp(-1j * sign * p.hbar * grid.k**2 * tau / (2.0 * p.mass))
+    kin_step = np.exp(-1j * p.hbar * grid.k**2 * dt_step / (2.0 * p.mass))
 
-    up = field.up.copy()
-    down = field.down.copy()
-
-    def magnet() -> None:
-        nonlocal up, down
-        for _ in range(steps):
-            up *= phase_up
-            down *= phase_down
-            up = np.fft.ifft(kin_step * np.fft.fft(up))
-            down = np.fft.ifft(kin_step * np.fft.fft(down))
-            up *= phase_up
-            down *= phase_down
-
-    def free() -> None:
-        nonlocal up, down
-        if tau > 0.0:
-            up = np.fft.ifft(kin_free * np.fft.fft(up))
-            down = np.fft.ifft(kin_free * np.fft.fft(down))
-
-    if backward:
-        free()
-        magnet()
-    else:
-        magnet()
-        free()
+    up = field.up
+    down = field.down
+    for _ in range(steps):
+        up = np.fft.ifft(kin_step * np.fft.fft(up * phase_up)) * phase_up
+        down = np.fft.ifft(kin_step * np.fft.fft(down * phase_down)) * phase_down
+    if tau > 0.0:
+        kin_free = np.exp(-1j * p.hbar * grid.k**2 * tau / (2.0 * p.mass))
+        up = np.fft.ifft(kin_free * np.fft.fft(up))
+        down = np.fft.ifft(kin_free * np.fft.fft(down))
 
     out = SpinorField(grid, up, down)
     if abs(out.norm_sq() - field.norm_sq()) > NORM_TOL:
         raise RuntimeError(f"norm drift {out.norm_sq() - field.norm_sq():.3e}")
-    if check_leak:
-        leak = out.edge_probability()
-        if leak > LEAK_TOL:
-            raise RuntimeError(f"boundary leakage {leak:.3e} exceeds {LEAK_TOL}")
+    leak = out.edge_probability()
+    if leak > LEAK_TOL:
+        raise RuntimeError(f"boundary leakage {leak:.3e} exceeds {LEAK_TOL}")
     return out
 
 
 def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     """Forward evolution through the magnet and the free flight."""
-    return _propagate(field, p, steps, backward=False)
+    return _propagate(field, p, steps)
 
 
-def _meter_sign(z: np.ndarray) -> np.ndarray:
-    # screen reading: -1 for z >= 0 (including the z = 0 grid point), +1 below
-    return np.where(z >= 0.0, -1.0, 1.0)
+def _branches(
+    grid: Grid1D, p: SGParams, probe: GaussianProbe, steps: int
+) -> SpinorField:
+    """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated in both branches.
 
-
-def _pure_error_sq(
-    grid: Grid1D, p: SGParams, spin: np.ndarray, probe: GaussianProbe, steps: int
-) -> float:
-    start = init_state(grid, spin, probe)
-    fwd = _propagate(start, p, steps)
-    f = _meter_sign(grid.z)
-    hit = SpinorField(grid, f * fwd.up, f * fwd.down)
-    back = _propagate(hit, p, steps, backward=True, check_leak=False)
-    return SpinorField(grid, back.up - start.up, back.down + start.down).norm_sq()
-
-
-def _pure_disturbance_sq(
-    grid: Grid1D, p: SGParams, spin: np.ndarray, probe: GaussianProbe, steps: int
-) -> float:
-    start = init_state(grid, spin, probe)
-    fwd = _propagate(start, p, steps)
-    flipped = SpinorField(grid, fwd.down.copy(), fwd.up.copy())
-    back = _propagate(flipped, p, steps, backward=True)
-    return SpinorField(grid, back.up - start.down, back.down - start.up).norm_sq()
-
-
-def _mixed_rms(
-    grid: Grid1D,
-    p: SGParams,
-    spin: QubitState,
-    probe: GaussianProbe,
-    steps: int,
-    pure_fn,
-) -> float:
+    The propagator is diagonal in sigma_z, so these two amplitudes are all
+    the q-rms squares need, whatever the spin state.
+    """
     _check_domain(grid, p, probe)
-    return eigen_mix(spin, lambda psi: pure_fn(grid, p, psi, probe, steps))
+    return _propagate(init_state(grid, np.array([1.0, 1.0]), probe), p, steps)
 
 
 def measure_error(
@@ -258,8 +209,19 @@ def measure_error(
     probe: GaussianProbe,
     steps: int = 1,
 ) -> float:
-    """q-rms error of the sign-of-position meter against sigma_z."""
-    return _mixed_rms(grid, p, spin, probe, steps, _pure_error_sq)
+    """q-rms error of the sign-of-position meter against sigma_z.
+
+    The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
+    below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
+    four times the probability of landing on the wrong side of the screen.
+    """
+    out = _branches(grid, p, probe, steps)
+    above = grid.z >= 0.0
+    wrong_up = np.sum(np.abs(out.up[above]) ** 2)
+    wrong_down = np.sum(np.abs(out.down[~above]) ** 2)
+    rho = spin.rho.real
+    # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
+    return float(np.sqrt(8.0 * (rho[0, 0] * wrong_up + rho[1, 1] * wrong_down) * grid.dz))
 
 
 def measure_disturbance(
@@ -269,5 +231,10 @@ def measure_disturbance(
     probe: GaussianProbe,
     steps: int = 1,
 ) -> float:
-    """q-rms disturbance of sigma_x across the magnet transit."""
-    return _mixed_rms(grid, p, spin, probe, steps, _pure_disturbance_sq)
+    """q-rms disturbance of sigma_x across the magnet transit.
+
+    eta^2 = ||U_up xi - U_down xi||^2 over the magnet alone: the free flight
+    is common to both branches and cancels, and no spin state enters.
+    """
+    out = _branches(grid, replace(p, tau=0.0), probe, steps)
+    return float(np.sqrt(2.0 * np.sum(np.abs(out.up - out.down) ** 2) * grid.dz))

@@ -4,6 +4,10 @@ A measuring process couples the qubit system to a probe of arbitrary finite
 dimension through a joint unitary, then reads a Hermitian meter on the probe.
 Error and disturbance are computed directly from their root-mean-square
 definitions by evolving vectors, never by forming the squared operators.
+The squares Tr[(rho x xi)(O(tau) - O(0))^2] are linear in the system state
+rho, so no state is eigendecomposed: the vectors v_i = (O(tau) - O(0))|i> x xi
+of the two basis states give the 2x2 Gram matrix G_ij = <v_i|v_j>, and the
+square is the contraction Tr(rho G).
 
 The probe state may be one vector of shape (d,) or a stack of n probe
 vectors of shape (n, d) sharing the unitary and the meter; the q-rms
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import clamp_sq
-from .spin import SIGMA_X, SIGMA_Z, PauliObservable, QubitState, eigen_mix
+from ._arrays import clamp_sq, unwrap
+from .spin import IDENTITY_2, SIGMA_X, SIGMA_Z, PauliObservable, QubitState
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -81,31 +85,33 @@ def _apply_system_operator(op: np.ndarray, vec: np.ndarray, d: int) -> np.ndarra
     return (op @ vec.reshape(-1, 2, d)).reshape(vec.shape)
 
 
-def _pure_deviation_sq(
+def _rms_deviation(
     mp: MeasuringProcess,
-    psi: np.ndarray,
+    state: QubitState,
     system_obs: np.ndarray,
     heisenberg_probe_meter: bool,
-) -> np.ndarray:
-    """||(O(tau) - O(0)) |psi x xi>||^2 for one pure system vector psi,
-    one value per probe vector xi of mp (shape () or (n,)).
+) -> float | np.ndarray:
+    """sqrt Tr[(rho x xi)(O(tau) - O(0))^2], one value per probe vector xi of mp
+    (a float, or an (n,) array for a stack).
 
     With ``heisenberg_probe_meter`` the evolved operator is the probe meter
     M(tau); otherwise it is the system observable itself (disturbance case).
-    Joint vectors are rows, so U v is written v @ U.T and U^dag v as v @ U*.
+    Both basis vectors |i> x xi are evolved at once, along axis -2; joint
+    vectors are rows, so U v is written v @ U.T and U^dag v as v @ U*.
     """
     d = mp.probe_dim
     xi = mp.probe_state
-    joint = (psi[:, None] * xi[..., None, :]).reshape(*xi.shape[:-1], 2 * d)
+    joint = (IDENTITY_2[:, :, None] * xi[..., None, None, :]).reshape(*xi.shape[:-1], 2, 2 * d)
     evolved = joint @ mp.unitary.T
     if heisenberg_probe_meter:
         hit = _apply_probe_operator(mp.meter, evolved, d)
     else:
         hit = _apply_system_operator(system_obs, evolved, d)
     back = hit @ mp.unitary.conj()
-    initial = _apply_system_operator(system_obs, joint, d)
-    diff = back - initial
-    return (diff.real**2 + diff.imag**2).sum(-1)
+    v = back - _apply_system_operator(system_obs, joint, d)
+    gram = v.conj() @ np.swapaxes(v, -1, -2)
+    sq = np.sum(state.rho.T * gram, axis=(-2, -1)).real
+    return unwrap(np.sqrt(np.maximum(sq, 0.0)))
 
 
 def qrms_error(
@@ -115,7 +121,7 @@ def qrms_error(
 
     A float for one probe vector, an (n,) array for a stack of n.
     """
-    return eigen_mix(state, lambda psi: _pure_deviation_sq(mp, psi, measured.matrix, True))
+    return _rms_deviation(mp, state, measured.matrix, True)
 
 
 def qrms_disturbance(
@@ -125,7 +131,7 @@ def qrms_disturbance(
 
     A float for one probe vector, an (n,) array for a stack of n.
     """
-    return eigen_mix(state, lambda psi: _pure_deviation_sq(mp, psi, disturbed.matrix, False))
+    return _rms_deviation(mp, state, disturbed.matrix, False)
 
 
 def lund_wiseman(params: LWParams) -> MeasuringProcess:

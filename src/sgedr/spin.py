@@ -1,17 +1,16 @@
 """Qubit states, Pauli observables, and error-disturbance relation evaluators.
 
-All matrices are dense complex 2x2 arrays.  Eigen- and singular-value
-decompositions use closed-form 2x2 formulas so results are exact up to
-floating-point rounding.
+All matrices are dense complex 2x2 arrays.  Nothing is eigendecomposed:
+the positivity floor, the matrix square root and the trace norm are
+closed-form 2x2 expressions, exact up to floating-point rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ._arrays import check_sq, unwrap
+from ._arrays import check_sq
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -26,42 +25,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def _is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def _eigh_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
-
-    Returns (eigenvalues ascending, column eigenvectors).
-    """
-    a = m[0, 0].real
-    d = m[1, 1].real
-    b = m[0, 1]
-    mean = 0.5 * (a + d)
-    half_gap = np.hypot(0.5 * (a - d), abs(b))
-    lo, hi = mean - half_gap, mean + half_gap
-    if b == 0 and a <= d:
-        vecs = np.eye(2, dtype=complex)
-    elif b == 0:
-        vecs = np.array([[0, 1], [1, 0]], dtype=complex)
-    else:
-        # two equivalent forms for the hi eigenvector, (b, hi-a) and
-        # (hi-d, conj(b)); their norms sum to at least 2*half_gap, so the
-        # larger is well conditioned.  Normalize magnitude and phase with
-        # real divisions only: complex-by-real division squares the
-        # denominator internally and overflows for subnormal norms.
-        ab = abs(b)
-        ph = complex(b.real / ab, b.imag / ab)
-        n_a = np.hypot(ab, hi - a)
-        n_d = np.hypot(hi - d, ab)
-        if n_a >= n_d:
-            v_hi = np.array([(ab / n_a) * ph, (hi - a) / n_a], dtype=complex)
-        else:
-            v_hi = np.array(
-                [(hi - d) / n_d, (ab / n_d) * ph.conjugate()], dtype=complex
-            )
-        v_lo = np.array([-v_hi[1].conj(), v_hi[0].conj()], dtype=complex)
-        vecs = np.column_stack([v_lo, v_hi])
-    return np.array([lo, hi]), vecs
 
 
 def _trace_norm_2x2(m: np.ndarray) -> float:
@@ -85,15 +48,16 @@ class QubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix must be finite")
         if not _is_hermitian(rho):
             raise ValueError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(rho).real - 1.0) > HERMITICITY_TOL:
             raise ValueError("density matrix trace differs from 1 by more than 1e-12")
-        evals, _ = _eigh_2x2(rho)
-        if evals[0] < -PSD_TOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {evals[0]:.3e}"
-            )
+        a, d, b = rho[0, 0].real, rho[1, 1].real, abs(rho[0, 1])
+        lowest = 0.5 * (a + d) - np.hypot(0.5 * (a - d), b)
+        if lowest < -PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
@@ -106,34 +70,28 @@ class QubitState:
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "QubitState":
         psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("psi must be finite")
+        norm = np.linalg.norm(psi)
+        if norm == 0.0:
+            raise ValueError("psi must have nonzero norm")
+        psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities ascending, column eigenvectors), closed 2x2 form."""
-        evals, vecs = _eigh_2x2(self.rho)
-        return np.clip(evals, 0.0, None), vecs
-
     def sqrt(self) -> np.ndarray:
-        """Matrix square root via spectral decomposition, eigenvalues clamped at 0."""
-        evals, vecs = self.eigensystem()
-        return (vecs * np.sqrt(evals)) @ vecs.conj().T
+        """Matrix square root (rho + s I) / sqrt(Tr rho + 2 s), s = sqrt(det rho).
+
+        Cayley-Hamilton gives rho^2 = Tr(rho) rho - det(rho) I, so the square
+        of the numerator is (Tr rho + 2 s) rho.  det rho is floored at 0
+        against rounding.
+        """
+        rho = self.rho
+        s = np.sqrt(max((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real, 0.0))
+        return (rho + s * IDENTITY_2) / np.sqrt(np.trace(rho).real + 2.0 * s)
 
 
 # convenient named state
 STATE_SY_PLUS = QubitState.from_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
-
-
-def eigen_mix(
-    state: QubitState, pure_sq: Callable[[np.ndarray], float | np.ndarray]
-) -> float | np.ndarray:
-    """sqrt(sum_k p_k pure_sq(psi_k)) over the eigenvectors psi_k of a mixed state.
-
-    A float when pure_sq returns scalars, an array of its shape otherwise.
-    """
-    probs, vecs = state.eigensystem()
-    total = sum(p * pure_sq(psi) for p, psi in zip(probs, vecs.T) if p > 0.0)
-    return unwrap(np.sqrt(np.maximum(total, 0.0)))
 
 
 @dataclass(frozen=True)

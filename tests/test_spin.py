@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgedr.spin import (
@@ -45,6 +45,23 @@ bloch_vectors = st.tuples(
 ).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0 - 1e-9)
 
 
+# Bloch vectors at least 1e-6 inside the sphere.  Nearer to it, a rounding
+# error e in the smallest eigenvalue moves the square root by sqrt(e) (up to
+# 1e-8), so no two constructions of the root need agree to 1e-12 there;
+# exactly pure states (det rho = 0) are added as explicit examples.
+directions = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda d: np.linalg.norm(d) >= 1e-3
+)
+
+
+def scaled(d, r):
+    return tuple(r * c / np.linalg.norm(d) for c in d)
+
+
+inner_ball_vectors = st.builds(scaled, directions, st.floats(0, 1 - 1e-6))
+unit_vectors = st.builds(scaled, directions, st.just(1.0))
+
+
 class TestQubitState:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -58,16 +75,48 @@ class TestQubitState:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             bloch(1.01, 0, 0)
 
-    def test_sqrt_squares_back(self):
-        st_ = bloch(0.3, -0.2, 0.5)
-        root = st_.sqrt()
-        assert np.allclose(root @ root, st_.rho, atol=1e-12)
+    def test_negative_eigenvalue_is_reported_exactly(self):
+        r = 1.0 + 1e-6
+        rho = 0.5 * (IDENTITY_2 + r * (0.6 * SIGMA_X - 0.8 * SIGMA_Z))
+        with pytest.raises(ValueError, match="negative eigenvalue") as exc:
+            QubitState(rho)
+        assert f"{np.linalg.eigvalsh(rho)[0]:.3e}" in str(exc.value)
 
-    def test_sqrt_matches_numpy(self):
-        st_ = bloch(0.1, 0.7, -0.3)
+    def test_rejects_non_finite(self):
+        rho = np.array([[np.nan, 0], [0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="density matrix must be finite"):
+            QubitState(rho)
+
+    def test_from_vector_rejects_zero(self):
+        with pytest.raises(ValueError, match="psi must have nonzero norm"):
+            QubitState.from_vector([0, 0])
+
+    def test_from_vector_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="psi must be finite"):
+            QubitState.from_vector([np.nan, 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(unit_vectors)
+    @example((0.3, -0.2, 0.5))
+    def test_sqrt_squares_back(self, v):
+        st_ = bloch(*v)
+        root = st_.sqrt()
+        assert np.allclose(root @ root, st_.rho, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inner_ball_vectors)
+    @example((0.1, 0.7, -0.3))
+    @example((0.0, 0.0, 0.0))
+    @example((0.0, 0.0, 1.0))
+    @example((-1.0, 0.0, 0.0))
+    @example((0.0, 1.0, 0.0))
+    def test_sqrt_matches_numpy(self, v):
+        st_ = bloch(*v)
         evals, vecs = np.linalg.eigh(st_.rho)
         expected = (vecs * np.sqrt(np.clip(evals, 0, None))) @ vecs.conj().T
-        assert np.allclose(st_.sqrt(), expected, atol=1e-12)
+        root = st_.sqrt()
+        assert np.allclose(root, expected, rtol=0, atol=1e-12)
+        assert np.allclose(root @ root, st_.rho, rtol=0, atol=1e-12)
 
 
 class TestPauliObservable:
