@@ -20,11 +20,13 @@ def require_in(
             raise ValueError(f"{name} must lie in {bracket}{low}, inf), got {bad}")
 
 
-def check_sq(name: str, x) -> None:
-    """Raise ValueError naming the input unless every value of x lies in [0, 4]."""
-    inside = (0.0 <= x) & (x <= 4.0)
+def check_sq(name: str, x, high: float = 4.0) -> None:
+    """Raise ValueError naming the input unless every value of x lies in
+    [0, high]; the default 4 bounds squared errors and disturbances."""
+    inside = (0.0 <= x) & (x <= high)
     if not np.all(inside):
-        raise ValueError(f"{name} must lie in [0, 4], got {np.extract(~np.asarray(inside), x)[0]}")
+        bad = np.extract(~np.asarray(inside), x)[0]
+        raise ValueError(f"{name} must lie in [0, {high:g}], got {bad}")
 
 
 def clamp_sq(x):

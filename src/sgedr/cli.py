@@ -6,6 +6,7 @@ Subcommands: lw, region, experiment, validate, tau-opt.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .sgmodel import (
     sweep_region,
     tau_condition,
 )
-from .spin import STATE_SY_PLUS
+from .spin import STATE_SY_PLUS, EDPoint, PauliObservable, evaluate_edrs
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -46,6 +47,10 @@ EXIT_IO = 3
 EXIT_USAGE = 4
 
 SCHEMA_VERSION = 1
+# region's tight_ok slack; bench/checks.py recomputes the flag with the same margin
+TIGHT_FLAG_MARGIN = 1e-9
+# the sweeps' EDRs compare an error in sigma_z with a disturbance of sigma_x
+_SZ, _SX = PauliObservable.z(), PauliObservable.x()
 
 
 class _UsageError(Exception):
@@ -57,32 +62,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> None:
+    """Write a command's tables, each a name mapped to (header, columns).
+
+    JSON is one payload: schema, command, the extra fields, then each table
+    as a list of row objects under its name.  CSV writes the "rows" table to
+    path and every other table to path.<name>.csv, labelled <command>-<name>;
+    on stdout ('-') they follow each other.  CSV floats carry 17 significant
+    digits and bools read 1 or 0.
+    """
+    if fmt == "json":
+        payload = {"schema": SCHEMA_VERSION, "command": command, **fields}
+        for name, (header, columns) in tables.items():
+            rows = zip(*(c.tolist() for c in columns))
+            payload[name] = [dict(zip(header, r)) for r in rows]
+        with _open_out(path) as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        return
+    for name, (header, columns) in tables.items():
+        label, out = command, path
+        if name != "rows":
+            label = f"{command}-{name}"
+            out = path if path == "-" else f"{path}.{name}.csv"
+        cells = [
+            np.where(c, "1", "0") if c.dtype == bool else map("{:.17g}".format, c.tolist())
+            for c in columns
+        ]
+        with _open_out(out) as fh:
+            fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
+            fh.writelines(map("{}\n".format, map(",".join, zip(*cells))))
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_csv(path: str, command: str, header: list[str], rows: list[tuple]) -> None:
-    lines = [f"# sgedr {command} schema v{SCHEMA_VERSION}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2) + "\n")
+def _open_out(path: str):
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _finite_range(spec: str) -> tuple[float, float]:
@@ -99,19 +111,13 @@ def cmd_lw(args) -> int:
     if n < 2:
         raise _UsageError("--steps must be >= 2")
     eps_sq, eta_sq = lw_sweep(n, STATE_SY_PLUS).T
-    eps, eta = np.sqrt(eps_sq), np.sqrt(eta_sq)
-    tight_lhs = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2
-    columns = (np.linspace(0.0, np.pi / 2.0, n), eps, eta, eps_sq, eta_sq, tight_lhs, eps * eta)
-    rows = list(zip(*(c.tolist() for c in columns)))
+    edr = evaluate_edrs(EDPoint(eps_sq, eta_sq), STATE_SY_PLUS, _SZ, _SX)
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
-    if args.format == "csv":
-        _write_csv(args.out, "lw", header, rows)
-    else:
-        _write_json(args.out, {
-            "schema": SCHEMA_VERSION,
-            "command": "lw",
-            "rows": [dict(zip(header, r)) for r in rows],
-        })
+    columns = (
+        np.linspace(0.0, np.pi / 2.0, n), np.sqrt(eps_sq), np.sqrt(eta_sq),
+        eps_sq, eta_sq, edr.tight_lhs, edr.heisenberg_lhs,
+    )
+    _write_table(args.out, args.format, "lw", {"rows": (header, columns)})
     return EXIT_OK
 
 
@@ -134,25 +140,14 @@ def cmd_region(args) -> int:
     eps_sq, eta_sq = sweep_region(
         base, lambdas, np.linspace(*args.b0, steps), np.linspace(*args.tau, steps)
     ).T
-    tight_ok = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2 <= 4.0 + 1e-9
-    heis_violated = np.sqrt(eps_sq * eta_sq) < 1.0  # D = 1 state
-    columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, heis_violated)
-    rows = list(zip(*(c.tolist() for c in columns)))
+    edr = evaluate_edrs(EDPoint(eps_sq, eta_sq), STATE_SY_PLUS, _SZ, _SX)
+    tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
+    columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, ~edr.heisenberg_satisfied)
     b_eps_sq = np.linspace(0.0, 4.0, 1024)
-    boundary = list(zip(b_eps_sq.tolist(), region_bound(b_eps_sq).tolist()))
-    header = ["eps_sq", "eta_sq", "in_region", "tight_ok", "heisenberg_violated"]
-    bheader = ["eps_sq", "max_abs_half_two_minus_eta_sq"]
-    if args.format == "csv":
-        _write_csv(args.out, "region", header, rows)
-        bpath = args.out if args.out == "-" else args.out + ".boundary.csv"
-        _write_csv(bpath, "region-boundary", bheader, boundary)
-    else:
-        _write_json(args.out, {
-            "schema": SCHEMA_VERSION,
-            "command": "region",
-            "rows": [dict(zip(header, r)) for r in rows],
-            "boundary": [dict(zip(bheader, b)) for b in boundary],
-        })
+    _write_table(args.out, args.format, "region", {
+        "rows": (["eps_sq", "eta_sq", "in_region", "tight_ok", "heisenberg_violated"], columns),
+        "boundary": (["eps_sq", "max_abs_half_two_minus_eta_sq"], (b_eps_sq, region_bound(b_eps_sq))),
+    })
     return EXIT_OK
 
 
@@ -227,16 +222,10 @@ def cmd_tau_opt(args) -> int:
         print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
         tau_grid = np.linspace(0.0, 10.0 * tau0, args.steps)
     eps_sq = error_sq(replace(p, tau=tau_grid), probe)
-    rows = list(zip(tau_grid.tolist(), eps_sq.tolist()))
-    if args.format == "csv":
-        _write_csv(args.out, "tau-opt", ["tau", "eps_sq"], rows)
-    else:
-        _write_json(args.out, {
-            "schema": SCHEMA_VERSION,
-            "command": "tau-opt",
-            "tau0": None if tau0 is INFINITE else tau0,
-            "rows": [{"tau": t, "eps_sq": e} for t, e in rows],
-        })
+    _write_table(
+        args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},
+        tau0=None if tau0 is INFINITE else tau0,
+    )
     return EXIT_OK
 
 

@@ -176,9 +176,8 @@ def run_chain(
 
 def heisenberg_verdict(report: ChainReport) -> tuple[float, float, bool]:
     """(max error*disturbance product, commutator bound, violated?)."""
-    product_max = float(np.sqrt(report.eps_sq_max) * np.sqrt(report.eta_sq))
-    bound = report.edr_at_max.heisenberg_rhs
-    return product_max, bound, product_max < bound
+    edr = report.edr_at_max
+    return edr.heisenberg_lhs, edr.heisenberg_rhs, not edr.heisenberg_satisfied
 
 
 # printed reference values for cross-checking a default-configuration run;

@@ -98,10 +98,8 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
 
 
 def _half_width(p: SGParams, probe: GaussianProbe, margin: float) -> float:
-    tau = 0.0 if isinstance(p.tau, TauLimit) else p.tau
-    t_f = p.dt + tau
-    deflection = abs(g0(replace(p, tau=tau)))
-    spread = max(sigma_t(probe, 0.0), sigma_t(probe, t_f))
+    deflection = abs(g0(p))  # raises at INFINITE tau
+    spread = max(sigma_t(probe, 0.0), sigma_t(probe, p.dt + p.tau))
     return deflection + margin * spread
 
 
@@ -138,8 +136,9 @@ def init_state(
     return SpinorField(grid, spin[0] * xi, spin[1] * xi)
 
 
-def _propagate(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
-    """Apply the magnet interval as symmetric splits, then the free flight.
+def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
+    """Forward evolution: the magnet interval as symmetric splits, then the
+    free flight, which must be finite.
 
     One split is exact.  In each sigma_z branch the magnet potential
     V = +-mu (B0 + B1 z) is linear in z, so [V, T] is linear in P,
@@ -157,7 +156,8 @@ def _propagate(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    tau = 0.0 if isinstance(p.tau, TauLimit) else p.tau
+    if isinstance(p.tau, TauLimit):
+        raise ValueError("the grid cannot evolve to INFINITE tau; use error_sq_limit")
     grid = field.grid
     dt_step = p.dt / steps
 
@@ -171,8 +171,8 @@ def _propagate(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     for _ in range(steps):
         up = np.fft.ifft(kin_step * np.fft.fft(up * phase_up)) * phase_up
         down = np.fft.ifft(kin_step * np.fft.fft(down * phase_down)) * phase_down
-    if tau > 0.0:
-        kin_free = np.exp(-1j * p.hbar * grid.k**2 * tau / (2.0 * p.mass))
+    if p.tau > 0.0:
+        kin_free = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
         up = np.fft.ifft(kin_free * np.fft.fft(up))
         down = np.fft.ifft(kin_free * np.fft.fft(down))
 
@@ -185,11 +185,6 @@ def _propagate(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     return out
 
 
-def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
-    """Forward evolution through the magnet and the free flight."""
-    return _propagate(field, p, steps)
-
-
 def _branches(
     grid: Grid1D, p: SGParams, probe: GaussianProbe, steps: int
 ) -> SpinorField:
@@ -199,7 +194,7 @@ def _branches(
     the q-rms squares need, whatever the spin state.
     """
     _check_domain(grid, p, probe)
-    return _propagate(init_state(grid, np.array([1.0, 1.0]), probe), p, steps)
+    return evolve(init_state(grid, np.array([1.0, 1.0]), probe), p, steps)
 
 
 def measure_error(

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import check_sq
+from ._arrays import check_sq, unwrap
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -131,7 +131,8 @@ class PauliObservable:
 
 @dataclass(frozen=True)
 class EDPoint:
-    """A squared error / squared disturbance pair for +-1-valued observables."""
+    """A squared error / squared disturbance pair for +-1-valued observables;
+    the two fields may also be arrays of one shape."""
 
     eps_sq: float
     eta_sq: float
@@ -143,7 +144,8 @@ class EDPoint:
 
 @dataclass(frozen=True)
 class EDRReport:
-    """Evaluation of the four error-disturbance relations at one point.
+    """Evaluation of the four error-disturbance relations at one point, or
+    elementwise over an array of points.
 
     ``tight_applicable`` is False when the zero-mean condition on the state
     fails; the tight-disk test is then reported but not flagged either way.
@@ -201,11 +203,10 @@ def robertson_check(
     return lhs, rhs, lhs >= rhs - HERMITICITY_TOL
 
 
-def hat_transform(v: float) -> float:
-    """v * sqrt(1 - v^2/4) on [0, 2]; peaks at 1 when v = sqrt(2)."""
-    if not (0.0 <= v <= 2.0):
-        raise ValueError(f"argument must lie in [0, 2], got {v}")
-    return float(v * np.sqrt(1.0 - v * v / 4.0))
+def hat_transform(v):
+    """v * sqrt(1 - v^2/4) on [0, 2]; peaks at 1 when v = sqrt(2).  Broadcasts."""
+    check_sq("argument", v, high=2.0)
+    return unwrap(v * np.sqrt(1.0 - v * v / 4.0))
 
 
 def evaluate_edrs(
@@ -214,9 +215,13 @@ def evaluate_edrs(
     a: PauliObservable,
     b: PauliObservable,
 ) -> EDRReport:
-    """Evaluate Heisenberg, Ozawa, Branciard-Ozawa, and tight-disk relations."""
-    eps = float(np.sqrt(point.eps_sq))
-    eta = float(np.sqrt(point.eta_sq))
+    """Evaluate Heisenberg, Ozawa, Branciard-Ozawa, and tight-disk relations.
+
+    The fields of point may be arrays of one shape; every lhs and flag of the
+    report then has that shape.  Scalar input gives Python floats and bools.
+    """
+    eps = np.sqrt(point.eps_sq)
+    eta = np.sqrt(point.eta_sq)
 
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     half_comm = 0.5 * abs(complex(np.trace(state.rho @ comm)))
@@ -238,16 +243,16 @@ def evaluate_edrs(
     )
 
     return EDRReport(
-        heisenberg_lhs=heis_lhs,
+        heisenberg_lhs=unwrap(heis_lhs),
         heisenberg_rhs=half_comm,
-        heisenberg_satisfied=heis_lhs >= half_comm - HERMITICITY_TOL,
-        ozawa_lhs=float(ozawa_lhs),
+        heisenberg_satisfied=unwrap(heis_lhs >= half_comm - HERMITICITY_TOL),
+        ozawa_lhs=unwrap(ozawa_lhs),
         ozawa_rhs=half_comm,
-        ozawa_satisfied=bool(ozawa_lhs >= half_comm - HERMITICITY_TOL),
-        branciard_lhs=float(bran_lhs),
+        ozawa_satisfied=unwrap(ozawa_lhs >= half_comm - HERMITICITY_TOL),
+        branciard_lhs=unwrap(bran_lhs),
         branciard_rhs=float(bran_rhs),
-        branciard_satisfied=bool(bran_lhs >= bran_rhs - HERMITICITY_TOL),
-        tight_lhs=float(tight_lhs),
+        branciard_satisfied=unwrap(bran_lhs >= bran_rhs - HERMITICITY_TOL),
+        tight_lhs=unwrap(tight_lhs),
         tight_applicable=zero_mean,
-        tight_satisfied=(tight_lhs <= 4.0 + HERMITICITY_TOL) if zero_mean else None,
+        tight_satisfied=unwrap(tight_lhs <= 4.0 + HERMITICITY_TOL) if zero_mean else None,
     )

@@ -4,7 +4,6 @@ import pytest
 from sgedr.gridsim import (
     Grid1D,
     SpinorField,
-    _propagate,
     evolve,
     init_state,
     measure_disturbance,
@@ -12,7 +11,7 @@ from sgedr.gridsim import (
     suggest_grid,
 )
 from sgedr.probe import GaussianProbe, moments, sigma_t
-from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
+from sgedr.sgmodel import INFINITE, SGParams, disturbance_sq, error_sq
 from sgedr.spin import IDENTITY_2, STATE_SY_PLUS, QubitState
 from sgedr.validation import ValidationCase, default_cases, run_case, run_validation
 
@@ -139,14 +138,42 @@ class TestEvolve:
         probe = GaussianProbe(1.0)
         grid = suggest_grid(unit_params(), probe)
         with pytest.raises(ValueError, match="steps"):
-            _propagate(init_state(grid, SY_SPIN, probe), unit_params(), 0)
+            evolve(init_state(grid, SY_SPIN, probe), unit_params(), 0)
 
     def test_boundary_leak_detected(self):
         grid = Grid1D(256, -4.0, 4.0)
         flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
         field = SpinorField(grid, flat / np.sqrt(2), flat / np.sqrt(2))
         with pytest.raises(RuntimeError, match="leakage"):
-            _propagate(field, unit_params(mu_b1=0.0), 16)
+            evolve(field, unit_params(mu_b1=0.0), 16)
+
+
+class TestInfiniteTau:
+    # the grid holds a finite flight only; INFINITE was once read as tau = 0
+    LAM = 1.0 + 0.5j
+
+    def test_measure_error_rejects(self):
+        probe = GaussianProbe(self.LAM.real, self.LAM.imag)
+        grid = suggest_grid(unit_params(), probe)
+        with pytest.raises(ValueError, match="INFINITE"):
+            measure_error(grid, unit_params(tau=INFINITE), STATE_SY_PLUS, probe)
+
+    def test_suggest_grid_rejects(self):
+        with pytest.raises(ValueError, match="INFINITE"):
+            suggest_grid(unit_params(tau=INFINITE), GaussianProbe(1.0))
+
+    def test_evolve_rejects(self):
+        probe = GaussianProbe(1.0)
+        field = init_state(suggest_grid(unit_params(), probe), SY_SPIN, probe)
+        with pytest.raises(ValueError, match="INFINITE"):
+            evolve(field, unit_params(tau=INFINITE))
+
+    def test_disturbance_ignores_tau(self):
+        # eta^2 is taken over the magnet alone, so any tau gives the tau = 0 value
+        probe = GaussianProbe(self.LAM.real, self.LAM.imag)
+        grid = suggest_grid(unit_params(), probe)
+        at_inf = measure_disturbance(grid, unit_params(tau=INFINITE), STATE_SY_PLUS, probe)
+        assert at_inf == measure_disturbance(grid, unit_params(), STATE_SY_PLUS, probe)
 
 
 class TestMeasure:
@@ -235,7 +262,7 @@ class TestValidation:
         assert all(r.passed for r in run_validation(n=1024))
 
     def test_one_step_matches_many(self):
-        # one split is exact for the linear magnet field (see _propagate)
+        # one split is exact for the linear magnet field (see evolve)
         for case in default_cases():
             one = run_case(case, steps=1)
             many = run_case(case, steps=64)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgedr.measurement import lw_sweep
+from sgedr.sgmodel import SGParams, sweep_region
 from sgedr.spin import (
     IDENTITY_2,
     SIGMA_X,
@@ -233,6 +235,14 @@ class TestHatTransform:
                 hat_transform(np.sqrt(4 - v * v)), abs=1e-12
             )
 
+    def test_broadcasts(self):
+        v = np.linspace(0, 2, 201)
+        np.testing.assert_array_equal(hat_transform(v), [hat_transform(float(x)) for x in v])
+
+    def test_names_first_bad_entry_of_array(self):
+        with pytest.raises(ValueError, match=r"\[0, 2\], got 2.5"):
+            hat_transform(np.array([0.5, 2.5, -1.0]))
+
 
 class TestEDPoint:
     def test_rejects_out_of_range(self):
@@ -276,3 +286,51 @@ class TestEvaluateEDRs:
         rep = evaluate_edrs(EDPoint(1.0, 1.0), QubitState.from_vector([1, 0]), SZ, SX)
         assert not rep.tight_applicable
         assert rep.tight_satisfied is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)), min_size=1, max_size=50),
+        bloch_vectors,
+    )
+    def test_array_call_matches_scalar_calls(self, points, v):
+        # Python's float ** and numpy's square may round apart by an ulp
+        state = bloch(*v)
+        eps_sq, eta_sq = np.array(points).T
+        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
+        singles = [evaluate_edrs(EDPoint(*pt), state, SZ, SX) for pt in points]
+        for name in ("heisenberg_lhs", "ozawa_lhs", "branciard_lhs", "tight_lhs"):
+            want = [getattr(r, name) for r in singles]
+            np.testing.assert_array_max_ulp(getattr(rep, name), np.array(want), maxulp=2)
+        for name in ("heisenberg_satisfied", "ozawa_satisfied", "branciard_satisfied"):
+            assert getattr(rep, name).tolist() == [getattr(r, name) for r in singles]
+
+
+class TestEDRsHoldOnSweeps:
+    """Ozawa's and Branciard's relations hold at every valid swept point."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(bloch_vectors)
+    def test_cnot_family(self, v):
+        state = bloch(*v)
+        eps_sq, eta_sq = lw_sweep(101, state).T
+        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
+        assert rep.ozawa_satisfied.all() and rep.branciard_satisfied.all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.floats(0.1, 10.0),
+        st.tuples(st.floats(0.05, 8.0), st.floats(0.05, 8.0)),
+        st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+        bloch_vectors,
+    )
+    def test_stern_gerlach_region(self, b1, lam_re, lam_im, b0, tau, v):
+        base = SGParams(mu=1.0, B0=0.0, B1=b1, mass=1.0, hbar=1.0, dt=1.0)
+        lambdas = np.add.outer(np.linspace(*lam_re, 6), 1j * np.linspace(*lam_im, 6)).ravel()
+        eps_sq, eta_sq = sweep_region(
+            base, lambdas, np.linspace(*b0, 6), np.linspace(*tau, 6)
+        ).T
+        state = bloch(*v)
+        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
+        assert rep.ozawa_satisfied.all() and rep.branciard_satisfied.all()
