@@ -144,9 +144,10 @@ def cmd_region(args) -> int:
     tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
     columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, ~edr.heisenberg_satisfied)
     b_eps_sq = np.linspace(0.0, 4.0, 1024)
+    boundary = (b_eps_sq, region_bound(b_eps_sq))
     _write_table(args.out, args.format, "region", {
         "rows": (["eps_sq", "eta_sq", "in_region", "tight_ok", "heisenberg_violated"], columns),
-        "boundary": (["eps_sq", "max_abs_half_two_minus_eta_sq"], (b_eps_sq, region_bound(b_eps_sq))),
+        "boundary": (["eps_sq", "max_abs_half_two_minus_eta_sq"], boundary),
     })
     return EXIT_OK
 

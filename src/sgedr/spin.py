@@ -140,6 +140,9 @@ class EDPoint:
     def __post_init__(self) -> None:
         check_sq("eps_sq", self.eps_sq)
         check_sq("eta_sq", self.eta_sq)
+        shapes = np.shape(self.eps_sq), np.shape(self.eta_sq)
+        if shapes[0] != shapes[1]:
+            raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}")
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,10 @@ class TestEDPoint:
         with pytest.raises(ValueError):
             EDPoint(1.0, 4.1)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"shapes differ: \(3,\) and \(4,\)"):
+            EDPoint(np.zeros(3), np.zeros(4))
+
 
 class TestEvaluateEDRs:
     def test_center_of_tight_disk(self):
