@@ -49,6 +49,7 @@ from .gridsim import (
     init_state,
     measure_disturbance,
     measure_error,
+    propagate,
     suggest_grid,
 )
 from .experiment import (

@@ -6,18 +6,22 @@ import math
 import numpy as np
 
 
+def check_in(name: str, x, low: float = -math.inf, closed: bool = False) -> None:
+    """Raise ValueError naming the input unless every value of x lies in
+    (low, inf), or [low, inf) when closed; nan and inf never do."""
+    inside = ((low <= x) if closed else (low < x)) & (x < math.inf)
+    if not np.all(inside):
+        bad = np.extract(~np.asarray(inside), x)[0]
+        bracket = "[" if closed else "("
+        raise ValueError(f"{name} must lie in {bracket}{low}, inf), got {bad}")
+
+
 def require_in(
     obj, names: tuple[str, ...], low: float = -math.inf, closed: bool = False
 ) -> None:
-    """Raise ValueError naming the first field of obj not inside (low, inf),
-    or [low, inf) when closed."""
+    """check_in on each named field of obj, in order."""
     for name in names:
-        value = getattr(obj, name)
-        inside = ((low <= value) if closed else (low < value)) & (value < math.inf)
-        if not np.all(inside):
-            bad = np.extract(~np.asarray(inside), value)[0]
-            bracket = "[" if closed else "("
-            raise ValueError(f"{name} must lie in {bracket}{low}, inf), got {bad}")
+        check_in(name, getattr(obj, name), low, closed)
 
 
 def check_sq(name: str, x, high: float = 4.0) -> None:

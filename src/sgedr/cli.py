@@ -185,13 +185,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.dt_steps < 1:
-        raise _UsageError("--dt-steps must be >= 1")
     try:
         Grid1D(args.grid_n, 0.0, 1.0)  # the grid's own size rule
     except ValueError as exc:
         raise _UsageError(f"--grid-n: {exc}") from exc
-    results = run_validation(n=args.grid_n, steps=args.dt_steps)
+    results = run_validation(n=args.grid_n)
     all_ok = True
     for r in results:
         c = r.case
@@ -263,10 +261,6 @@ def build_parser() -> _Parser:
 
     p_val = sub.add_parser("validate", help="grid oracle vs closed forms")
     p_val.add_argument("--grid-n", type=int, default=1024)
-    p_val.add_argument(
-        "--dt-steps", type=int, default=1,
-        help="split steps across the magnet; one is exact for its linear field",
-    )
     p_val.set_defaults(func=cmd_validate)
 
     p_tau = sub.add_parser("tau-opt", help="free-flight time optimization demo")

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ._arrays import require_in
+from ._arrays import check_in, require_in
 from .probe import CollimatorModel, GaussianProbe, collimator_posterior, moments, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
@@ -88,15 +88,15 @@ class ChainReport:
 
 def silver_mass(atomic_weight: float, c: PhysicalConstants) -> float:
     """Atom mass in kg from the molar mass in g/mol."""
-    if atomic_weight <= 0.0:
-        raise ValueError("atomic weight must be positive")
+    check_in("atomic_weight", atomic_weight, 0.0)
     return atomic_weight * 1e-3 / c.N_A
 
 
 def flux_pdf(v: float, T: float, m: float, c: PhysicalConstants | None = None) -> float:
     """Normalized beam-flux speed density, proportional to v^3 exp(-mv^2/2kT)."""
-    if v < 0.0:
-        raise ValueError("speed must be nonnegative")
+    check_in("v", v, 0.0, closed=True)
+    check_in("T", T, 0.0)
+    check_in("m", m, 0.0)
     k_B = (c or PhysicalConstants()).k_B
     scale = m / (2.0 * k_B * T)
     # integral of v^3 exp(-scale v^2) over [0, inf) is 1/(2 scale^2)
@@ -105,8 +105,8 @@ def flux_pdf(v: float, T: float, m: float, c: PhysicalConstants | None = None) -
 
 def rms_velocity(T: float, m: float, c: PhysicalConstants) -> float:
     """Root-mean-square longitudinal velocity sqrt(4 k_B T / m)."""
-    if T < 0.0 or m <= 0.0:
-        raise ValueError("T must be >= 0 and m > 0")
+    check_in("T", T, 0.0, closed=True)
+    check_in("m", m, 0.0)
     return float(np.sqrt(4.0 * c.k_B * T / m))
 
 

@@ -1,17 +1,20 @@
 """Split-operator spinor wave-packet simulator.
 
 Independent numerical check of the closed-form Stern-Gerlach error and
-disturbance: evolve the two spin branches on a 1D position grid under the
-magnet Hamiltonian, then free flight, and evaluate the root-mean-square
-definitions directly.  Intended for order-unity (hbar = m = 1) parameters;
-feed SI-scale inputs through a rescaling, not directly.
+disturbance: `propagate` evolves the probe in the two spin branches on a 1D
+position grid under the magnet Hamiltonian, then free flight, in one exact
+split step; `measure_error` and `measure_disturbance` read the
+root-mean-square definitions directly from that one field.  Intended for
+order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
+rescaling, not directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import require_in
 from .probe import GaussianProbe, moments, sigma_t
 from .sgmodel import SGParams, TauLimit, g0
 from .spin import QubitState
@@ -30,6 +33,7 @@ class Grid1D:
     z_max: float
 
     def __post_init__(self) -> None:
+        require_in(self, ("z_min", "z_max"))
         if self.n < 256 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two >= 256")
         if self.z_max <= self.z_min:
@@ -185,51 +189,40 @@ def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     return out
 
 
-def _branches(
-    grid: Grid1D, p: SGParams, probe: GaussianProbe, steps: int
-) -> SpinorField:
-    """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated in both branches.
+def propagate(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> SpinorField:
+    """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated through the
+    magnet and the free flight in both branches, one exact split.
 
     The propagator is diagonal in sigma_z, so these two amplitudes are all
-    the q-rms squares need, whatever the spin state.
+    the q-rms squares need, whatever the spin state, and both the error and
+    the disturbance are read from the one field.
     """
     _check_domain(grid, p, probe)
-    return evolve(init_state(grid, np.array([1.0, 1.0]), probe), p, steps)
+    return evolve(init_state(grid, np.array([1.0, 1.0]), probe), p)
 
 
-def measure_error(
-    grid: Grid1D,
-    p: SGParams,
-    spin: QubitState,
-    probe: GaussianProbe,
-    steps: int = 1,
-) -> float:
-    """q-rms error of the sign-of-position meter against sigma_z.
+def measure_error(field: SpinorField, spin: QubitState) -> float:
+    """q-rms error of the sign-of-position meter against sigma_z, read from
+    the propagated field.
 
     The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
     below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
     four times the probability of landing on the wrong side of the screen.
     """
-    out = _branches(grid, p, probe, steps)
-    above = grid.z >= 0.0
-    wrong_up = np.sum(np.abs(out.up[above]) ** 2)
-    wrong_down = np.sum(np.abs(out.down[~above]) ** 2)
+    above = field.grid.z >= 0.0
+    wrong_up = np.sum(np.abs(field.up[above]) ** 2)
+    wrong_down = np.sum(np.abs(field.down[~above]) ** 2)
     rho = spin.rho.real
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
-    return float(np.sqrt(8.0 * (rho[0, 0] * wrong_up + rho[1, 1] * wrong_down) * grid.dz))
+    return float(np.sqrt(8.0 * (rho[0, 0] * wrong_up + rho[1, 1] * wrong_down) * field.grid.dz))
 
 
-def measure_disturbance(
-    grid: Grid1D,
-    p: SGParams,
-    spin: QubitState,
-    probe: GaussianProbe,
-    steps: int = 1,
-) -> float:
-    """q-rms disturbance of sigma_x across the magnet transit.
+def measure_disturbance(field: SpinorField) -> float:
+    """q-rms disturbance of sigma_x across the magnet transit, read from the
+    propagated field.
 
-    eta^2 = ||U_up xi - U_down xi||^2 over the magnet alone: the free flight
-    is common to both branches and cancels, and no spin state enters.
+    eta^2 = ||U_up xi - U_down xi||^2 over the magnet alone.  The free flight
+    multiplies both branches by the same unitary, so it leaves the norm of
+    their difference unchanged; no spin state enters.
     """
-    out = _branches(grid, replace(p, tau=0.0), probe, steps)
-    return float(np.sqrt(2.0 * np.sum(np.abs(out.up - out.down) ** 2) * grid.dz))
+    return float(np.sqrt(2.0 * np.sum(np.abs(field.up - field.down) ** 2) * field.grid.dz))

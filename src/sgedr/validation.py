@@ -2,12 +2,14 @@
 
 The dimensionless (hbar = m = 1, dt = 1) test set spans real and complex
 probe widths, uniform field on and off, and zero and nonzero free flight.
+Each case is propagated once, and both the error and the disturbance are
+read from that field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gridsim import measure_disturbance, measure_error, suggest_grid
+from .gridsim import measure_disturbance, measure_error, propagate, suggest_grid
 from .probe import GaussianProbe
 from .sgmodel import SGParams, disturbance_sq, error_sq
 from .spin import STATE_SY_PLUS, QubitState
@@ -67,17 +69,14 @@ def default_cases() -> list[ValidationCase]:
 
 
 def run_case(
-    case: ValidationCase,
-    n: int = 1024,
-    steps: int = 1,
-    state: QubitState | None = None,
+    case: ValidationCase, n: int = 1024, state: QubitState | None = None
 ) -> ValidationResult:
     state = state or STATE_SY_PLUS
     p = case.params()
     probe = case.probe()
-    grid = suggest_grid(p, probe, n=n)
-    eps_grid = measure_error(grid, p, state, probe, steps=steps)
-    eta_grid = measure_disturbance(grid, p, state, probe, steps=steps)
+    field = propagate(suggest_grid(p, probe, n=n), p, probe)
+    eps_grid = measure_error(field, state)
+    eta_grid = measure_disturbance(field)
     return ValidationResult(
         case=case,
         eps_sq_model=error_sq(p, probe),
@@ -87,7 +86,5 @@ def run_case(
     )
 
 
-def run_validation(
-    n: int = 1024, steps: int = 1
-) -> list[ValidationResult]:
-    return [run_case(c, n=n, steps=steps) for c in default_cases()]
+def run_validation(n: int = 1024) -> list[ValidationResult]:
+    return [run_case(c, n=n) for c in default_cases()]

@@ -37,6 +37,11 @@ class TestSilverMass:
         with pytest.raises(ValueError):
             silver_mass(0.0, C)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_rejects_non_finite(self, weight):
+        with pytest.raises(ValueError, match="^atomic_weight must lie in"):
+            silver_mass(weight, C)
+
 
 class TestFluxPdf:
     M = silver_mass(107.86822, C)
@@ -60,6 +65,18 @@ class TestFluxPdf:
         with pytest.raises(ValueError):
             flux_pdf(-1.0, 1500.0, self.M)
 
+    @pytest.mark.parametrize("v, T, m, field", [
+        (100.0, -1500.0, M, "T"),
+        (100.0, 0.0, M, "T"),
+        (100.0, np.nan, M, "T"),
+        (np.inf, 1500.0, M, "v"),
+        (100.0, 1500.0, 0.0, "m"),
+        (100.0, 1500.0, np.inf, "m"),
+    ])
+    def test_rejects_bad_inputs_by_name(self, v, T, m, field):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in"):
+            flux_pdf(v, T, m)
+
 
 class TestRmsVelocity:
     def test_silver_beam(self):
@@ -71,6 +88,16 @@ class TestRmsVelocity:
             rms_velocity(-1.0, 1.0, C)
         with pytest.raises(ValueError):
             rms_velocity(300.0, 0.0, C)
+
+    @pytest.mark.parametrize("T, m, field", [
+        (np.inf, 1.79e-25, "T"),
+        (np.nan, 1.79e-25, "T"),
+        (1500.0, np.inf, "m"),
+        (1500.0, np.nan, "m"),
+    ])
+    def test_rejects_non_finite_by_name(self, T, m, field):
+        with pytest.raises(ValueError, match=rf"^{field} must lie in"):
+            rms_velocity(T, m, C)
 
 
 class TestRunChain:

@@ -8,6 +8,7 @@ from sgedr.gridsim import (
     init_state,
     measure_disturbance,
     measure_error,
+    propagate,
     suggest_grid,
 )
 from sgedr.probe import GaussianProbe, moments, sigma_t
@@ -38,6 +39,17 @@ class TestGrid1D:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             Grid1D(256, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z_min, z_max, field", [
+        (np.nan, np.nan, "z_min"),
+        (-np.inf, np.inf, "z_min"),
+        (-1.0, np.inf, "z_max"),
+        (-1.0, np.nan, "z_max"),
+    ])
+    def test_rejects_non_finite_bounds(self, z_min, z_max, field):
+        # either would make dz nan or inf
+        with pytest.raises(ValueError, match=rf"^{field} must lie in"):
+            Grid1D(1024, z_min, z_max)
 
     def test_spacing_and_axes(self):
         g = Grid1D(256, -2.0, 2.0)
@@ -152,11 +164,12 @@ class TestInfiniteTau:
     # the grid holds a finite flight only; INFINITE was once read as tau = 0
     LAM = 1.0 + 0.5j
 
-    def test_measure_error_rejects(self):
+    def test_propagate_rejects(self):
+        # the error and the disturbance are both read from propagate's field
         probe = GaussianProbe(self.LAM.real, self.LAM.imag)
         grid = suggest_grid(unit_params(), probe)
         with pytest.raises(ValueError, match="INFINITE"):
-            measure_error(grid, unit_params(tau=INFINITE), STATE_SY_PLUS, probe)
+            propagate(grid, unit_params(tau=INFINITE), probe)
 
     def test_suggest_grid_rejects(self):
         with pytest.raises(ValueError, match="INFINITE"):
@@ -168,73 +181,61 @@ class TestInfiniteTau:
         with pytest.raises(ValueError, match="INFINITE"):
             evolve(field, unit_params(tau=INFINITE))
 
-    def test_disturbance_ignores_tau(self):
-        # eta^2 is taken over the magnet alone, so any tau gives the tau = 0 value
-        probe = GaussianProbe(self.LAM.real, self.LAM.imag)
-        grid = suggest_grid(unit_params(), probe)
-        at_inf = measure_disturbance(grid, unit_params(tau=INFINITE), STATE_SY_PLUS, probe)
-        assert at_inf == measure_disturbance(grid, unit_params(), STATE_SY_PLUS, probe)
-
 
 class TestMeasure:
     def test_no_gradient_is_coin_flip(self):
         p = unit_params(mu_b1=0.0)
         probe = GaussianProbe(1.0)
         grid = suggest_grid(unit_params(), probe)
-        eps = measure_error(grid, p, STATE_SY_PLUS, probe, steps=32)
+        eps = measure_error(propagate(grid, p, probe), STATE_SY_PLUS)
         assert eps**2 == pytest.approx(2.0, abs=1e-3)
 
     def test_strong_gradient_resolves_spin(self):
         p = unit_params(mu_b1=12.0)
         probe = GaussianProbe(1.0)
         grid = suggest_grid(p, probe, n=2048)
-        eps = measure_error(grid, p, STATE_SY_PLUS, probe)
+        eps = measure_error(propagate(grid, p, probe), STATE_SY_PLUS)
         assert eps**2 < 1e-3
 
     def test_no_fields_no_disturbance(self):
         p = unit_params(mu_b1=0.0, b0=0.0)
         probe = GaussianProbe(1.0)
         grid = suggest_grid(unit_params(), probe)
-        eta = measure_disturbance(grid, p, STATE_SY_PLUS, probe, steps=32)
+        eta = measure_disturbance(propagate(grid, p, probe))
         assert eta**2 == pytest.approx(0.0, abs=1e-10)
 
     def test_disturbance_tau_invariant(self):
+        # the free flight is common to both branches, so eta is read after it
         probe = GaussianProbe(1.0, 0.5)
         p_far = unit_params(mu_b1=1.0, b0=0.5, tau=0.7)
         p_near = unit_params(mu_b1=1.0, b0=0.5, tau=0.0)
         grid = suggest_grid(p_far, probe)
-        eta_far = measure_disturbance(grid, p_far, STATE_SY_PLUS, probe, steps=64)
-        eta_near = measure_disturbance(grid, p_near, STATE_SY_PLUS, probe, steps=64)
+        eta_far = measure_disturbance(propagate(grid, p_far, probe))
+        eta_near = measure_disturbance(propagate(grid, p_near, probe))
         assert abs(eta_far - eta_near) <= 1e-9
 
     def test_mixed_state_averages_pure_squares(self):
         p = unit_params(mu_b1=1.0)
         probe = GaussianProbe(1.0)
-        grid = suggest_grid(p, probe)
+        field = propagate(suggest_grid(p, probe), p, probe)
         up = QubitState.from_vector([1, 0])
         down = QubitState.from_vector([0, 1])
-        e_up = measure_error(grid, p, up, probe, steps=64)
-        e_dn = measure_error(grid, p, down, probe, steps=64)
+        e_up = measure_error(field, up)
+        e_dn = measure_error(field, down)
         # the error weighs the branches by the diagonal of rho alone
         for mixed in (QubitState(IDENTITY_2 / 2), QubitState.from_bloch(0.3, -0.2, 0.5)):
             w_up = mixed.rho[0, 0].real
-            e_mix = measure_error(grid, p, mixed, probe, steps=64)
+            e_mix = measure_error(field, mixed)
             assert e_mix**2 == pytest.approx(
                 w_up * e_up**2 + (1 - w_up) * e_dn**2, abs=1e-12
             )
-        # the disturbance does not depend on the state at all
-        etas = [
-            measure_disturbance(grid, p, s, probe, steps=64)
-            for s in (up, down, QubitState(IDENTITY_2 / 2), STATE_SY_PLUS)
-        ]
-        assert max(etas) - min(etas) <= 1e-12
 
     def test_rejects_undersized_domain(self):
         p = unit_params(mu_b1=1.0)
         probe = GaussianProbe(1.0)
         grid = Grid1D(256, -1.0, 1.0)
         with pytest.raises(ValueError, match="span"):
-            measure_error(grid, p, STATE_SY_PLUS, probe)
+            propagate(grid, p, probe)
 
 
 class TestValidation:
@@ -262,22 +263,23 @@ class TestValidation:
         assert all(r.passed for r in run_validation(n=1024))
 
     def test_one_step_matches_many(self):
-        # one split is exact for the linear magnet field (see evolve)
+        # one split is exact for the linear magnet field (see evolve), so
+        # 64 splits read the same error and disturbance
         for case in default_cases():
-            one = run_case(case, steps=1)
-            many = run_case(case, steps=64)
-            assert abs(one.eps_sq_grid - many.eps_sq_grid) <= 1e-10
-            assert abs(one.eta_sq_grid - many.eta_sq_grid) <= 1e-10
-
-    def test_default_is_one_step(self):
-        for case in default_cases():
-            assert run_case(case) == run_case(case, steps=1)
+            p, probe = case.params(), case.probe()
+            start = init_state(suggest_grid(p, probe), np.array([1.0, 1.0]), probe)
+            one = evolve(start, p, steps=1)
+            many = evolve(start, p, steps=64)
+            assert abs(
+                measure_error(one, STATE_SY_PLUS) ** 2 - measure_error(many, STATE_SY_PLUS) ** 2
+            ) <= 1e-10
+            assert abs(measure_disturbance(one) ** 2 - measure_disturbance(many) ** 2) <= 1e-10
 
     def test_fft_call_budget(self, monkeypatch):
-        # one forward propagation for the error and one over the magnet alone
-        # for the disturbance; each takes an FFT pair per branch for the
-        # magnet and, when tau > 0, one for the free flight: 80 calls over
-        # the validation set, whose cases split evenly between tau = 0 and > 0
+        # one propagation per case, read for both the error and the
+        # disturbance: an FFT pair per branch for the magnet and, when
+        # tau > 0, one more for the free flight; 48 calls over the validation
+        # set, whose cases split evenly between tau = 0 and > 0
         calls = []
 
         def counted(fn):
@@ -289,7 +291,7 @@ class TestValidation:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         run_validation(n=1024)
-        assert 0 < len(calls) <= 80
+        assert 0 < len(calls) <= 48
 
     def test_self_convergence_under_refinement(self):
         case = ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0)
