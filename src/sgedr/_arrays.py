@@ -24,6 +24,15 @@ def require_in(
         check_in(name, getattr(obj, name), low, closed)
 
 
+def check_finite(name: str, x):
+    """x, or ValueError naming the intermediate if a value of x is nan or inf."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = np.extract(~finite, x)[0]
+        raise ValueError(f"{name} is not finite ({bad}): the inputs leave the float range")
+    return x
+
+
 def check_sq(name: str, x, high: float = 4.0) -> None:
     """Raise ValueError naming the input unless every value of x lies in
     [0, high]; the default 4 bounds squared errors and disturbances."""

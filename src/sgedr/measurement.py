@@ -2,12 +2,12 @@
 
 A measuring process couples the qubit system to a probe of arbitrary finite
 dimension through a joint unitary, then reads a Hermitian meter on the probe.
-Error and disturbance are computed directly from their root-mean-square
-definitions by evolving vectors, never by forming the squared operators.
-The squares Tr[(rho x xi)(O(tau) - O(0))^2] are linear in the system state
-rho, so no state is eigendecomposed: the vectors v_i = (O(tau) - O(0))|i> x xi
-of the two basis states give the 2x2 Gram matrix G_ij = <v_i|v_j>, and the
-square is the contraction Tr(rho G).
+Error and disturbance come from their root-mean-square definitions through
+the difference operator Delta = O(tau) - O(0), formed once as a matrix and
+applied to vectors, never squared.  The squares Tr[(rho x xi) Delta^dag Delta]
+are linear in the system state rho, so no state is eigendecomposed: the
+vectors v_i = Delta |i> x xi of the two basis states give the 2x2 Gram matrix
+G_ij = <v_i|v_j>, and the square is the contraction Tr(rho G).
 
 The probe state may be one vector of shape (d,) or a stack of n probe
 vectors of shape (n, d) sharing the unitary and the meter; the q-rms
@@ -77,41 +77,28 @@ class LWParams:
             raise ValueError("theta must be finite")
 
 
-# Joint vectors are the rows of a 2-D array, so every product below is one
-# matrix product: a stacked 3-D product takes numpy's per-matrix loop, an
-# order of magnitude slower over thousands of 2x2 or 4x4 blocks.
-def _apply_probe_operator(op: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
-    return (vec.reshape(-1, d) @ op.T).reshape(vec.shape)
-
-
-def _apply_system_operator(op: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
-    return vec @ np.kron(op, np.eye(d)).T
-
-
 def _rms_deviation(
     mp: MeasuringProcess,
     state: QubitState,
     system_obs: np.ndarray,
     heisenberg_probe_meter: bool,
 ) -> float | np.ndarray:
-    """sqrt Tr[(rho x xi)(O(tau) - O(0))^2], one value per probe vector xi of mp
-    (a float, or an (n,) array for a stack).
+    """sqrt Tr[(rho x xi) Delta^dag Delta] with Delta = O(tau) - O(0), one value
+    per probe vector xi of mp (a float, or an (n,) array for a stack).
 
-    With ``heisenberg_probe_meter`` the evolved operator is the probe meter
-    M(tau); otherwise it is the system observable itself (disturbance case).
-    Both basis vectors |i> x xi of every probe are evolved at once as rows,
-    so U v is written v @ U.T and U^dag v as v @ U*.
+    O(0) is the system observable A x 1.  With ``heisenberg_probe_meter``
+    O(tau) = U^dag (1 x M) U is the evolved probe meter; otherwise it is
+    U^dag (A x 1) U (disturbance case).  Delta is formed once as a 2d x 2d
+    matrix, never squared, and applied to the basis vectors |i> x xi of every
+    probe at once as the rows of one 2-D product: v = joint Delta^T.
     """
     d = mp.probe_dim
     xi = mp.probe_state
+    initial = np.kron(system_obs, np.eye(d))
+    evolved = np.kron(IDENTITY_2, mp.meter) if heisenberg_probe_meter else initial
+    delta = mp.unitary.conj().T @ evolved @ mp.unitary - initial
     joint = (IDENTITY_2[:, :, None] * xi[..., None, None, :]).reshape(-1, 2 * d)
-    evolved = joint @ mp.unitary.T
-    if heisenberg_probe_meter:
-        hit = _apply_probe_operator(mp.meter, evolved, d)
-    else:
-        hit = _apply_system_operator(system_obs, evolved, d)
-    back = hit @ mp.unitary.conj()
-    v = (back - _apply_system_operator(system_obs, joint, d)).reshape(*xi.shape[:-1], 2, 2 * d)
+    v = (joint @ delta.T).reshape(*xi.shape[:-1], 2, 2 * d)
     sq = np.einsum("...ik,ji,...jk->...", v.conj(), state.rho, v).real
     return unwrap(np.sqrt(np.maximum(sq, 0.0)))
 

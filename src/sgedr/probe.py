@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import require_in, unwrap
+from ._arrays import check_finite, require_in, unwrap
 
 MIN_UNCERTAINTY_RTOL = 1e-10
 
@@ -34,6 +34,7 @@ class GaussianProbe:
         return complex(self.lambda_re, self.lambda_im)
 
 
+@np.errstate(all="ignore")
 def moments(probe: GaussianProbe) -> tuple[float, float, float]:
     """(Var Z, Var P, <{Z,P}>) of the Gaussian probe.
 
@@ -47,16 +48,17 @@ def moments(probe: GaussianProbe) -> tuple[float, float, float]:
     var_z = 1.0 / (4.0 * re)
     var_p = hbar * hbar * (re * re + im * im) / re
     anticom = -hbar * im / re
-    return var_z, var_p, anticom
+    return tuple(map(check_finite, ("var_z", "var_p", "anticom"), (var_z, var_p, anticom)))
 
 
+@np.errstate(all="ignore")
 def sigma_t(probe: GaussianProbe, t):
     """Ballistic spread <(Z + tP/m)^2>^(1/2) at time t (negative t allowed)."""
     var_z, var_p, anticom = moments(probe)
     s = t / probe.mass
     radicand = var_z + s * anticom + s * s * var_p
     # exact value is a Hermitian square; clamp rounding residue
-    return unwrap(np.sqrt(np.maximum(radicand, 0.0)))
+    return unwrap(check_finite("sigma_t", np.sqrt(np.maximum(radicand, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class CollimatorModel:
     """Hole-and-slit beam filter producing a real-lambda Gaussian posterior.
 
     The momentum and position resolutions are D = 1.25*K*delta with
-    K in [0.6, 1], bracketing the geometric half-widths by +-25%.
+    K in [0.6, 1], bracketing the geometric half-widths by +-25%.  K may be
+    an array of scale factors; D_p, D_z and the posterior then follow it.
     """
 
     d1: float
@@ -73,11 +76,11 @@ class CollimatorModel:
     v_y: float
     mass: float
     hbar: float
-    K: float = 1.0
+    K: float | np.ndarray = 1.0
 
     def __post_init__(self) -> None:
         require_in(self, ("d1", "d2", "L1", "v_y", "mass", "hbar"), 0.0)
-        if not (0.6 <= self.K <= 1.0):
+        if not np.all((0.6 <= self.K) & (self.K <= 1.0)):
             raise ValueError("K must lie in [0.6, 1.0]")
 
     @property
@@ -102,8 +105,9 @@ class CollimatorModel:
 def collimator_posterior(cm: CollimatorModel) -> GaussianProbe:
     """Posterior Gaussian of the beam after hole-and-slit filtering.
 
-    lambda = D_p^2/hbar^2 + 1/(4 D_z^2), real; assumes the prior momentum
+    lambda = D_p^2/hbar^2 + 1/(4 D_z^2), real, squared by products so that an
+    array K gives its scalar posteriors bit for bit; assumes the prior momentum
     spread dominates D_p so the prior width drops out entirely.
     """
-    lam = cm.D_p**2 / cm.hbar**2 + 1.0 / (4.0 * cm.D_z**2)
+    lam = cm.D_p * cm.D_p / cm.hbar**2 + 1.0 / (4.0 * (cm.D_z * cm.D_z))
     return GaussianProbe(lambda_re=lam, lambda_im=0.0, hbar=cm.hbar, mass=cm.mass)

@@ -6,6 +6,8 @@ be a distinguished INFINITE value, in which case the error is the limiting
 expression rather than the finite-tau formula.
 
 The formulas broadcast over array-valued fields; scalar inputs return floats.
+An intermediate that leaves the float range raises ValueError naming it,
+except an infinite damping exponent: total damping, a disturbance of exactly 2.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ._arrays import check_sq, clamp_sq, require_in, unwrap
+from ._arrays import check_finite, check_sq, clamp_sq, require_in, unwrap
 from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
@@ -59,22 +61,30 @@ class SGParams:
                 raise ValueError("tau must be >= 0 or INFINITE")
 
 
+@np.errstate(all="ignore")
 def g0(p: SGParams):
     """Half-separation of the packet centers at the screen."""
     if isinstance(p.tau, TauLimit):
         raise ValueError("g0 undefined at INFINITE tau; use error_sq_limit")
-    return p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass
+    return check_finite("g0", p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass)
 
 
+@np.errstate(all="ignore")
 def erfc_arg(p: SGParams, probe: GaussianProbe):
     """|g0| / (sqrt(2) sigma(dt + tau)), the argument of error_sq's erfc."""
-    return abs(g0(p)) / (math.sqrt(2.0) * sigma_t(probe, p.dt + p.tau))
+    spread = sigma_t(probe, p.dt + p.tau)
+    return unwrap(check_finite("erfc_arg", np.divide(abs(g0(p)), math.sqrt(2.0) * spread)))
 
 
+@np.errstate(all="ignore")
 def damping_exponent(p: SGParams, probe: GaussianProbe):
     """(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2, the decay of <sigma_x>."""
     spread = sigma_t(probe, p.dt / 2.0)
-    return 2.0 * (p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread)
+    # numpy's scalar ** is C pow, as Python's float ** is, but overflows to inf
+    exponent = 2.0 * np.float64(p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread)
+    if np.any(np.isnan(exponent)):
+        raise ValueError("damping_exponent is nan: an infinite factor meets a zero one")
+    return unwrap(exponent)
 
 
 def error_sq(p: SGParams, probe: GaussianProbe):
@@ -89,21 +99,24 @@ def error_sq(p: SGParams, probe: GaussianProbe):
     return 2.0 * erfc(erfc_arg(p, probe))
 
 
+@np.errstate(all="ignore")
 def error_sq_limit(p: SGParams, probe: GaussianProbe):
     """Limit of error_sq as the free flight grows without bound."""
     _, var_p, _ = moments(probe)
-    return 2.0 * erfc(abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(var_p)))
+    arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(var_p))
+    return 2.0 * erfc(check_finite("erfc_arg", arg))
 
 
+@np.errstate(all="ignore")
 def disturbance_sq(p: SGParams, probe: GaussianProbe):
     """Squared q-rms disturbance of sigma_x; independent of tau.
 
     2 - 2 exp(-(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2) cos(2 mu dt B0 / hbar);
-    equals exactly 2 once the damping exponent underflows exp to zero.
+    equals exactly 2 once exp underflows to zero, whatever the phase.
     """
     damping = np.exp(-damping_exponent(p, probe))
-    phase = np.cos(2.0 * p.mu * p.dt * p.B0 / p.hbar)
-    return unwrap(2.0 - 2.0 * damping * phase)
+    phase = np.where(damping > 0.0, 2.0 * p.mu * p.dt * p.B0 / p.hbar, 0.0)
+    return unwrap(2.0 - 2.0 * damping * np.cos(check_finite("phase", phase)))
 
 
 def tau_condition(p: SGParams, probe: GaussianProbe) -> bool:

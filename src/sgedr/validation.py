@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .gridsim import measure_disturbance, measure_error, propagate, suggest_grid
 from .probe import GaussianProbe
 from .sgmodel import SGParams, disturbance_sq, error_sq
-from .spin import STATE_SY_PLUS, QubitState
+from .spin import STATE_SY_PLUS
 
 VALIDATION_RTOL = 1e-2
 
@@ -68,14 +68,11 @@ def default_cases() -> list[ValidationCase]:
     ]
 
 
-def run_case(
-    case: ValidationCase, n: int = 1024, state: QubitState | None = None
-) -> ValidationResult:
-    state = state or STATE_SY_PLUS
+def run_case(case: ValidationCase, n: int = 1024) -> ValidationResult:
     p = case.params()
     probe = case.probe()
     field = propagate(suggest_grid(p, probe, n=n), p, probe)
-    eps_grid = measure_error(field, state)
+    eps_grid = measure_error(field, STATE_SY_PLUS)
     eta_grid = measure_disturbance(field)
     return ValidationResult(
         case=case,

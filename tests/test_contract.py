@@ -2,18 +2,22 @@
 
 The squared errors of a sign meter lie in [0, 2], the squared
 disturbances of sigma_x in [0, 4], region_bound in [0, 1], and the q-rms
-error and disturbance of +-1-valued observables in [0, 2].
+error and disturbance of +-1-valued observables in [0, 2].  Where the
+closed forms' intermediates leave the float range they raise ValueError
+instead; no other exception and no warning may escape.
 """
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgedr.experiment import ExperimentConfig1922, run_chain
+from sgedr.gridsim import Grid1D
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
-from sgedr.probe import GaussianProbe
+from sgedr.probe import CollimatorModel, GaussianProbe
 from sgedr.sgmodel import SGParams, disturbance_sq, error_sq, region_bound, sweep_region
 from sgedr.spin import PauliObservable, QubitState
 
@@ -25,10 +29,10 @@ def log_uniform(low_exp: float, high_exp: float):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
 
 
-# Magnitudes in [1e-12, 1e12]: no product in the closed forms leaves the
-# float range there (the damping exponent stays below about 1e204).  The
-# SI-scale 1922 inputs are covered through run_chain below.
-positive = log_uniform(-12.0, 12.0)
+# Magnitudes over the whole normal float range, so products of the fields
+# overflow and underflow.  The SI-scale 1922 inputs are covered through
+# run_chain below.
+positive = log_uniform(-300.0, 300.0)
 signed = st.one_of(st.just(0.0), positive, positive.map(lambda x: -x))
 params = st.builds(
     SGParams,
@@ -48,16 +52,23 @@ def in_range(x, high: float) -> bool:
     return bool(np.all(np.isfinite(x)) and np.all((0.0 <= x) & (x <= high)))
 
 
+def in_range_or_rejected(f, high: float, *args) -> bool:
+    try:
+        return in_range(f(*args), high)
+    except ValueError:
+        return True
+
+
 class TestClosedForms:
     @settings(max_examples=200, deadline=None)
     @given(params, probes)
     def test_error_sq(self, p, probe):
-        assert in_range(error_sq(p, probe), 2.0)
+        assert in_range_or_rejected(error_sq, 2.0, p, probe)
 
     @settings(max_examples=200, deadline=None)
     @given(params, probes)
     def test_disturbance_sq(self, p, probe):
-        assert in_range(disturbance_sq(p, probe), 4.0)
+        assert in_range_or_rejected(disturbance_sq, 4.0, p, probe)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=20))
@@ -74,7 +85,10 @@ class TestClosedForms:
     )
     def test_sweep_region(self, base, lambdas, b0_values, taus):
         lambdas = [complex(re, im) for re, im in lambdas]
-        pts = sweep_region(base, lambdas, b0_values, taus)
+        try:
+            pts = sweep_region(base, lambdas, b0_values, taus)
+        except ValueError:
+            return
         assert pts.shape == (len(lambdas) * len(b0_values) * len(taus), 2)
         assert in_range(pts[:, 0], 2.0) and in_range(pts[:, 1], 4.0)
 
@@ -139,3 +153,68 @@ class TestRunChain:
             assert in_range(row.eps_sq, 2.0) and in_range(row.eta_sq, 4.0)
         assert report.eps_sq_min <= report.eps_sq_max
         assert in_range(report.error_prob_bound, 0.5)
+
+
+# Invalid input raises ValueError naming the input: each constructor, a valid
+# set of fields, and for each field the strategy of values outside its
+# documented range (nan and +-inf for every float field).
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def below(x: float):
+    return st.floats(max_value=x, exclude_max=True, allow_infinity=False)
+
+
+def above(x: float):
+    return st.floats(min_value=x, exclude_min=True, allow_infinity=False)
+
+
+not_positive = non_finite | st.sampled_from([0.0, -0.0]) | below(0.0)
+negative = non_finite | below(0.0)
+outside_k = non_finite | below(0.6) | above(1.0)
+bad_grid_n = st.integers(max_value=255) | st.integers(257, 2**40).filter(lambda n: n & (n - 1))
+
+CONSTRUCTORS = {
+    SGParams: (
+        dict(mu=1.0, B0=0.0, B1=1.0, mass=1.0, hbar=1.0, dt=1.0, tau=0.0),
+        dict(mu=non_finite, B0=non_finite, B1=non_finite, mass=not_positive,
+             hbar=not_positive, dt=not_positive, tau=negative),
+    ),
+    GaussianProbe: (
+        dict(lambda_re=1.0, lambda_im=0.0, hbar=1.0, mass=1.0),
+        dict(lambda_re=not_positive, lambda_im=non_finite, hbar=not_positive, mass=not_positive),
+    ),
+    Grid1D: (
+        dict(n=1024, z_min=-1.0, z_max=1.0),
+        dict(n=bad_grid_n, z_min=non_finite,
+             z_max=non_finite | below(-1.0) | st.just(-1.0)),
+    ),
+    CollimatorModel: (
+        dict(d1=1.0, d2=1.0, L1=1.0, v_y=1.0, mass=1.0, hbar=1.0, K=1.0),
+        dict(d1=not_positive, d2=not_positive, L1=not_positive, v_y=not_positive,
+             mass=not_positive, hbar=not_positive, K=outside_k),
+    ),
+    ExperimentConfig1922: (
+        dataclasses.asdict(ExperimentConfig1922()),
+        dict(T=not_positive, B1=non_finite, L1=not_positive, L2=not_positive, L3=negative,
+             d1=not_positive, d2=not_positive, atomic_weight=not_positive, B0=non_finite),
+    ),
+}
+
+
+class TestInvalidInputNamed:
+    def test_every_field_has_a_bad_value(self):
+        for cls, (valid, bad) in CONSTRUCTORS.items():
+            cls(**valid)
+            assert set(bad) == {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_value_error_starts_with_field(self, data):
+        cls = data.draw(st.sampled_from(list(CONSTRUCTORS)), label="constructor")
+        valid, bad = CONSTRUCTORS[cls]
+        name = data.draw(st.sampled_from(sorted(bad)), label="field")
+        value = data.draw(bad[name], label="value")
+        with pytest.raises(ValueError) as info:
+            cls(**{**valid, name: value})
+        assert str(info.value).split()[0] == name

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,18 +8,20 @@ from scipy.integrate import quad
 from sgedr.experiment import (
     ChainReport,
     ExperimentConfig1922,
+    KRow,
     PhysicalConstants,
     flux_pdf,
     format_table,
     heisenberg_verdict,
     parse_config,
     reference_checks,
-    report_to_dict,
     report_to_json,
     rms_velocity,
     run_chain,
     silver_mass,
 )
+from sgedr.probe import CollimatorModel, collimator_posterior, moments, sigma_t
+from sgedr.sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq
 
 C = PhysicalConstants()
 CFG = ExperimentConfig1922()
@@ -127,6 +130,29 @@ class TestRunChain:
         with pytest.raises(ValueError):
             run_chain(CFG, C, k_values=())
 
+    # the second setup has free flight, partial damping and a nonzero phase
+    @pytest.mark.parametrize("cfg", [CFG, ExperimentConfig1922(L3=3.5e-2, B1=-1e-3, B0=1e-9)])
+    def test_rows_equal_scalar_closed_forms(self, cfg):
+        # the one array pass over K gives bit for bit the per-K scalar chain
+        k_values = tuple(np.linspace(0.6, 1.0, 7).tolist())
+        report = run_chain(cfg, C, k_values=k_values)
+        params = SGParams(
+            mu=C.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=report.m, hbar=C.hbar,
+            dt=report.dt, tau=report.tau,
+        )
+        cm = CollimatorModel(cfg.d1, cfg.d2, cfg.L1, report.v_y, report.m, C.hbar)
+        assert len(report.rows) == 7
+        for k, row in zip(k_values, report.rows):
+            cm_k = replace(cm, K=k)
+            probe = collimator_posterior(cm_k)
+            spread = sigma_t(probe, report.dt + report.tau)
+            assert row == KRow(
+                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe)[0],
+                sigma_dt_sq=spread * spread, erfc_arg=erfc_arg(params, probe),
+                damping_exponent=damping_exponent(params, probe),
+                eps_sq=error_sq(params, probe), eta_sq=disturbance_sq(params, probe),
+            )
+
     def test_longer_flight_reduces_error_here(self):
         # tau becomes the L3/v_y free flight; the beams separate further
         far = run_chain(ExperimentConfig1922(L3=3.5e-2), C)
@@ -182,7 +208,7 @@ class TestReportSerialization:
         assert data["heisenberg"]["violated"] is True
 
     def test_dict_contains_verdict(self, report):
-        d = report_to_dict(report)
+        d = json.loads(report_to_json(report))
         assert d["heisenberg"]["product_max"] < d["heisenberg"]["bound"]
 
     def test_table_mentions_verdict(self, report):

@@ -157,6 +157,8 @@ class TestCollimator:
             self.make_1922(K=0.5)
         with pytest.raises(ValueError):
             self.make_1922(K=1.1)
+        with pytest.raises(ValueError, match="K must lie in"):
+            self.make_1922(K=np.array([0.7, 0.5]))
 
     def test_posterior_is_real_lambda(self):
         probe = collimator_posterior(self.make_1922())

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -326,3 +327,48 @@ class TestSGParams:
         assert isinstance(INFINITE, TauLimit)
         p = unit_params(tau=INFINITE)
         assert p.tau is INFINITE
+
+
+class TestFloatRange:
+    """Finite inputs whose products leave the float range."""
+
+    HUGE = SGParams(mu=1e40, B0=0.0, B1=1e40, mass=1.0, hbar=1e-40, dt=1e40)
+
+    def test_infinite_damping_exponent_gives_two(self):
+        # (mu B1 dt / hbar)^2 = 1e320 overflows; Python's float ** raised here
+        assert disturbance_sq(self.HUGE, GaussianProbe(1.0)) == 2.0
+
+    def test_infinite_damping_ignores_an_infinite_phase(self):
+        p = dataclasses.replace(self.HUGE, B0=1e300)
+        assert disturbance_sq(p, GaussianProbe(1.0)) == 2.0
+
+    def test_infinite_phase_without_damping_is_named(self):
+        p = SGParams(mu=1e300, B0=1e300, B1=0.0, mass=1.0, hbar=1.0, dt=1.0)
+        with pytest.raises(ValueError, match="^phase is not finite"):
+            disturbance_sq(p, GaussianProbe(1.0))
+
+    def test_nan_damping_exponent_is_named(self):
+        # the chirped probe's spread rounds to 0 at dt/2 while mu B1 dt / hbar = inf
+        p = SGParams(mu=1e200, B0=0.0, B1=1e200, mass=1.0, hbar=1.0, dt=2.0)
+        probe = GaussianProbe(1.0, 1e10, hbar=1.0, mass=2e10)
+        with pytest.raises(ValueError, match="^damping_exponent is nan"):
+            disturbance_sq(p, probe)
+
+    def test_overflowing_g0_is_named(self):
+        p = SGParams(mu=1e300, B0=0.0, B1=1e300, mass=1.0, hbar=1.0, dt=1.0)
+        with pytest.raises(ValueError, match="^g0 is not finite"):
+            error_sq(p, GaussianProbe(1.0))
+
+    def test_overflowing_moment_is_named(self):
+        # every field at 1e300 returned nan from both closed forms
+        p = SGParams(*[1e300] * 6)
+        probe = GaussianProbe(1e300, 1e300, hbar=1e300, mass=1e300)
+        for f in (error_sq, disturbance_sq, error_sq_limit):
+            with pytest.raises(ValueError, match="^var_p is not finite"):
+                f(p, probe)
+
+    def test_sweep_region_stays_silent(self):
+        # warned "overflow encountered in multiply" before; warnings are errors here
+        base = SGParams(mu=1.0, B0=0.0, B1=1e35, mass=1.0, hbar=1.0, dt=1e40)
+        pts = sweep_region(base, [1.0 + 1e40j, 1.0 + 1j], [0.0, 1e300], [0.0, 1.0])
+        assert np.all(np.isfinite(pts)) and np.all(pts[:, 1] == 2.0)
