@@ -27,7 +27,8 @@ def require_in(
 def check_finite(name: str, x):
     """x, or ValueError naming the intermediate if a value of x is nan or inf."""
     finite = np.isfinite(x)
-    if not finite.all():
+    # a scalar's truth value is free; .all() would add a reduction to every call
+    if not (finite.all() if finite.shape else finite):
         bad = np.extract(~finite, x)[0]
         raise ValueError(f"{name} is not finite ({bad}): the inputs leave the float range")
     return x

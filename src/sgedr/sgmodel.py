@@ -82,7 +82,7 @@ def damping_exponent(p: SGParams, probe: GaussianProbe):
     spread = sigma_t(probe, p.dt / 2.0)
     # numpy's scalar ** is C pow, as Python's float ** is, but overflows to inf
     exponent = 2.0 * np.float64(p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread)
-    if np.any(np.isnan(exponent)):
+    if np.isnan(exponent).any():
         raise ValueError("damping_exponent is nan: an infinite factor meets a zero one")
     return unwrap(exponent)
 
@@ -102,8 +102,7 @@ def error_sq(p: SGParams, probe: GaussianProbe):
 @np.errstate(all="ignore")
 def error_sq_limit(p: SGParams, probe: GaussianProbe):
     """Limit of error_sq as the free flight grows without bound."""
-    _, var_p, _ = moments(probe)
-    arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(var_p))
+    arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(moments(probe)[1]))
     return 2.0 * erfc(check_finite("erfc_arg", arg))
 
 
