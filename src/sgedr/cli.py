@@ -36,7 +36,6 @@ from .sgmodel import (
     optimal_tau,
     region_bound,
     sweep_region,
-    tau_condition,
 )
 from .spin import STATE_SY_PLUS, EDPoint, PauliObservable, evaluate_edrs
 from .validation import run_validation
@@ -173,7 +172,7 @@ def cmd_experiment(args) -> int:
 
     if cfg != ExperimentConfig1922():
         return EXIT_OK  # reference values only apply to the default setup
-    checks = reference_checks(report, cfg=cfg)
+    checks = reference_checks(report)
     bad = [(name, got, want) for name, got, want, ok in checks if not ok]
     if bad:
         print("\nreference cross-checks FAILED for:", file=sys.stderr)
@@ -210,14 +209,14 @@ def cmd_tau_opt(args) -> int:
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    has_min = tau_condition(p, probe)
     tau0 = optimal_tau(p, probe)
     if tau0 is INFINITE:
         print("no finite minimizer; error decreases toward the free-flight limit")
         print(f"limit eps^2 = {error_sq_limit(p, probe):.17g}")
         tau_grid = np.geomspace(1e-3, 1e3, args.steps) * p.dt
     else:
-        print(f"condition holds: {has_min}; tau0 = {tau0:.17g}")
+        # optimal_tau is finite exactly when tau_condition holds
+        print(f"condition holds: True; tau0 = {tau0:.17g}")
         print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
         tau_grid = np.linspace(0.0, 10.0 * tau0, args.steps)
     eps_sq = error_sq(replace(p, tau=tau_grid), probe)

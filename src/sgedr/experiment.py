@@ -177,16 +177,14 @@ _REFERENCE_VALUES: dict[str, tuple[float, float]] = {
 }
 
 
-def reference_checks(
-    report: ChainReport, c: PhysicalConstants | None = None, cfg: ExperimentConfig1922 | None = None
-) -> list[tuple[str, float, float, bool]]:
+def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]]:
     """Compare a default-config report against the published intermediates.
 
     Returns (name, computed, expected, within tolerance) per quantity; each
     quantity has its own relative tolerance in _REFERENCE_VALUES.
     """
-    c = c or PhysicalConstants()
-    cfg = cfg or ExperimentConfig1922()
+    c = PhysicalConstants()
+    cfg = ExperimentConfig1922()
     by_k = {round(r.K, 12): r for r in report.rows}
     any_row = report.rows[0]
     computed = {

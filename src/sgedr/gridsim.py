@@ -1,10 +1,11 @@
 """Split-operator spinor wave-packet simulator.
 
 Independent numerical check of the closed-form Stern-Gerlach error and
-disturbance: `propagate` evolves the probe in the two spin branches on a 1D
-position grid under the magnet Hamiltonian, then free flight, in one exact
-split step; `measure_error` and `measure_disturbance` read the
-root-mean-square definitions directly from that one field.  Intended for
+disturbance: `propagate` evolves the probe in the two spin branches, held
+as one (2, n) array on a 1D position grid, under the magnet Hamiltonian,
+then free flight, in one exact split step, each FFT covering both branches;
+`measure_error` and `measure_disturbance` read the root-mean-square
+definitions directly from that one field.  Intended for
 order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
 rescaling, not directly.
 """
@@ -54,42 +55,37 @@ class Grid1D:
 
 @dataclass
 class SpinorField:
-    """Amplitudes of the sigma_z = +1 (up) and -1 (down) branches."""
+    """Amplitudes of both sigma_z branches as one (2, n) array: row 0 is
+    sigma_z = +1 (up), row 1 is sigma_z = -1 (down)."""
 
     grid: Grid1D
-    up: np.ndarray
-    down: np.ndarray
+    psi: np.ndarray
+
+    def _density(self) -> np.ndarray:
+        return np.sum(np.abs(self.psi) ** 2, axis=0)
 
     def norm_sq(self) -> float:
-        return float(
-            (np.sum(np.abs(self.up) ** 2) + np.sum(np.abs(self.down) ** 2))
-            * self.grid.dz
-        )
+        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dz)
 
     def edge_probability(self) -> float:
         """Probability in the outermost cells on each side."""
         c = _EDGE_CELLS
-        dens = np.abs(self.up) ** 2 + np.abs(self.down) ** 2
+        dens = self._density()
         return float((np.sum(dens[:c]) + np.sum(dens[-c:])) * self.grid.dz)
 
     def mean_z_sq(self) -> float:
-        dens = np.abs(self.up) ** 2 + np.abs(self.down) ** 2
-        return float(np.sum(self.grid.z**2 * dens) * self.grid.dz / self.norm_sq())
+        return float(np.sum(self.grid.z**2 * self._density()) * self.grid.dz / self.norm_sq())
 
     def mean_p_sq(self, hbar: float) -> float:
         """<P^2> via the spectral derivative."""
         n = self.grid.n
-        k = self.grid.k
-        total = 0.0
-        for branch in (self.up, self.down):
-            amp = np.fft.fft(branch) / n
-            total += float(np.sum((hbar * k) ** 2 * np.abs(amp) ** 2)) * n * self.grid.dz
+        amp = np.fft.fft(self.psi) / n
+        total = float(np.sum((hbar * self.grid.k) ** 2 * np.abs(amp) ** 2)) * n * self.grid.dz
         return total / self.norm_sq()
 
     def mean_sigma_x(self) -> float:
-        return float(
-            2.0 * np.sum((self.up.conj() * self.down).real) * self.grid.dz
-        )
+        up, down = self.psi
+        return float(2.0 * np.sum((up.conj() * down).real) * self.grid.dz)
 
 
 def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
@@ -137,7 +133,7 @@ def init_state(
         )
     xi = np.exp(-probe.lam * grid.z**2)
     xi = xi / np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
-    return SpinorField(grid, spin[0] * xi, spin[1] * xi)
+    return SpinorField(grid, spin[:, None] * xi)
 
 
 def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
@@ -166,21 +162,22 @@ def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     dt_step = p.dt / steps
 
     half_phase = p.mu * (p.B0 + p.B1 * grid.z) * dt_step / (2.0 * p.hbar)
-    phase_up = np.exp(-1j * half_phase)
-    phase_down = np.exp(1j * half_phase)
+    # row 0 sees the potential +mu (B0 + B1 z), row 1 sees its negative
+    phase = np.exp(np.array([[-1j], [1j]]) * half_phase)
     kin_step = np.exp(-1j * p.hbar * grid.k**2 * dt_step / (2.0 * p.mass))
 
-    up = field.up
-    down = field.down
+    psi = field.psi
     for _ in range(steps):
-        up = np.fft.ifft(kin_step * np.fft.fft(up * phase_up)) * phase_up
-        down = np.fft.ifft(kin_step * np.fft.fft(down * phase_down)) * phase_down
+        psi = np.fft.fft(psi * phase)
+        psi *= kin_step
+        psi = np.fft.ifft(psi)
+        psi *= phase
     if p.tau > 0.0:
-        kin_free = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
-        up = np.fft.ifft(kin_free * np.fft.fft(up))
-        down = np.fft.ifft(kin_free * np.fft.fft(down))
+        psi = np.fft.fft(psi)
+        psi *= np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
+        psi = np.fft.ifft(psi)
 
-    out = SpinorField(grid, up, down)
+    out = SpinorField(grid, psi)
     if abs(out.norm_sq() - field.norm_sq()) > NORM_TOL:
         raise RuntimeError(f"norm drift {out.norm_sq() - field.norm_sq():.3e}")
     leak = out.edge_probability()
@@ -210,8 +207,9 @@ def measure_error(field: SpinorField, spin: QubitState) -> float:
     four times the probability of landing on the wrong side of the screen.
     """
     above = field.grid.z >= 0.0
-    wrong_up = np.sum(np.abs(field.up[above]) ** 2)
-    wrong_down = np.sum(np.abs(field.down[~above]) ** 2)
+    up, down = field.psi
+    wrong_up = np.sum(np.abs(up[above]) ** 2)
+    wrong_down = np.sum(np.abs(down[~above]) ** 2)
     rho = spin.rho.real
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
     return float(np.sqrt(8.0 * (rho[0, 0] * wrong_up + rho[1, 1] * wrong_down) * field.grid.dz))
@@ -225,4 +223,4 @@ def measure_disturbance(field: SpinorField) -> float:
     multiplies both branches by the same unitary, so it leaves the norm of
     their difference unchanged; no spin state enters.
     """
-    return float(np.sqrt(2.0 * np.sum(np.abs(field.up - field.down) ** 2) * field.grid.dz))
+    return float(np.sqrt(2.0 * np.sum(np.abs(field.psi[0] - field.psi[1]) ** 2) * field.grid.dz))

@@ -96,12 +96,9 @@ STATE_SY_PLUS = QubitState.from_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class PauliObservable:
-    """A 2x2 Hermitian observable with a label (X, Y, Z, or custom)."""
+    """A 2x2 Hermitian observable."""
 
     matrix: np.ndarray
-    label: str = "custom"
-
-    _STANDARD = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -109,24 +106,20 @@ class PauliObservable:
             raise ValueError("observable must be 2x2")
         if not _is_hermitian(m):
             raise ValueError("observable is not Hermitian within 1e-12")
-        if self.label in self._STANDARD and not np.array_equal(
-            m, self._STANDARD[self.label]
-        ):
-            raise ValueError(f"label {self.label} requires the standard Pauli matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def x(cls) -> "PauliObservable":
-        return cls(SIGMA_X, "X")
+        return cls(SIGMA_X)
 
     @classmethod
     def y(cls) -> "PauliObservable":
-        return cls(SIGMA_Y, "Y")
+        return cls(SIGMA_Y)
 
     @classmethod
     def z(cls) -> "PauliObservable":
-        return cls(SIGMA_Z, "Z")
+        return cls(SIGMA_Z)
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,7 @@ class TestVerdict:
 
 class TestReferenceChecks:
     def test_names_and_verdicts(self, report):
-        results = reference_checks(report, C, CFG)
+        results = reference_checks(report)
         by_name = {name: ok for name, _, _, ok in results}
         for name in ("m", "v_y", "dt", "1.25*delta_p", "var_z*K^2", "g0",
                      "erfc_arg*K", "mu*B1*dt/hbar", "eps_sq(K=1)", "eta_sq"):
@@ -194,7 +194,7 @@ class TestReferenceChecks:
         }
 
     def test_computed_values_are_faithful(self, report):
-        results = reference_checks(report, C, CFG)
+        results = reference_checks(report)
         computed = {name: value for name, value, _, _ in results}
         assert computed["1.25*delta_z"] == pytest.approx(2.50e-5, rel=1e-3)
         assert computed["sigma_dt_sq/K^2"] == pytest.approx(4.57e-9, rel=5e-3)

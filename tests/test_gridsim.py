@@ -66,7 +66,7 @@ class TestInitState:
         grid = suggest_grid(unit_params(), probe)
         field = init_state(grid, SY_SPIN, probe)
         assert field.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        up_norm = np.sum(np.abs(field.up) ** 2) * grid.dz
+        up_norm = np.sum(np.abs(field.psi[0]) ** 2) * grid.dz
         assert up_norm == pytest.approx(0.5, abs=1e-12)
 
     def test_sampled_moments_match_closed_forms(self):
@@ -136,8 +136,8 @@ class TestEvolve:
         probe = GaussianProbe(1.0)
         grid = suggest_grid(p, probe, n=2048)
         field = evolve(init_state(grid, SY_SPIN, probe), p, steps=256)
-        assert branch_mean_z(field, field.up) == pytest.approx(-0.5, abs=1e-6)
-        assert branch_mean_z(field, field.down) == pytest.approx(0.5, abs=1e-6)
+        assert branch_mean_z(field, field.psi[0]) == pytest.approx(-0.5, abs=1e-6)
+        assert branch_mean_z(field, field.psi[1]) == pytest.approx(0.5, abs=1e-6)
 
     def test_norm_preserved(self):
         p = unit_params(mu_b1=3.0, b0=0.5, tau=1.0)
@@ -155,7 +155,7 @@ class TestEvolve:
     def test_boundary_leak_detected(self):
         grid = Grid1D(256, -4.0, 4.0)
         flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
-        field = SpinorField(grid, flat / np.sqrt(2), flat / np.sqrt(2))
+        field = SpinorField(grid, np.stack([flat, flat]) / np.sqrt(2))
         with pytest.raises(RuntimeError, match="leakage"):
             evolve(field, unit_params(mu_b1=0.0), 16)
 
@@ -277,9 +277,10 @@ class TestValidation:
 
     def test_fft_call_budget(self, monkeypatch):
         # one propagation per case, read for both the error and the
-        # disturbance: an FFT pair per branch for the magnet and, when
-        # tau > 0, one more for the free flight; 48 calls over the validation
-        # set, whose cases split evenly between tau = 0 and > 0
+        # disturbance: one FFT pair over the (2, n) spinor for the magnet,
+        # which covers both branches, and, when tau > 0, one more for the
+        # free flight; 24 calls over the validation set, whose cases split
+        # evenly between tau = 0 and > 0
         calls = []
 
         def counted(fn):
@@ -291,7 +292,7 @@ class TestValidation:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         run_validation(n=1024)
-        assert 0 < len(calls) <= 48
+        assert 0 < len(calls) <= 24
 
     def test_self_convergence_under_refinement(self):
         case = ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0)

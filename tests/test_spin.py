@@ -122,13 +122,8 @@ class TestQubitState:
 
 
 class TestPauliObservable:
-    def test_label_must_match_standard_matrix(self):
-        with pytest.raises(ValueError, match="standard Pauli"):
-            PauliObservable(SIGMA_X, "Z")
-
     def test_custom_hermitian_ok(self):
-        obs = PauliObservable((SIGMA_X + SIGMA_Z) / np.sqrt(2))
-        assert obs.label == "custom"
+        PauliObservable((SIGMA_X + SIGMA_Z) / np.sqrt(2))
 
 
 class TestExpectation:
