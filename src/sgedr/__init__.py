@@ -56,7 +56,6 @@ from .experiment import (
     ChainReport,
     ExperimentConfig1922,
     PhysicalConstants,
-    flux_pdf,
     heisenberg_verdict,
     reference_checks,
     rms_velocity,

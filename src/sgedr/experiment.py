@@ -92,17 +92,6 @@ def silver_mass(atomic_weight: float, c: PhysicalConstants) -> float:
     return atomic_weight * 1e-3 / c.N_A
 
 
-def flux_pdf(v: float, T: float, m: float, c: PhysicalConstants | None = None) -> float:
-    """Normalized beam-flux speed density, proportional to v^3 exp(-mv^2/2kT)."""
-    check_in("v", v, 0.0, closed=True)
-    check_in("T", T, 0.0)
-    check_in("m", m, 0.0)
-    k_B = (c or PhysicalConstants()).k_B
-    scale = m / (2.0 * k_B * T)
-    # integral of v^3 exp(-scale v^2) over [0, inf) is 1/(2 scale^2)
-    return float(2.0 * scale**2 * v**3 * np.exp(-scale * v * v))
-
-
 def rms_velocity(T: float, m: float, c: PhysicalConstants) -> float:
     """Root-mean-square longitudinal velocity sqrt(4 k_B T / m)."""
     check_in("T", T, 0.0, closed=True)
@@ -291,7 +280,7 @@ def k_grid(k_min: float = 0.6, k_max: float = 1.0, k_steps: float = 2) -> tuple[
     """
     if not (k_steps >= 1 and float(k_steps).is_integer()):
         raise ValueError(f"K_steps must be a positive integer, got {k_steps}")
-    k_values = tuple(float(x) for x in np.linspace(k_min, k_max, int(k_steps)))
-    if any(not (0.6 <= k <= 1.0) for k in k_values):
+    # linspace keeps every K between the ends, and warns on a nan or inf end
+    if any(not (0.6 <= k <= 1.0) for k in (k_min, k_max)):
         raise ValueError("every K must lie in [0.6, 1.0]")
-    return k_values
+    return tuple(float(x) for x in np.linspace(k_min, k_max, int(k_steps)))

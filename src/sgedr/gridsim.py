@@ -61,31 +61,14 @@ class SpinorField:
     grid: Grid1D
     psi: np.ndarray
 
-    def _density(self) -> np.ndarray:
-        return np.sum(np.abs(self.psi) ** 2, axis=0)
-
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dz)
 
     def edge_probability(self) -> float:
         """Probability in the outermost cells on each side."""
         c = _EDGE_CELLS
-        dens = self._density()
+        dens = np.sum(np.abs(self.psi) ** 2, axis=0)
         return float((np.sum(dens[:c]) + np.sum(dens[-c:])) * self.grid.dz)
-
-    def mean_z_sq(self) -> float:
-        return float(np.sum(self.grid.z**2 * self._density()) * self.grid.dz / self.norm_sq())
-
-    def mean_p_sq(self, hbar: float) -> float:
-        """<P^2> via the spectral derivative."""
-        n = self.grid.n
-        amp = np.fft.fft(self.psi) / n
-        total = float(np.sum((hbar * self.grid.k) ** 2 * np.abs(amp) ** 2)) * n * self.grid.dz
-        return total / self.norm_sq()
-
-    def mean_sigma_x(self) -> float:
-        up, down = self.psi
-        return float(2.0 * np.sum((up.conj() * down).real) * self.grid.dz)
 
 
 def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:

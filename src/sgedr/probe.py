@@ -12,8 +12,6 @@ import numpy as np
 
 from ._arrays import check_finite, require_in, unwrap
 
-MIN_UNCERTAINTY_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GaussianProbe:

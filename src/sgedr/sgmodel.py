@@ -124,15 +124,18 @@ def tau_condition(p: SGParams, probe: GaussianProbe) -> bool:
     return probe.mass * anticom + var_p * p.dt < 0.0
 
 
+@np.errstate(all="ignore")
 def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
     """Error-minimizing free-flight time, or INFINITE when none exists."""
     var_z, var_p, anticom = moments(probe)
     m = probe.mass
-    denom = m * anticom + var_p * p.dt
+    # a nan denominator (m <{Z,P}> = -inf against Var P dt = inf) has no sign
+    denom = check_finite("tau_denom", m * anticom + var_p * p.dt)
     if denom >= 0.0:
         return INFINITE
-    num = 4.0 * m * m * var_z + 3.0 * m * anticom * p.dt + 2.0 * var_p * p.dt**2
-    return float(-num / (2.0 * denom))
+    # np.float64's ** is C pow, as the float ** it replaces, but overflows to inf
+    num = 4.0 * m * m * var_z + 3.0 * m * anticom * p.dt + 2.0 * var_p * np.float64(p.dt) ** 2
+    return float(check_finite("optimal_tau", -check_finite("tau_num", num) / (2.0 * denom)))
 
 
 def _erfc_inverse(y: np.ndarray) -> np.ndarray:

@@ -1,0 +1,37 @@
+"""Quantities only the tests compute: spinor-field moments on the grid and
+the beam-flux speed density.  The physics checks compare them with the
+closed forms; no command runs them."""
+import numpy as np
+
+from sgedr._arrays import check_in
+from sgedr.experiment import PhysicalConstants
+from sgedr.gridsim import SpinorField
+
+
+def mean_z_sq(field: SpinorField) -> float:
+    density = np.sum(np.abs(field.psi) ** 2, axis=0)
+    return float(np.sum(field.grid.z**2 * density) * field.grid.dz / field.norm_sq())
+
+
+def mean_p_sq(field: SpinorField, hbar: float) -> float:
+    """<P^2> via the spectral derivative."""
+    n = field.grid.n
+    amp = np.fft.fft(field.psi) / n
+    total = float(np.sum((hbar * field.grid.k) ** 2 * np.abs(amp) ** 2)) * n * field.grid.dz
+    return total / field.norm_sq()
+
+
+def mean_sigma_x(field: SpinorField) -> float:
+    up, down = field.psi
+    return float(2.0 * np.sum((up.conj() * down).real) * field.grid.dz)
+
+
+def flux_pdf(v: float, T: float, m: float, c: PhysicalConstants | None = None) -> float:
+    """Normalized beam-flux speed density, proportional to v^3 exp(-mv^2/2kT)."""
+    check_in("v", v, 0.0, closed=True)
+    check_in("T", T, 0.0)
+    check_in("m", m, 0.0)
+    k_B = (c or PhysicalConstants()).k_B
+    scale = m / (2.0 * k_B * T)
+    # integral of v^3 exp(-scale v^2) over [0, inf) is 1/(2 scale^2)
+    return float(2.0 * scale**2 * v**3 * np.exp(-scale * v * v))

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sgedr
-from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _write_table, main
 
 
 def read_csv(path):
@@ -269,3 +276,161 @@ class TestTopLevel:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert done.stdout.strip() == "[]"
+
+
+# The writer's route before the row templates: json.dumps of the whole
+# payload, and each CSV cell formatted on its own.  _write_table must write
+# exactly these bytes.
+def reference_json(command, tables, fields):
+    payload = {"schema": 1, "command": command, **fields}
+    for name, (header, columns) in tables.items():
+        rows = zip(*(c.tolist() for c in columns))
+        payload[name] = [dict(zip(header, r)) for r in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_csv(label, header, columns):
+    cells = [
+        np.where(c, "1", "0") if c.dtype == bool else map("{:.17g}".format, c.tolist())
+        for c in columns
+    ]
+    lines = map("{}\n".format, map(",".join, zip(*cells)))
+    return f"# sgedr {label} schema v1\n{','.join(header)}\n" + "".join(lines)
+
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-310, 1e308, -1e308, sys.float_info.max, 0.1, 1.0 / 3.0, 1e16, 123456789012345680.0,
+]
+cell_floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+
+
+@st.composite
+def column(draw, n):
+    """A float or bool column of n cells: wide-range random values, with a
+    drawn pool of floats (nan, infinities, signed zeros, subnormals, extremes)
+    scattered through it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if draw(st.booleans(), label="bool column"):
+        return rng.random(n) < 0.5
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n).astype(float)
+    pool = np.array(draw(st.lists(cell_floats, min_size=1, max_size=6), label="pool"))
+    where = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]), label="share")
+    values[where] = rng.choice(pool, size=int(where.sum()))
+    return values
+
+
+@st.composite
+def writer_inputs(draw):
+    names = ["rows", *draw(st.lists(st.sampled_from(["boundary", "extra", "t_2"]),
+                                    max_size=2, unique=True), label="tables")]
+    tables = {}
+    for name in names:
+        n = draw(st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025, 4095, 4096, 4097]),
+                 label=f"{name} rows")
+        header = draw(st.lists(st.sampled_from(["eps_sq", "eta", "a%d", "q\"x", "é", "t_1"]),
+                               min_size=1, max_size=6, unique=True), label=f"{name} header")
+        tables[name] = (header, tuple(draw(column(n)) for _ in header))
+    fields = draw(st.dictionaries(st.sampled_from(["tau0", "x", "note"]),
+                                  st.none() | cell_floats, max_size=2), label="fields")
+    return tables, fields
+
+
+class TestWriteTable:
+    """_write_table against the reference route above, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(writer_inputs(), st.booleans())
+    def test_json_matches_json_dumps(self, inputs, to_stdout):
+        tables, fields = inputs
+        want = reference_json("cmd", tables, fields)
+        assert write_table_text("json", tables, fields, to_stdout) == {"out": want}
+
+    @settings(max_examples=40, deadline=None)
+    @given(writer_inputs(), st.booleans())
+    def test_csv_matches_per_cell_format(self, inputs, to_stdout):
+        tables, _ = inputs
+        want = {
+            name: reference_csv("cmd" if name == "rows" else f"cmd-{name}", header, columns)
+            for name, (header, columns) in tables.items()
+        }
+        got = write_table_text("csv", tables, {}, to_stdout)
+        if to_stdout:
+            assert got == {"out": "".join(want.values())}
+        else:
+            assert got == {
+                ("out" if name == "rows" else f"out.{name}.csv"): text
+                for name, text in want.items()
+            }
+
+
+def write_table_text(fmt, tables, fields, to_stdout):
+    """What _write_table writes, as file name -> text ("out" for stdout)."""
+    if to_stdout:
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            _write_table("-", fmt, "cmd", tables, **fields)
+        return {"out": buf.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_table(os.path.join(tmp, "out"), fmt, "cmd", tables, **fields)
+        return {
+            path.name: path.read_bytes().decode() for path in sorted(pathlib.Path(tmp).iterdir())
+        }
+
+
+# Every numeric flag of lw, region, tau-opt and experiment, drawn with nan,
+# the infinities, zeros, negative values and the float extremes, and often
+# near the defaults, so that runs also get past argument checking.  Size
+# flags stay small so each example runs in milliseconds; a size flag given a
+# float spelling is a usage error.
+flag_float = (
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e308, -1e308, 5e-324])
+    | st.floats(-5.0, 5.0)
+    | st.floats()
+).map(repr)
+flag_size = st.integers(-1, 4).map(str) | st.integers(1, 4).map(str) | flag_float
+flag_range = st.builds("{}:{}".format, flag_float, flag_float) | st.sampled_from(["1", "1:2:3", ""])
+flag_k = flag_float | st.floats(0.55, 1.05).map(repr)
+
+COMMAND_FLAGS = {
+    "lw": {"--steps": flag_size},
+    "region": {
+        "--steps": flag_size, "--b1": flag_float, "--lambda-re": flag_range,
+        "--lambda-im": flag_range, "--b0": flag_range, "--tau": flag_range,
+    },
+    "tau-opt": {
+        "--lambda-re": flag_float, "--lambda-im": flag_float, "--b1": flag_float,
+        "--dt": flag_float, "--steps": flag_size,
+    },
+    "experiment": {"--k-min": flag_k, "--k-max": flag_k, "--k-steps": flag_size},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)), label="command")
+    flags = COMMAND_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True), label="flags")
+    # --flag=value, because a value may start with '-'
+    argv = [command] + [f"{flag}={draw(flags[flag], label=flag)}" for flag in chosen]
+    if command != "experiment":
+        argv.append(f"--format={draw(st.sampled_from(['csv', 'json']), label='format')}")
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    # each warned inside numpy's linspace, geomspace or a product past the float range
+    @example(["experiment", "--k-max=inf"])
+    @example(["region", "--lambda-im=-1e308:1e308", "--steps=2"])
+    @example(["region", "--tau=1e308:1.7976931348623157e308"])
+    @example(["tau-opt", "--dt=1e308", "--lambda-im=0"])
+    @example(["tau-opt", "--dt=1e160", "--lambda-im=1e10"])
+    def test_exit_code_without_traceback(self, argv):
+        # an exception escaping main is the traceback a user would see;
+        # warnings are errors under pytest, so a numpy warning fails too
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -1,8 +1,9 @@
 """Input contract: valid finite input gives finite, in-range output.
 
 The squared errors of a sign meter lie in [0, 2], the squared
-disturbances of sigma_x in [0, 4], region_bound in [0, 1], and the q-rms
-error and disturbance of +-1-valued observables in [0, 2].  Where the
+disturbances of sigma_x in [0, 4], region_bound in [0, 1], the q-rms
+error and disturbance of +-1-valued observables in [0, 2], and
+optimal_tau is a finite float or INFINITE.  Where the
 closed forms' intermediates leave the float range they raise ValueError
 instead; no other exception and no warning may escape.
 """
@@ -19,7 +20,9 @@ from sgedr.experiment import ExperimentConfig1922, run_chain
 from sgedr.gridsim import Grid1D
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import CollimatorModel, GaussianProbe
-from sgedr.sgmodel import SGParams, disturbance_sq, error_sq, region_bound, sweep_region
+from sgedr.sgmodel import (
+    INFINITE, SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
+)
 from sgedr.spin import PauliObservable, QubitState
 
 # rounding slack on the upper end of a q-rms range
@@ -75,6 +78,16 @@ class TestClosedForms:
     @given(params, probes)
     def test_disturbance_sq(self, p, probe):
         assert in_range_or_rejected(disturbance_sq, 4.0, p, probe)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params, probes)
+    def test_optimal_tau(self, p, probe):
+        try:
+            tau = optimal_tau(p, probe)
+        except ValueError as exc:
+            assert re.match(OUT_OF_FLOAT_RANGE, str(exc)), exc
+            return
+        assert tau is INFINITE or (type(tau) is float and math.isfinite(tau))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=20))

@@ -10,7 +10,6 @@ from sgedr.experiment import (
     ExperimentConfig1922,
     KRow,
     PhysicalConstants,
-    flux_pdf,
     format_table,
     heisenberg_verdict,
     parse_config,
@@ -22,6 +21,8 @@ from sgedr.experiment import (
 )
 from sgedr.probe import CollimatorModel, collimator_posterior, moments, sigma_t
 from sgedr.sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq
+
+from helpers import flux_pdf
 
 C = PhysicalConstants()
 CFG = ExperimentConfig1922()

@@ -372,3 +372,18 @@ class TestFloatRange:
         base = SGParams(mu=1.0, B0=0.0, B1=1e35, mass=1.0, hbar=1.0, dt=1e40)
         pts = sweep_region(base, [1.0 + 1e40j, 1.0 + 1j], [0.0, 1e300], [0.0, 1.0])
         assert np.all(np.isfinite(pts)) and np.all(pts[:, 1] == 2.0)
+
+    def test_overflowing_optimal_tau_is_named(self):
+        # 2 Var P dt^2 overflows; Python's float ** raised OverflowError here
+        p = SGParams(mu=1.0, B0=0.0, B1=1.0, mass=1e300, hbar=1.0, dt=1e160)
+        probe = GaussianProbe(1.0, 1.0, hbar=1.0, mass=1e300)
+        with pytest.raises(ValueError, match="^tau_num is not finite"):
+            optimal_tau(p, probe)
+
+    def test_nan_optimal_tau_denominator_is_named(self):
+        # m <{Z,P}> = -inf against Var P dt = inf: the sign that picks the
+        # branch is undefined, so it must not reach the finite one
+        p = SGParams(mu=1.0, B0=0.0, B1=1.0, mass=1e300, hbar=1.0, dt=1e300)
+        probe = GaussianProbe(1e-5, 1e10, hbar=1.0, mass=1e300)
+        with pytest.raises(ValueError, match="^tau_denom is not finite"):
+            optimal_tau(p, probe)
