@@ -40,7 +40,6 @@ from .sgmodel import (
     optimal_tau,
     region_bound,
     sweep_region,
-    tau_condition,
 )
 from .gridsim import (
     Grid1D,

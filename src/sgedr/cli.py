@@ -206,18 +206,16 @@ def cmd_region(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    cfg, k_args = ExperimentConfig1922(), {}
     if args.config is not None:
-        cfg, k_from_file = parse_config(args.config)
-    else:
-        cfg, k_from_file = ExperimentConfig1922(), None
+        cfg, k_args = parse_config(args.config)
     k_flags = {"k_min": args.k_min, "k_max": args.k_max, "k_steps": args.k_steps}
-    k_flags = {k: v for k, v in k_flags.items() if v is not None}
-    k_values = k_from_file
-    if k_from_file is None or k_flags:
-        try:
-            k_values = k_grid(**k_flags)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+    # a flag overrides its key alone; parse_config checked the file's keys
+    k_args.update((k, v) for k, v in k_flags.items() if v is not None)
+    try:
+        k_values = k_grid(**k_args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     report = run_chain(cfg, k_values=k_values)
     print(format_table(report))
@@ -262,7 +260,7 @@ def cmd_tau_opt(args) -> int:
     if args.steps < 1:
         raise _UsageError("--steps must be >= 1")
     try:
-        probe = GaussianProbe(args.lambda_re, args.lambda_im, hbar=1.0, mass=1.0)
+        probe = GaussianProbe(args.lambda_re, args.lambda_im)
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -272,7 +270,7 @@ def cmd_tau_opt(args) -> int:
         print(f"limit eps^2 = {error_sq_limit(p, probe):.17g}")
         tau_grid = np.geomspace(1e-3, 1e3, args.steps) * p.dt
     else:
-        # optimal_tau is finite exactly when tau_condition holds
+        # optimal_tau is finite exactly when its denominator is negative
         print(f"condition holds: True; tau0 = {tau0:.17g}")
         print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
         tau_grid = np.linspace(0.0, 10.0 * tau0, args.steps)

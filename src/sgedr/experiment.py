@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._arrays import check_in, require_in
-from .probe import CollimatorModel, collimator_posterior, moments, sigma_t
+from .probe import CollimatorModel, collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
 
@@ -121,7 +121,7 @@ def run_chain(
     probe = collimator_posterior(cm)
     eps_sq, eta_sq = error_sq(params, probe), disturbance_sq(params, probe)
     columns = (
-        cm.K, cm.D_p, cm.D_z, moments(probe)[0], np.square(sigma_t(probe, dt + tau)),
+        cm.K, cm.D_p, cm.D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, c.hbar, m)),
         erfc_arg(params, probe), damping_exponent(params, probe), eps_sq, eta_sq,
     )
     rows = tuple(KRow(*row) for row in zip(*(col.tolist() for col in columns)))
@@ -241,11 +241,12 @@ def format_table(report: ChainReport) -> str:
     return "\n".join(lines)
 
 
-def parse_config(path: str) -> tuple[ExperimentConfig1922, tuple[float, ...]]:
+def parse_config(path: str) -> tuple[ExperimentConfig1922, dict[str, float]]:
     """Read a key = value config file; unknown keys are an error.
 
     Recognized keys: T, B1, L1, L2, L3, d1, d2, atomic_weight, B0,
     K_min, K_max, K_steps.  Missing keys fall back to the 1922 defaults.
+    The K keys come back, checked, as k_grid's arguments, to merge key by key.
     """
     cfg_keys = {f.name for f in fields(ExperimentConfig1922)}
     values: dict[str, float] = {}
@@ -269,7 +270,8 @@ def parse_config(path: str) -> tuple[ExperimentConfig1922, tuple[float, ...]]:
                 k_args[key.lower()] = num
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    return ExperimentConfig1922(**values), k_grid(**k_args)
+    k_grid(**k_args)  # k_grid checks each key on its own
+    return ExperimentConfig1922(**values), k_args
 
 
 def k_grid(k_min: float = 0.6, k_max: float = 1.0, k_steps: float = 2) -> tuple[float, ...]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import require_in
-from .probe import GaussianProbe, moments, sigma_t
+from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, TauLimit, g0
 from .spin import QubitState
 
@@ -82,7 +82,7 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
 
 def _half_width(p: SGParams, probe: GaussianProbe, margin: float) -> float:
     deflection = abs(g0(p))  # raises at INFINITE tau
-    spread = max(sigma_t(probe, 0.0), sigma_t(probe, p.dt + p.tau))
+    spread = max(sigma_t(probe, t, p.hbar, p.mass) for t in (0.0, p.dt + p.tau))
     return deflection + margin * spread
 
 
@@ -106,8 +106,7 @@ def init_state(
     if norm == 0.0:
         raise ValueError("spin must have nonzero norm")
     spin = spin / norm
-    var_z, _, _ = moments(probe)
-    width = np.sqrt(var_z)
+    width = np.sqrt(probe.var_z)
     span = grid.z_max - grid.z_min
     if not (4.0 * grid.dz <= width <= span / 16.0):
         raise ValueError(

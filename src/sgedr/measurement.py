@@ -30,33 +30,30 @@ NORM_TOL = 1e-12
 class MeasuringProcess:
     """Joint unitary + probe vector(s) + meter observable.
 
-    Composite ordering is system (x) probe: index i*probe_dim + j.
-    ``probe_state`` is one vector (d,) or a stack (n, d) of probe vectors,
-    each normalized, that share the unitary and the meter.
+    ``probe_state`` is one vector (d,) or a stack (n, d) of normalized probe
+    vectors sharing the unitary and the meter.  Composite ordering is system
+    (x) probe: index i*d + j.
     """
 
-    probe_dim: int
     probe_state: np.ndarray
     unitary: np.ndarray
     meter: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.probe_dim
-        if d < 1:
-            raise ValueError("probe_dim must be positive")
         xi = np.asarray(self.probe_state, dtype=complex)
         u = np.asarray(self.unitary, dtype=complex)
         m = np.asarray(self.meter, dtype=complex)
-        if xi.ndim not in (1, 2) or xi.shape[-1] != d:
-            raise ValueError("probe_state must have shape (probe_dim,) or (n, probe_dim)")
+        if xi.ndim not in (1, 2) or xi.shape[-1] < 1:
+            raise ValueError("probe_state must have shape (d,) or (n, d) with d >= 1")
+        d = xi.shape[-1]
         if np.any(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) > NORM_TOL):
             raise ValueError("probe_state is not normalized within 1e-12")
         if u.shape != (2 * d, 2 * d):
-            raise ValueError("unitary must be (2*probe_dim) square")
+            raise ValueError("unitary must be (2d, 2d) for probe dimension d")
         if np.max(np.abs(u.conj().T @ u - np.eye(2 * d))) > UNITARITY_TOL:
             raise ValueError("unitary fails U^dag U = I within 1e-10")
         if m.shape != (d, d):
-            raise ValueError("meter must be probe_dim square")
+            raise ValueError("meter must be (d, d) for probe dimension d")
         if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
             raise ValueError("meter is not Hermitian within 1e-12")
         for arr in (xi, u, m):
@@ -92,8 +89,8 @@ def _rms_deviation(
     matrix, never squared, and applied to the basis vectors |i> x xi of every
     probe at once as the rows of one 2-D product: v = joint Delta^T.
     """
-    d = mp.probe_dim
     xi = mp.probe_state
+    d = xi.shape[-1]
     initial = np.kron(system_obs, np.eye(d))
     evolved = np.kron(IDENTITY_2, mp.meter) if heisenberg_probe_meter else initial
     delta = mp.unitary.conj().T @ evolved @ mp.unitary - initial
@@ -134,7 +131,7 @@ def lund_wiseman(params: LWParams) -> MeasuringProcess:
     u = np.kron(p0, np.eye(2)) + np.kron(p1, SIGMA_X)
     theta = params.theta
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
-    return MeasuringProcess(probe_dim=2, probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
+    return MeasuringProcess(probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
 
 
 def lw_sweep(n: int, state: QubitState | None = None) -> np.ndarray:

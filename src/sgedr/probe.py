@@ -15,26 +15,31 @@ from ._arrays import check_finite, require_in, unwrap
 
 @dataclass(frozen=True)
 class GaussianProbe:
-    """Width parameter lambda = lambda_re + i*lambda_im (1/m^2), SI units."""
+    """The packet exp(-lambda z^2) alone, lambda = lambda_re + i*lambda_im (1/m^2);
+    hbar and the mass belong to SGParams and reach moments and sigma_t as arguments."""
 
     lambda_re: float
     lambda_im: float = 0.0
-    hbar: float = 1.0
-    mass: float = 1.0
 
     def __post_init__(self) -> None:
         require_in(self, ("lambda_im",))
         # Re(lambda) > 0 for normalizability
-        require_in(self, ("lambda_re", "hbar", "mass"), 0.0)
+        require_in(self, ("lambda_re",), 0.0)
 
     @property
     def lam(self) -> complex:
         return complex(self.lambda_re, self.lambda_im)
 
+    @property
+    @np.errstate(all="ignore")
+    def var_z(self):
+        """Var Z = 1/(4 Re lambda), the one moment in which hbar does not enter."""
+        return check_finite("var_z", 1.0 / (4.0 * self.lambda_re))
+
 
 @np.errstate(all="ignore")
-def moments(probe: GaussianProbe) -> tuple[float, float, float]:
-    """(Var Z, Var P, <{Z,P}>) of the Gaussian probe.
+def moments(probe: GaussianProbe, hbar: float) -> tuple[float, float, float]:
+    """(Var Z, Var P, <{Z,P}>) of the Gaussian probe of a particle with this hbar.
 
     Var Z = 1/(4 Re lambda), Var P = hbar^2 |lambda|^2 / Re lambda,
     <{Z,P}> = -hbar Im lambda / Re lambda.  The product identity
@@ -42,18 +47,16 @@ def moments(probe: GaussianProbe) -> tuple[float, float, float]:
     """
     re = probe.lambda_re
     im = probe.lambda_im
-    hbar = probe.hbar
-    var_z = 1.0 / (4.0 * re)
     var_p = hbar * hbar * (re * re + im * im) / re
     anticom = -hbar * im / re
-    return tuple(map(check_finite, ("var_z", "var_p", "anticom"), (var_z, var_p, anticom)))
+    return (probe.var_z, *map(check_finite, ("var_p", "anticom"), (var_p, anticom)))
 
 
 @np.errstate(all="ignore")
-def sigma_t(probe: GaussianProbe, t):
-    """Ballistic spread <(Z + tP/m)^2>^(1/2) at time t (negative t allowed)."""
-    var_z, var_p, anticom = moments(probe)
-    s = t / probe.mass
+def sigma_t(probe: GaussianProbe, t, hbar: float, mass: float):
+    """Ballistic spread <(Z + tP/m)^2>^(1/2) at time t (t < 0 allowed) for this hbar and m."""
+    var_z, var_p, anticom = moments(probe, hbar)
+    s = t / mass
     radicand = var_z + s * anticom + s * s * var_p
     # exact value is a Hermitian square; clamp rounding residue
     return unwrap(check_finite("sigma_t", np.sqrt(np.maximum(radicand, 0.0))))
@@ -105,7 +108,7 @@ def collimator_posterior(cm: CollimatorModel) -> GaussianProbe:
 
     lambda = D_p^2/hbar^2 + 1/(4 D_z^2), real, squared by products so that an
     array K gives its scalar posteriors bit for bit; assumes the prior momentum
-    spread dominates D_p so the prior width drops out entirely.
-    """
+    spread dominates D_p so the prior width drops out.  The packet alone: cm's
+    hbar and mass reach the closed forms through SGParams."""
     lam = cm.D_p * cm.D_p / cm.hbar**2 + 1.0 / (4.0 * (cm.D_z * cm.D_z))
-    return GaussianProbe(lambda_re=lam, lambda_im=0.0, hbar=cm.hbar, mass=cm.mass)
+    return GaussianProbe(lam, 0.0)

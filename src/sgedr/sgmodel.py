@@ -43,7 +43,7 @@ def erfc(x):
 
 @dataclass(frozen=True)
 class SGParams:
-    """Magnet and timing parameters of the Stern-Gerlach process (SI units)."""
+    """Magnet, timing and particle constants of the Stern-Gerlach process (SI units)."""
 
     mu: float
     B0: float
@@ -72,14 +72,14 @@ def g0(p: SGParams):
 @np.errstate(all="ignore")
 def erfc_arg(p: SGParams, probe: GaussianProbe):
     """|g0| / (sqrt(2) sigma(dt + tau)), the argument of error_sq's erfc."""
-    spread = sigma_t(probe, p.dt + p.tau)
+    spread = sigma_t(probe, p.dt + p.tau, p.hbar, p.mass)
     return unwrap(check_finite("erfc_arg", np.divide(abs(g0(p)), math.sqrt(2.0) * spread)))
 
 
 @np.errstate(all="ignore")
 def damping_exponent(p: SGParams, probe: GaussianProbe):
     """(2 mu^2 B1^2 dt^2 / hbar^2) sigma(dt/2)^2, the decay of <sigma_x>."""
-    spread = sigma_t(probe, p.dt / 2.0)
+    spread = sigma_t(probe, p.dt / 2.0, p.hbar, p.mass)
     # numpy's scalar ** is C pow, as Python's float ** is, but overflows to inf
     exponent = 2.0 * np.float64(p.mu * p.B1 * p.dt / p.hbar) ** 2 * (spread * spread)
     if np.isnan(exponent).any():
@@ -102,7 +102,7 @@ def error_sq(p: SGParams, probe: GaussianProbe):
 @np.errstate(all="ignore")
 def error_sq_limit(p: SGParams, probe: GaussianProbe):
     """Limit of error_sq as the free flight grows without bound."""
-    arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(moments(probe)[1]))
+    arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(moments(probe, p.hbar)[1]))
     return 2.0 * erfc(check_finite("erfc_arg", arg))
 
 
@@ -118,17 +118,11 @@ def disturbance_sq(p: SGParams, probe: GaussianProbe):
     return unwrap(2.0 - 2.0 * damping * np.cos(check_finite("phase", phase)))
 
 
-def tau_condition(p: SGParams, probe: GaussianProbe) -> bool:
-    """Whether a finite free-flight time minimizes the error."""
-    _, var_p, anticom = moments(probe)
-    return probe.mass * anticom + var_p * p.dt < 0.0
-
-
 @np.errstate(all="ignore")
 def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
-    """Error-minimizing free-flight time, or INFINITE when none exists."""
-    var_z, var_p, anticom = moments(probe)
-    m = probe.mass
+    """Error-minimizing free-flight time; INFINITE unless m <{Z,P}> + Var P dt < 0."""
+    var_z, var_p, anticom = moments(probe, p.hbar)
+    m = p.mass
     # a nan denominator (m <{Z,P}> = -inf against Var P dt = inf) has no sign
     denom = check_finite("tau_denom", m * anticom + var_p * p.dt)
     if denom >= 0.0:
@@ -189,7 +183,7 @@ def sweep_region(
     lam = np.fromiter(lambdas, complex).reshape(-1, 1, 1)
     b0 = np.fromiter(b0_values, float).reshape(1, -1, 1)
     tau = np.fromiter(taus, float).reshape(1, 1, -1)
-    probe = GaussianProbe(lam.real, lam.imag, hbar=base.hbar, mass=base.mass)
+    probe = GaussianProbe(lam.real, lam.imag)
     params = dataclasses.replace(base, B0=b0, tau=tau)
     eps_sq, eta_sq = np.broadcast_arrays(error_sq(params, probe), disturbance_sq(params, probe))
     return clamp_sq(np.stack([eps_sq.ravel(), eta_sq.ravel()], axis=1))

@@ -31,7 +31,7 @@ class ValidationCase:
         )
 
     def probe(self) -> GaussianProbe:
-        return GaussianProbe(self.lam.real, self.lam.imag, hbar=1.0, mass=1.0)
+        return GaussianProbe(self.lam.real, self.lam.imag)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from sgedr.sgmodel import (
     in_region,
     optimal_tau,
     sweep_region,
-    tau_condition,
 )
 from sgedr.spin import STATE_SY_PLUS, PauliObservable, QubitState, d_quantity, robertson_check
 from sgedr.validation import run_validation
@@ -191,14 +190,14 @@ def test_criterion_6_tau_optimization():
     for i in range(50):
         re = rng.uniform(0.5, 2.0)
         im = rng.uniform(1.0, 20.0)
-        probe = GaussianProbe(re, im, hbar=1.0, mass=1.0)
+        probe = GaussianProbe(re, im)
         dt = 0.5 * im / (re * re + im * im)
         p = SGParams(mu=1.0, B0=0.0, B1=rng.uniform(0.5, 5.0), mass=1.0, hbar=1.0, dt=dt)
-        if not tau_condition(p, probe):
+        tau0 = optimal_tau(p, probe)
+        if tau0 is INFINITE:
             failures.append(f"case {i}: constructed probe fails the condition")
             continue
-        tau0 = optimal_tau(p, probe)
-        if tau0 is INFINITE or tau0 <= 0.0:
+        if tau0 <= 0.0:
             failures.append(f"case {i}: no finite positive tau0")
             continue
 
@@ -221,9 +220,9 @@ def test_criterion_6_tau_optimization():
     for i in range(50):
         re = rng.uniform(0.5, 2.0)
         im = rng.uniform(-5.0, 0.0)
-        probe = GaussianProbe(re, im, hbar=1.0, mass=1.0)
+        probe = GaussianProbe(re, im)
         p = SGParams(mu=1.0, B0=0.0, B1=rng.uniform(0.5, 5.0), mass=1.0, hbar=1.0, dt=1.0)
-        if tau_condition(p, probe):
+        if optimal_tau(p, probe) is not INFINITE:
             failures.append(f"monotone case {i}: condition unexpectedly holds")
             continue
 
@@ -264,7 +263,7 @@ def test_criterion_7_property_suites():
         re = 10.0 ** rng.uniform(-1, 1)
         im = re * rng.uniform(-30.0, 30.0)
         hbar = 10.0 ** rng.uniform(-1, 1)
-        var_z, var_p, anticom = moments(GaussianProbe(re, im, hbar=hbar))
+        var_z, var_p, anticom = moments(GaussianProbe(re, im), hbar)
         width = 8.0 / np.sqrt(2.0 * re)
         norm = quad(lambda z: np.exp(-2.0 * re * z * z), -width, width)[0]
         qz = quad(lambda z: z * z * np.exp(-2.0 * re * z * z), -width, width)[0] / norm
@@ -288,10 +287,10 @@ def test_criterion_7_property_suites():
     for _ in range(500):
         re = 10.0 ** rng.uniform(-1, 2)
         im = re * rng.uniform(-50.0, 50.0)
-        probe = GaussianProbe(re, im, hbar=1.0, mass=1.0)
+        probe = GaussianProbe(re, im)
         dt = 10.0 ** rng.uniform(-2, 1)
         tau = 10.0 ** rng.uniform(-2, 1)
-        lhs = sigma_t(probe, dt / 2.0) * sigma_t(probe, dt + tau)
+        lhs = sigma_t(probe, dt / 2.0, 1.0, 1.0) * sigma_t(probe, dt + tau, 1.0, 1.0)
         rhs = 0.5 * (dt / 2.0 + tau)
         if lhs < rhs * (1.0 - 1e-9):
             tradeoff_broken += 1

@@ -146,6 +146,16 @@ class TestExperiment:
         data = json.loads("{" + tail)
         assert [row["K"] for row in data["rows"]] == [0.8]
 
+    def test_k_flags_override_config_one_key_at_a_time(self, tmp_path, capsys):
+        # the file's K_max and K_steps stay; only K_min comes from the flag
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("T = 1600\nK_min = 0.6\nK_max = 0.9\nK_steps = 4\n")
+        assert main(["experiment", "--config", str(cfg), "--k-min", "0.7"]) == EXIT_OK
+        data = json.loads("{" + capsys.readouterr().out.split("{", 1)[1])
+        assert [row["K"] for row in data["rows"]] == [
+            0.7, 0.7666666666666666, 0.8333333333333334, 0.9,
+        ]
+
     def test_config_k_checked_when_flags_override_it(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("T = 1600\nK_min = 0.5\n")
@@ -181,6 +191,12 @@ class TestExperiment:
     def test_rejects_bad_k_flags(self, flags, capsys):
         assert main(["experiment", *flags]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_k_flag_over_valid_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("K_min = 0.7\nK_steps = 3\n")
+        assert main(["experiment", "--config", str(cfg), "--k-max", "1.5"]) == EXIT_USAGE
+        assert "[0.6, 1.0]" in capsys.readouterr().err
 
 
 class TestValidate:

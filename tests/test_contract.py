@@ -35,7 +35,8 @@ def log_uniform(low_exp: float, high_exp: float):
 
 # Magnitudes over the whole normal float range, so products of the fields
 # overflow and underflow.  The SI-scale 1922 inputs are covered through
-# run_chain below.
+# run_chain below.  hbar and the mass are drawn once, on the process; the
+# probe is the packet alone.
 positive = log_uniform(-300.0, 300.0)
 signed = st.one_of(st.just(0.0), positive, positive.map(lambda x: -x))
 params = st.builds(
@@ -43,9 +44,7 @@ params = st.builds(
     mu=signed, B0=signed, B1=signed, mass=positive, hbar=positive, dt=positive,
     tau=st.one_of(st.just(0.0), positive),
 )
-probes = st.builds(
-    GaussianProbe, lambda_re=positive, lambda_im=signed, hbar=positive, mass=positive
-)
+probes = st.builds(GaussianProbe, lambda_re=positive, lambda_im=signed)
 bloch_vectors = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0)
@@ -135,7 +134,7 @@ class TestQrms:
         basis = random_unitary(rng, d)
         signs = rng.choice([-1.0, 1.0], size=d)
         meter = (basis * signs) @ basis.conj().T
-        mp = MeasuringProcess(d, xi, random_unitary(rng, 2 * d), meter)
+        mp = MeasuringProcess(xi, random_unitary(rng, 2 * d), meter)
         state = QubitState.from_bloch(*v)
         for obs in (PauliObservable.x(), PauliObservable.y(), PauliObservable.z()):
             eps = qrms_error(mp, state, obs)
@@ -201,8 +200,8 @@ CONSTRUCTORS = {
              hbar=not_positive, dt=not_positive, tau=negative),
     ),
     GaussianProbe: (
-        dict(lambda_re=1.0, lambda_im=0.0, hbar=1.0, mass=1.0),
-        dict(lambda_re=not_positive, lambda_im=non_finite, hbar=not_positive, mass=not_positive),
+        dict(lambda_re=1.0, lambda_im=0.0),
+        dict(lambda_re=not_positive, lambda_im=non_finite),
     ),
     Grid1D: (
         dict(n=1024, z_min=-1.0, z_max=1.0),

@@ -12,6 +12,7 @@ from sgedr.experiment import (
     PhysicalConstants,
     format_table,
     heisenberg_verdict,
+    k_grid,
     parse_config,
     reference_checks,
     report_to_json,
@@ -146,9 +147,9 @@ class TestRunChain:
         for k, row in zip(k_values, report.rows):
             cm_k = replace(cm, K=k)
             probe = collimator_posterior(cm_k)
-            spread = sigma_t(probe, report.dt + report.tau)
+            spread = sigma_t(probe, report.dt + report.tau, C.hbar, report.m)
             assert row == KRow(
-                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe)[0],
+                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe, C.hbar)[0],
                 sigma_dt_sq=spread * spread, erfc_arg=erfc_arg(params, probe),
                 damping_exponent=damping_exponent(params, probe),
                 eps_sq=error_sq(params, probe), eta_sq=disturbance_sq(params, probe),
@@ -237,7 +238,8 @@ class TestParseConfig:
     def test_defaults_when_empty(self, tmp_path):
         cfg, ks = parse_config(self.write(tmp_path, "# nothing here\n\n"))
         assert cfg == ExperimentConfig1922()
-        assert ks == (0.6, 1.0)
+        assert ks == {}
+        assert k_grid(**ks) == (0.6, 1.0)
 
     def test_overrides_and_comments(self, tmp_path):
         text = "T = 1200  # cooler oven\nB1 = -2e3\nK_min = 0.7\nK_max=0.9\nK_steps = 3\n"
@@ -245,11 +247,12 @@ class TestParseConfig:
         assert cfg.T == 1200.0
         assert cfg.B1 == -2e3
         assert cfg.L2 == 3.5e-2
-        assert ks == pytest.approx((0.7, 0.8, 0.9))
+        assert ks == {"k_min": 0.7, "k_max": 0.9, "k_steps": 3.0}
+        assert k_grid(**ks) == pytest.approx((0.7, 0.8, 0.9))
 
     def test_single_k(self, tmp_path):
         _, ks = parse_config(self.write(tmp_path, "K_min = 0.8\nK_steps = 1\n"))
-        assert ks == (0.8,)
+        assert k_grid(**ks) == (0.8,)
 
     def test_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from sgedr.gridsim import (
 from sgedr.probe import GaussianProbe, moments, sigma_t
 from sgedr.sgmodel import INFINITE, SGParams, disturbance_sq, error_sq
 from sgedr.spin import IDENTITY_2, STATE_SY_PLUS, QubitState
-from sgedr.validation import ValidationCase, default_cases, run_case, run_validation
+from sgedr.validation import (
+    VALIDATION_RTOL, ValidationCase, default_cases, run_case, run_validation,
+)
 
 from helpers import mean_p_sq, mean_sigma_x, mean_z_sq
 
@@ -76,7 +80,7 @@ class TestInitState:
             probe = GaussianProbe(1.0, lam_im)
             grid = suggest_grid(unit_params(), probe, n=2048)
             field = init_state(grid, np.array([1.0, 0.0]), probe)
-            var_z, var_p, _ = moments(probe)
+            var_z, var_p, _ = moments(probe, 1.0)
             assert mean_z_sq(field) == pytest.approx(var_z, rel=1e-6)
             assert mean_p_sq(field, 1.0) == pytest.approx(var_p, rel=1e-6)
 
@@ -121,7 +125,7 @@ class TestEvolve:
             p = unit_params(mu_b1=0.0, tau=tau)
             grid = suggest_grid(p, probe, n=2048)
             field = evolve(init_state(grid, SY_SPIN, probe), p, steps=32)
-            expected = sigma_t(probe, p.dt + tau) ** 2
+            expected = sigma_t(probe, p.dt + tau, p.hbar, p.mass) ** 2
             assert mean_z_sq(field) == pytest.approx(expected, rel=1e-8)
 
     def test_larmor_precession(self):
@@ -263,6 +267,18 @@ class TestValidation:
 
     def test_full_set_passes(self):
         assert all(r.passed for r in run_validation(n=1024))
+
+    # the default cases all have hbar = m = 1; these check that the grid and
+    # the closed forms take both constants from SGParams alike
+    @pytest.mark.parametrize("hbar, mass", [(2.0, 3.0), (0.5, 0.25), (3.0, 1.0)])
+    @pytest.mark.parametrize("index", [3, 5, 6])
+    def test_closed_forms_at_non_unit_constants(self, hbar, mass, index):
+        case = default_cases()[index]
+        p, probe = replace(case.params(), hbar=hbar, mass=mass), case.probe()
+        field = propagate(suggest_grid(p, probe), p, probe)
+        eps_sq, eta_sq = measure_error(field, STATE_SY_PLUS) ** 2, measure_disturbance(field) ** 2
+        assert eps_sq == pytest.approx(error_sq(p, probe), rel=VALIDATION_RTOL)
+        assert eta_sq == pytest.approx(disturbance_sq(p, probe), rel=VALIDATION_RTOL)
 
     def test_one_step_matches_many(self):
         # one split is exact for the linear magnet field (see evolve), so

@@ -35,7 +35,7 @@ def lw_disturbance_closed(theta):
 
 def dense_qrms_oracle(mp, rho, obs, error_side):
     """Direct operator-squaring evaluation of the rms definitions."""
-    d = mp.probe_dim
+    d = mp.probe_state.shape[-1]
     xi = np.outer(mp.probe_state, mp.probe_state.conj())
     joint = np.kron(rho, xi)
     if error_side:
@@ -51,20 +51,33 @@ def dense_qrms_oracle(mp, rho, obs, error_side):
 class TestMeasuringProcess:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            MeasuringProcess(2, np.array([1, 0]), np.eye(4) * 2, np.eye(2))
+            MeasuringProcess(np.array([1, 0]), np.eye(4) * 2, np.eye(2))
 
     def test_rejects_unnormalized_probe(self):
         with pytest.raises(ValueError, match="normalized"):
-            MeasuringProcess(2, np.array([1, 1]), np.eye(4), np.eye(2))
+            MeasuringProcess(np.array([1, 1]), np.eye(4), np.eye(2))
 
     def test_rejects_non_hermitian_meter(self):
         with pytest.raises(ValueError, match="meter"):
-            MeasuringProcess(2, np.array([1, 0]), np.eye(4), np.array([[0, 1], [0, 0]]))
+            MeasuringProcess(np.array([1, 0]), np.eye(4), np.array([[0, 1], [0, 0]]))
 
     def test_rejects_stack_with_one_unnormalized_row(self):
         probes = np.array([[1, 0], [0.6, 0.8], [1, 1e-5], [0, 1]])
         with pytest.raises(ValueError, match="normalized"):
-            MeasuringProcess(2, probes, np.eye(4), np.eye(2))
+            MeasuringProcess(probes, np.eye(4), np.eye(2))
+
+    def test_rejects_empty_probe(self):
+        # the probe dimension comes from the probe state, so it must be at least 1
+        for xi in (np.zeros(0), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="d >= 1"):
+                MeasuringProcess(xi, np.eye(0), np.eye(0))
+
+    def test_rejects_mismatched_shapes(self):
+        xi = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="unitary must be"):
+            MeasuringProcess(xi, np.eye(4), np.eye(3))
+        with pytest.raises(ValueError, match="meter must be"):
+            MeasuringProcess(xi, np.eye(6), np.eye(2))
 
     def test_lw_params_reject_one_nan(self):
         with pytest.raises(ValueError, match="theta"):
@@ -124,7 +137,7 @@ class TestQrmsDisturbance:
         )
 
     def test_identity_unitary_no_disturbance(self):
-        mp = MeasuringProcess(2, np.array([1.0, 0]), np.eye(4), np.diag([1.0, -1.0]))
+        mp = MeasuringProcess(np.array([1.0, 0]), np.eye(4), np.diag([1.0, -1.0]))
         assert qrms_disturbance(mp, STATE_SY_PLUS, SX) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -32,7 +32,7 @@ def quadrature_moments(lam: complex, hbar: float):
 
 class TestMoments:
     def test_unit_real_lambda(self):
-        var_z, var_p, anticom = moments(GaussianProbe(1.0, hbar=1.0))
+        var_z, var_p, anticom = moments(GaussianProbe(1.0), 1.0)
         qz, qp, qa = quadrature_moments(1.0 + 0j, 1.0)
         assert var_z == pytest.approx(0.25, abs=1e-12)
         assert var_p == pytest.approx(1.0, abs=1e-12)
@@ -43,7 +43,7 @@ class TestMoments:
 
     def test_real_lambda_has_no_correlation(self):
         for lam in (0.2, 1.7, 42.0):
-            assert moments(GaussianProbe(lam))[2] == 0.0
+            assert moments(GaussianProbe(lam), 1.0)[2] == 0.0
 
     def test_closed_forms_match_quadrature(self):
         rng = np.random.default_rng(4)
@@ -51,7 +51,7 @@ class TestMoments:
             re = 10.0 ** rng.uniform(-1, 1)
             im = re * rng.uniform(-100, 100)
             hbar = 10.0 ** rng.uniform(-1, 1)
-            var_z, var_p, anticom = moments(GaussianProbe(re, im, hbar=hbar))
+            var_z, var_p, anticom = moments(GaussianProbe(re, im), hbar)
             qz, qp, qa = quadrature_moments(complex(re, im), hbar)
             assert var_z == pytest.approx(qz, rel=1e-8)
             assert var_p == pytest.approx(qp, rel=1e-8)
@@ -66,7 +66,7 @@ class TestMoments:
     def test_minimum_uncertainty_product(self, re, ratio, hbar):
         # |Im/Re| bounded: the identity cancels (Re^2 + Im^2) - Im^2, so
         # float rounding grows as the square of the aspect ratio
-        var_z, var_p, anticom = moments(GaussianProbe(re, re * ratio, hbar=hbar))
+        var_z, var_p, anticom = moments(GaussianProbe(re, re * ratio), hbar)
         product = var_z * var_p - 0.25 * anticom * anticom
         assert product == pytest.approx(hbar * hbar / 4.0, rel=1e-10)
 
@@ -76,10 +76,10 @@ class TestMoments:
         with pytest.raises(ValueError):
             GaussianProbe(-1.0)
 
-    @pytest.mark.parametrize("field", ["lambda_re", "lambda_im", "hbar", "mass"])
+    @pytest.mark.parametrize("field", ["lambda_re", "lambda_im"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_fields(self, field, bad):
-        fields = {"lambda_re": 1.0, "lambda_im": 0.5, "hbar": 1.0, "mass": 1.0, field: bad}
+        fields = {"lambda_re": 1.0, "lambda_im": 0.5, field: bad}
         with pytest.raises(ValueError, match=field):
             GaussianProbe(**fields)
 
@@ -87,25 +87,32 @@ class TestMoments:
         with pytest.raises(ValueError, match="lambda_im"):
             GaussianProbe(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
 
+    def test_var_z_is_the_hbar_free_moment(self):
+        probe = GaussianProbe(np.array([0.5, 2.0]), np.array([0.0, 3.0]))
+        for hbar in (1e-34, 1.0, 7.0):
+            assert np.array_equal(probe.var_z, moments(probe, hbar)[0])
+        with pytest.raises(ValueError, match="^var_z is not finite"):
+            GaussianProbe(1e-310).var_z
+
 
 class TestSigmaT:
     def test_zero_time_gives_position_spread(self):
-        probe = GaussianProbe(2.0, 1.5, hbar=1.0, mass=1.0)
-        var_z, _, _ = moments(probe)
-        assert sigma_t(probe, 0.0) == pytest.approx(np.sqrt(var_z), abs=1e-15)
+        probe = GaussianProbe(2.0, 1.5)
+        var_z, _, _ = moments(probe, 1.0)
+        assert sigma_t(probe, 0.0, 1.0, 1.0) == pytest.approx(np.sqrt(var_z), abs=1e-15)
 
     def test_real_lambda_quadratic_growth(self):
-        probe = GaussianProbe(1.0, hbar=1.0, mass=2.0)
-        var_z, var_p, _ = moments(probe)
+        probe = GaussianProbe(1.0)
+        var_z, var_p, _ = moments(probe, 1.0)
         for t in (0.5, 1.0, 3.0):
-            assert sigma_t(probe, t) == pytest.approx(
+            assert sigma_t(probe, t, 1.0, 2.0) == pytest.approx(
                 np.sqrt(var_z + (t / 2.0) ** 2 * var_p), rel=1e-12
             )
 
     def test_spread_sq_convex_in_time(self):
-        probe = GaussianProbe(1.0, 5.0, hbar=1.0, mass=1.0)
+        probe = GaussianProbe(1.0, 5.0)
         ts = np.linspace(-3, 3, 61)
-        vals = np.array([sigma_t(probe, t) ** 2 for t in ts])
+        vals = np.array([sigma_t(probe, t, 1.0, 1.0) ** 2 for t in ts])
         second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
         assert np.all(second > 0)
 
@@ -118,8 +125,8 @@ class TestSigmaT:
     @settings(max_examples=200, deadline=None)
     def test_uncertainty_tradeoff(self, re, im, dt, tau):
         # spread in the magnet times spread at the screen bounds the lever arm
-        probe = GaussianProbe(re, im, hbar=1.0, mass=1.0)
-        lhs = sigma_t(probe, dt / 2.0) * sigma_t(probe, dt + tau)
+        probe = GaussianProbe(re, im)
+        lhs = sigma_t(probe, dt / 2.0, 1.0, 1.0) * sigma_t(probe, dt + tau, 1.0, 1.0)
         rhs = 0.5 * (dt / 2.0 + tau)
         assert lhs >= rhs * (1.0 - 1e-9)
 
@@ -139,8 +146,8 @@ class TestCollimator:
 
     def test_posterior_variance(self):
         for k in (0.6, 0.8, 1.0):
-            probe = collimator_posterior(self.make_1922(K=k))
-            var_z, _, _ = moments(probe)
+            cm = self.make_1922(K=k)
+            var_z, _, _ = moments(collimator_posterior(cm), cm.hbar)
             assert var_z * k * k == pytest.approx(5.03e-20, rel=5e-3)
 
     def test_momentum_term_dominates_for_wide_slit(self):
@@ -161,6 +168,7 @@ class TestCollimator:
             self.make_1922(K=np.array([0.7, 0.5]))
 
     def test_posterior_is_real_lambda(self):
-        probe = collimator_posterior(self.make_1922())
+        cm = self.make_1922()
+        probe = collimator_posterior(cm)
         assert probe.lambda_im == 0.0
-        assert moments(probe)[2] == 0.0
+        assert moments(probe, cm.hbar)[2] == 0.0

@@ -20,7 +20,6 @@ from sgedr.sgmodel import (
     optimal_tau,
     region_bound,
     sweep_region,
-    tau_condition,
 )
 
 HBAR = 1.054571817e-34
@@ -69,7 +68,7 @@ class TestErrorSq:
     def test_silver_k1(self):
         p, _ = silver_params()
         probe = silver_probe(K=1.0)
-        arg = abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt))
+        arg = abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt, p.hbar, p.mass))
         assert arg == pytest.approx(0.972, rel=5e-3)
         # the published estimate rounds to 3 significant figures at each
         # step, drifting about 1% here
@@ -78,7 +77,7 @@ class TestErrorSq:
     def test_silver_k06(self):
         p, _ = silver_params()
         probe = silver_probe(K=0.6)
-        arg = abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt))
+        arg = abs(g0(p)) / (np.sqrt(2.0) * sigma_t(probe, p.dt, p.hbar, p.mass))
         assert arg == pytest.approx(1.620, rel=5e-3)
         # rounding drift is amplified by the steep erfc tail (about 2%)
         assert error_sq(p, probe) == pytest.approx(4.38e-2, rel=2.5e-2)
@@ -99,7 +98,7 @@ class TestErrorSq:
         pairs = []
         for lam in (0.1, 0.5, 1.0, 5.0, 20.0):
             probe = GaussianProbe(lam)
-            pairs.append((sigma_t(probe, p.dt), error_sq(p, probe)))
+            pairs.append((sigma_t(probe, p.dt, p.hbar, p.mass), error_sq(p, probe)))
         pairs.sort()
         spreads, errors = zip(*pairs)
         assert all(e1 < e2 for e1, e2 in zip(errors, errors[1:]))
@@ -173,21 +172,21 @@ class TestTauOptimization:
     def test_real_lambda_never_finite(self):
         p = unit_params()
         probe = GaussianProbe(1.0)
-        assert not tau_condition(p, probe)
         assert optimal_tau(p, probe) is INFINITE
 
     def test_focusing_probe_condition(self):
         # converging packet: positive Im(lambda), anticommutator negative
         probe = GaussianProbe(1.0, 5.0)
-        assert tau_condition(unit_params(dt=0.1), probe)
-        assert not tau_condition(unit_params(dt=10.0), probe)
+        assert optimal_tau(unit_params(dt=0.1), probe) is not INFINITE
+        assert optimal_tau(unit_params(dt=10.0), probe) is INFINITE
 
     def test_condition_sign_from_moments(self):
         probe = GaussianProbe(1.0, 1e6)
-        _, var_p, anticom = moments(probe)
+        _, var_p, anticom = moments(probe, 1.0)
         dt = 1e-9
         assert anticom < 0
-        assert tau_condition(unit_params(dt=dt), probe) == (anticom + var_p * dt < 0)
+        finite = optimal_tau(unit_params(dt=dt), probe) is not INFINITE
+        assert finite == (anticom + var_p * dt < 0)
 
     def test_scan_confirms_minimum(self):
         probe = GaussianProbe(1.0, 5.0)
@@ -349,8 +348,8 @@ class TestFloatRange:
 
     def test_nan_damping_exponent_is_named(self):
         # the chirped probe's spread rounds to 0 at dt/2 while mu B1 dt / hbar = inf
-        p = SGParams(mu=1e200, B0=0.0, B1=1e200, mass=1.0, hbar=1.0, dt=2.0)
-        probe = GaussianProbe(1.0, 1e10, hbar=1.0, mass=2e10)
+        p = SGParams(mu=1e200, B0=0.0, B1=1e200, mass=2e10, hbar=1.0, dt=2.0)
+        probe = GaussianProbe(1.0, 1e10)
         with pytest.raises(ValueError, match="^damping_exponent is nan"):
             disturbance_sq(p, probe)
 
@@ -362,7 +361,7 @@ class TestFloatRange:
     def test_overflowing_moment_is_named(self):
         # every field at 1e300 returned nan from both closed forms
         p = SGParams(*[1e300] * 6)
-        probe = GaussianProbe(1e300, 1e300, hbar=1e300, mass=1e300)
+        probe = GaussianProbe(1e300, 1e300)
         for f in (error_sq, disturbance_sq, error_sq_limit):
             with pytest.raises(ValueError, match="^var_p is not finite"):
                 f(p, probe)
@@ -376,7 +375,7 @@ class TestFloatRange:
     def test_overflowing_optimal_tau_is_named(self):
         # 2 Var P dt^2 overflows; Python's float ** raised OverflowError here
         p = SGParams(mu=1.0, B0=0.0, B1=1.0, mass=1e300, hbar=1.0, dt=1e160)
-        probe = GaussianProbe(1.0, 1.0, hbar=1.0, mass=1e300)
+        probe = GaussianProbe(1.0, 1.0)
         with pytest.raises(ValueError, match="^tau_num is not finite"):
             optimal_tau(p, probe)
 
@@ -384,6 +383,6 @@ class TestFloatRange:
         # m <{Z,P}> = -inf against Var P dt = inf: the sign that picks the
         # branch is undefined, so it must not reach the finite one
         p = SGParams(mu=1.0, B0=0.0, B1=1.0, mass=1e300, hbar=1.0, dt=1e300)
-        probe = GaussianProbe(1e-5, 1e10, hbar=1.0, mass=1e300)
+        probe = GaussianProbe(1e-5, 1e10)
         with pytest.raises(ValueError, match="^tau_denom is not finite"):
             optimal_tau(p, probe)
