@@ -10,7 +10,6 @@ from .spin import (
     evaluate_edrs,
     expectation,
     hat_transform,
-    robertson_check,
     std_dev,
 )
 from .measurement import (
@@ -54,7 +53,6 @@ from .gridsim import (
 from .experiment import (
     ChainReport,
     ExperimentConfig1922,
-    PhysicalConstants,
     heisenberg_verdict,
     reference_checks,
     rms_velocity,

@@ -243,11 +243,11 @@ def cmd_validate(args) -> int:
     results = run_validation(n=args.grid_n)
     all_ok = True
     for r in results:
-        c = r.case
+        p = r.params
         status = "PASS" if r.passed else "FAIL"
         all_ok &= r.passed
         print(
-            f"lam={c.lam} muB1={c.mu_b1} B0={c.b0} tau={c.tau}: "
+            f"lam={r.probe.lam} muB1={p.mu * p.B1} B0={p.B0} tau={p.tau}: "
             f"|d eps^2|={r.eps_rel:.3e} |d eta^2|={r.eta_rel:.3e} {status}"
         )
     return EXIT_OK if all_ok else EXIT_VALIDATION
@@ -273,7 +273,8 @@ def cmd_tau_opt(args) -> int:
         # optimal_tau is finite exactly when its denominator is negative
         print(f"condition holds: True; tau0 = {tau0:.17g}")
         print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
-        tau_grid = np.linspace(0.0, 10.0 * tau0, args.steps)
+        # a tau0 of 0 spans the grid over ten magnet intervals instead
+        tau_grid = np.linspace(0.0, 10.0 * (tau0 or p.dt), args.steps)
     eps_sq = error_sq(replace(p, tau=check_finite("tau_grid", tau_grid)), probe)
     _write_table(
         args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},

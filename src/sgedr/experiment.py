@@ -19,15 +19,11 @@ from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_e
 
 REFERENCE_RTOL = 5e-3
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """2018 CODATA values used by the chain."""
-
-    k_B: float = 1.380649e-23
-    N_A: float = 6.02214076e23
-    mu_electron: float = -9.2847647043e-24
-    hbar: float = 1.054571817e-34
+# CODATA 2018 (SI units); the chain's constants, which no configuration changes
+K_B = 1.380649e-23
+N_A = 6.02214076e23
+MU_ELECTRON = -9.2847647043e-24
+HBAR = 1.054571817e-34
 
 
 @dataclass(frozen=True)
@@ -86,42 +82,37 @@ class ChainReport:
     edr_at_max: EDRReport = field(repr=False)
 
 
-def silver_mass(atomic_weight: float, c: PhysicalConstants) -> float:
+def silver_mass(atomic_weight: float) -> float:
     """Atom mass in kg from the molar mass in g/mol."""
     check_in("atomic_weight", atomic_weight, 0.0)
-    return atomic_weight * 1e-3 / c.N_A
+    return atomic_weight * 1e-3 / N_A
 
 
-def rms_velocity(T: float, m: float, c: PhysicalConstants) -> float:
+def rms_velocity(T: float, m: float) -> float:
     """Root-mean-square longitudinal velocity sqrt(4 k_B T / m)."""
     check_in("T", T, 0.0, closed=True)
     check_in("m", m, 0.0)
-    return float(np.sqrt(4.0 * c.k_B * T / m))
+    return float(np.sqrt(4.0 * K_B * T / m))
 
 
-def run_chain(
-    cfg: ExperimentConfig1922,
-    c: PhysicalConstants | None = None,
-    k_values: tuple[float, ...] = (0.6, 1.0),
-) -> ChainReport:
+def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0)) -> ChainReport:
     """Execute the full estimate over the given K bracketing values, every K in
     one array pass: the collimator takes K as an array, each closed form runs once."""
-    c = c or PhysicalConstants()
     if not k_values:
         raise ValueError("k_values must be nonempty")
 
-    m = silver_mass(cfg.atomic_weight, c)
-    v_y = rms_velocity(cfg.T, m, c)
+    m = silver_mass(cfg.atomic_weight)
+    v_y = rms_velocity(cfg.T, m)
     dt = cfg.L2 / v_y
     tau = cfg.L3 / v_y
-    params = SGParams(mu=c.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=c.hbar, dt=dt, tau=tau)
+    params = SGParams(mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=HBAR, dt=dt, tau=tau)
     cm = CollimatorModel(
-        d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=c.hbar, K=np.array(k_values)
+        d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=HBAR, K=np.array(k_values)
     )
     probe = collimator_posterior(cm)
     eps_sq, eta_sq = error_sq(params, probe), disturbance_sq(params, probe)
     columns = (
-        cm.K, cm.D_p, cm.D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, c.hbar, m)),
+        cm.K, cm.D_p, cm.D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, HBAR, m)),
         erfc_arg(params, probe), damping_exponent(params, probe), eps_sq, eta_sq,
     )
     rows = tuple(KRow(*row) for row in zip(*(col.tolist() for col in columns)))
@@ -172,7 +163,6 @@ def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]
     Returns (name, computed, expected, within tolerance) per quantity; each
     quantity has its own relative tolerance in _REFERENCE_VALUES.
     """
-    c = PhysicalConstants()
     cfg = ExperimentConfig1922()
     by_k = {round(r.K, 12): r for r in report.rows}
     any_row = report.rows[0]
@@ -186,7 +176,7 @@ def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]
         "sigma_dt_sq/K^2": any_row.sigma_dt_sq / any_row.K**2,
         "g0": report.g0,
         "erfc_arg*K": any_row.erfc_arg * any_row.K,
-        "mu*B1*dt/hbar": abs(c.mu_electron * cfg.B1 * report.dt / c.hbar),
+        "mu*B1*dt/hbar": abs(MU_ELECTRON * cfg.B1 * report.dt / HBAR),
         "damping_exponent/K^2": any_row.damping_exponent / any_row.K**2,
         "eta_sq": report.eta_sq,
     }

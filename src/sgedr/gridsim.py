@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import require_in
+from ._arrays import require_in, unit_vector
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, TauLimit, g0
 from .spin import QubitState
@@ -97,15 +97,9 @@ def init_state(
     grid: Grid1D, spin: np.ndarray, probe: GaussianProbe
 ) -> SpinorField:
     """Product state of a pure spinor with the sampled Gaussian probe."""
-    spin = np.asarray(spin, dtype=complex)
-    if spin.shape != (2,):
+    if np.shape(spin) != (2,):
         raise ValueError("spin must be a 2-component vector")
-    if not np.all(np.isfinite(spin)):
-        raise ValueError("spin must be finite")
-    norm = np.linalg.norm(spin)
-    if norm == 0.0:
-        raise ValueError("spin must have nonzero norm")
-    spin = spin / norm
+    spin = unit_vector("spin", spin)
     width = np.sqrt(probe.var_z)
     span = grid.z_max - grid.z_min
     if not (4.0 * grid.dz <= width <= span / 16.0):

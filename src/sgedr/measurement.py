@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import clamp_sq, unwrap
-from .spin import IDENTITY_2, SIGMA_X, SIGMA_Z, PauliObservable, QubitState
+from .spin import IDENTITY_2, SIGMA_X, SIGMA_Z, PauliObservable, QubitState, _is_hermitian
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -54,7 +54,7 @@ class MeasuringProcess:
             raise ValueError("unitary fails U^dag U = I within 1e-10")
         if m.shape != (d, d):
             raise ValueError("meter must be (d, d) for probe dimension d")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
+        if not _is_hermitian(m):
             raise ValueError("meter is not Hermitian within 1e-12")
         for arr in (xi, u, m):
             arr.setflags(write=False)

@@ -120,7 +120,12 @@ def disturbance_sq(p: SGParams, probe: GaussianProbe):
 
 @np.errstate(all="ignore")
 def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
-    """Error-minimizing free-flight time; INFINITE unless m <{Z,P}> + Var P dt < 0."""
+    """Error-minimizing free-flight time; INFINITE unless m <{Z,P}> + Var P dt < 0.
+
+    Past g0's zero at tau = -dt/2, |g0| / sigma(dt + tau) has one stationary
+    point, its maximum; when that lies below 0 the error rises on all of
+    tau >= 0, and the minimizer is tau = 0.
+    """
     var_z, var_p, anticom = moments(probe, p.hbar)
     m = p.mass
     # a nan denominator (m <{Z,P}> = -inf against Var P dt = inf) has no sign
@@ -129,7 +134,8 @@ def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
         return INFINITE
     # np.float64's ** is C pow, as the float ** it replaces, but overflows to inf
     num = 4.0 * m * m * var_z + 3.0 * m * anticom * p.dt + 2.0 * var_p * np.float64(p.dt) ** 2
-    return float(check_finite("optimal_tau", -check_finite("tau_num", num) / (2.0 * denom)))
+    tau0 = -check_finite("tau_num", num) / (2.0 * denom)
+    return max(0.0, float(check_finite("optimal_tau", tau0)))
 
 
 def _erfc_inverse(y: np.ndarray) -> np.ndarray:

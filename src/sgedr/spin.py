@@ -6,11 +6,11 @@ closed-form 2x2 expressions, exact up to floating-point rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import check_sq, unwrap
+from ._arrays import check_sq, unit_vector, unwrap
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -23,8 +23,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def _is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def _is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
 
 
 def _trace_norm_2x2(m: np.ndarray) -> float:
@@ -69,13 +69,7 @@ class QubitState:
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "QubitState":
-        psi = np.asarray(psi, dtype=complex)
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("psi must be finite")
-        norm = np.linalg.norm(psi)
-        if norm == 0.0:
-            raise ValueError("psi must have nonzero norm")
-        psi = psi / norm
+        psi = unit_vector("psi", psi)
         return cls(np.outer(psi, psi.conj()))
 
     def sqrt(self) -> np.ndarray:
@@ -158,7 +152,7 @@ class EDRReport:
     branciard_satisfied: bool
     tight_lhs: float
     tight_applicable: bool
-    tight_satisfied: bool | None = field(default=None)
+    tight_satisfied: bool | None
 
 
 def expectation(state: QubitState, obs: PauliObservable) -> float:
@@ -187,16 +181,6 @@ def d_quantity(
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     root = state.sqrt()
     return 0.5 * _trace_norm_2x2(root @ comm @ root)
-
-
-def robertson_check(
-    state: QubitState, a: PauliObservable, b: PauliObservable
-) -> tuple[float, float, bool]:
-    """Standard-deviation uncertainty product versus half the mean commutator."""
-    lhs = std_dev(state, a) * std_dev(state, b)
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    rhs = 0.5 * abs(complex(np.trace(state.rho @ comm)))
-    return lhs, rhs, lhs >= rhs - HERMITICITY_TOL
 
 
 def hat_transform(v):

@@ -18,25 +18,9 @@ VALIDATION_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
-class ValidationCase:
-    lam: complex
-    mu_b1: float
-    b0: float
-    tau: float
-
-    def params(self) -> SGParams:
-        return SGParams(
-            mu=1.0, B0=self.b0, B1=self.mu_b1, mass=1.0, hbar=1.0,
-            dt=1.0, tau=self.tau,
-        )
-
-    def probe(self) -> GaussianProbe:
-        return GaussianProbe(self.lam.real, self.lam.imag)
-
-
-@dataclass(frozen=True)
 class ValidationResult:
-    case: ValidationCase
+    params: SGParams
+    probe: GaussianProbe
     eps_sq_model: float
     eps_sq_grid: float
     eta_sq_model: float
@@ -55,27 +39,32 @@ class ValidationResult:
         return self.eps_rel <= VALIDATION_RTOL and self.eta_rel <= VALIDATION_RTOL
 
 
-def default_cases() -> list[ValidationCase]:
+def _case(lam: complex, mu_b1: float, b0: float, tau: float) -> tuple[SGParams, GaussianProbe]:
+    """One dimensionless case: probe width lambda, mu*B1, B0 and free flight tau."""
+    p = SGParams(mu=1.0, B0=b0, B1=mu_b1, mass=1.0, hbar=1.0, dt=1.0, tau=tau)
+    return p, GaussianProbe(lam.real, lam.imag)
+
+
+def default_cases() -> list[tuple[SGParams, GaussianProbe]]:
     return [
-        ValidationCase(lam=1.0 + 0.0j, mu_b1=1.0, b0=0.0, tau=0.0),
-        ValidationCase(lam=1.0 + 0.0j, mu_b1=1.0, b0=0.0, tau=1.0),
-        ValidationCase(lam=1.0 + 0.5j, mu_b1=1.0, b0=0.0, tau=0.0),
-        ValidationCase(lam=1.0 + 0.5j, mu_b1=1.0, b0=0.0, tau=1.0),
-        ValidationCase(lam=1.0 + 0.0j, mu_b1=3.0, b0=0.0, tau=0.0),
-        ValidationCase(lam=1.0 + 0.0j, mu_b1=1.0, b0=0.5, tau=0.0),
-        ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0),
-        ValidationCase(lam=1.0 + 0.0j, mu_b1=3.0, b0=0.5, tau=1.0),
+        _case(1.0 + 0.0j, 1.0, 0.0, 0.0),
+        _case(1.0 + 0.0j, 1.0, 0.0, 1.0),
+        _case(1.0 + 0.5j, 1.0, 0.0, 0.0),
+        _case(1.0 + 0.5j, 1.0, 0.0, 1.0),
+        _case(1.0 + 0.0j, 3.0, 0.0, 0.0),
+        _case(1.0 + 0.0j, 1.0, 0.5, 0.0),
+        _case(1.0 + 0.5j, 3.0, 0.5, 1.0),
+        _case(1.0 + 0.0j, 3.0, 0.5, 1.0),
     ]
 
 
-def run_case(case: ValidationCase, n: int = 1024) -> ValidationResult:
-    p = case.params()
-    probe = case.probe()
+def run_case(p: SGParams, probe: GaussianProbe, n: int = 1024) -> ValidationResult:
     field = propagate(suggest_grid(p, probe, n=n), p, probe)
     eps_grid = measure_error(field, STATE_SY_PLUS)
     eta_grid = measure_disturbance(field)
     return ValidationResult(
-        case=case,
+        params=p,
+        probe=probe,
         eps_sq_model=error_sq(p, probe),
         eps_sq_grid=eps_grid * eps_grid,
         eta_sq_model=disturbance_sq(p, probe),
@@ -84,4 +73,4 @@ def run_case(case: ValidationCase, n: int = 1024) -> ValidationResult:
 
 
 def run_validation(n: int = 1024) -> list[ValidationResult]:
-    return [run_case(c, n=n) for c in default_cases()]
+    return [run_case(p, probe, n=n) for p, probe in default_cases()]

@@ -1,11 +1,12 @@
-"""Quantities only the tests compute: spinor-field moments on the grid and
-the beam-flux speed density.  The physics checks compare them with the
-closed forms; no command runs them."""
+"""Quantities only the tests compute: spinor-field moments on the grid, the
+beam-flux speed density and the Robertson uncertainty product.  The physics
+checks compare them with the closed forms; no command runs them."""
 import numpy as np
 
 from sgedr._arrays import check_in
-from sgedr.experiment import PhysicalConstants
+from sgedr.experiment import K_B
 from sgedr.gridsim import SpinorField
+from sgedr.spin import HERMITICITY_TOL, PauliObservable, QubitState, std_dev
 
 
 def mean_z_sq(field: SpinorField) -> float:
@@ -26,12 +27,21 @@ def mean_sigma_x(field: SpinorField) -> float:
     return float(2.0 * np.sum((up.conj() * down).real) * field.grid.dz)
 
 
-def flux_pdf(v: float, T: float, m: float, c: PhysicalConstants | None = None) -> float:
+def flux_pdf(v: float, T: float, m: float) -> float:
     """Normalized beam-flux speed density, proportional to v^3 exp(-mv^2/2kT)."""
     check_in("v", v, 0.0, closed=True)
     check_in("T", T, 0.0)
     check_in("m", m, 0.0)
-    k_B = (c or PhysicalConstants()).k_B
-    scale = m / (2.0 * k_B * T)
+    scale = m / (2.0 * K_B * T)
     # integral of v^3 exp(-scale v^2) over [0, inf) is 1/(2 scale^2)
     return float(2.0 * scale**2 * v**3 * np.exp(-scale * v * v))
+
+
+def robertson_check(
+    state: QubitState, a: PauliObservable, b: PauliObservable
+) -> tuple[float, float, bool]:
+    """Standard-deviation uncertainty product versus half the mean commutator."""
+    lhs = std_dev(state, a) * std_dev(state, b)
+    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+    rhs = 0.5 * abs(complex(np.trace(state.rho @ comm)))
+    return lhs, rhs, lhs >= rhs - HERMITICITY_TOL

@@ -13,8 +13,9 @@ import pytest
 from scipy.integrate import quad
 
 from sgedr.experiment import (
+    HBAR,
+    MU_ELECTRON,
     ExperimentConfig1922,
-    PhysicalConstants,
     heisenberg_verdict,
     run_chain,
 )
@@ -29,8 +30,10 @@ from sgedr.sgmodel import (
     optimal_tau,
     sweep_region,
 )
-from sgedr.spin import STATE_SY_PLUS, PauliObservable, QubitState, d_quantity, robertson_check
+from sgedr.spin import STATE_SY_PLUS, PauliObservable, QubitState, d_quantity
 from sgedr.validation import run_validation
+
+from helpers import robertson_check
 
 SZ = PauliObservable.z()
 SX = PauliObservable.x()
@@ -54,9 +57,8 @@ def random_states(n, seed):
 
 def test_criterion_1_chain_reproduction():
     t0 = time.perf_counter()
-    report = run_chain(ExperimentConfig1922(), PhysicalConstants())
+    report = run_chain(ExperimentConfig1922())
     elapsed = time.perf_counter() - t0
-    c = PhysicalConstants()
     row = report.rows[0]
     targets = [
         ("m", report.m, 1.7911939e-25),
@@ -68,7 +70,7 @@ def test_criterion_1_chain_reproduction():
         ("sigma(dt)^2/K^2", row.sigma_dt_sq / row.K**2, 4.54e-9),
         ("g0", report.g0, 9.26e-5),
         ("erfc_arg*K", row.erfc_arg * row.K, 0.972),
-        ("mu*B1*dt/hbar", abs(c.mu_electron * -1.35e3 * report.dt / c.hbar), 6.10e9),
+        ("mu*B1*dt/hbar", abs(MU_ELECTRON * -1.35e3 * report.dt / HBAR), 6.10e9),
     ]
     failures = [
         f"{name}: computed {got:.6g}, reference {want:.6g}, off by "
@@ -82,7 +84,7 @@ def test_criterion_1_chain_reproduction():
 
 
 def test_criterion_2_headline_result():
-    report = run_chain(ExperimentConfig1922(), PhysicalConstants())
+    report = run_chain(ExperimentConfig1922())
     product_max, bound, violated = heisenberg_verdict(report)
     failures = []
     if abs(report.eps_sq_min - 4.38e-2) > 1e-2 * 4.38e-2:
@@ -144,13 +146,13 @@ def test_criterion_4_grid_oracle_agreement():
     for r in fine:
         if not r.passed:
             failures.append(
-                f"{r.case}: eps rel {r.eps_rel:.3e}, eta rel {r.eta_rel:.3e}"
+                f"{r.params}, {r.probe}: eps rel {r.eps_rel:.3e}, eta rel {r.eta_rel:.3e}"
             )
     for rf, rc in zip(fine, coarse):
         if abs(rf.eps_sq_grid - rc.eps_sq_grid) > 1e-2 * max(rf.eps_sq_model, 1e-12):
-            failures.append(f"{rf.case}: no self-convergence in eps^2")
+            failures.append(f"{rf.params}, {rf.probe}: no self-convergence in eps^2")
         if abs(rf.eta_sq_grid - rc.eta_sq_grid) > 1e-2 * max(rf.eta_sq_model, 1e-12):
-            failures.append(f"{rf.case}: no self-convergence in eta^2")
+            failures.append(f"{rf.params}, {rf.probe}: no self-convergence in eta^2")
     if elapsed >= 60.0:
         failures.append(f"runtime {elapsed:.1f}s >= 60s")
     verdict(4, "closed forms vs grid oracle", failures)

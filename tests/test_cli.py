@@ -240,6 +240,20 @@ class TestTauOpt:
         eps_at_tau0 = float(text.split("eps^2(tau0) = ")[1].split()[0])
         assert all(row["eps_sq"] >= eps_at_tau0 - 1e-12 for row in data["rows"])
 
+    def test_minimizer_at_zero(self, tmp_path, capsys):
+        # the stationary point lies below 0: the error is least at tau = 0,
+        # and the table spans ten magnet intervals
+        out = tmp_path / "tau.json"
+        argv = ["tau-opt", "--lambda-im", "10", "--dt", "0.0743", "--format", "json"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert "tau0 = 0\n" in capsys.readouterr().out
+        data = json.loads(out.read_text())
+        assert data["tau0"] == 0.0
+        taus = [row["tau"] for row in data["rows"]]
+        assert taus[0] == 0.0 and taus[-1] == pytest.approx(0.743)
+        eps = [row["eps_sq"] for row in data["rows"]]
+        assert min(eps) == eps[0]
+
     def test_rejects_empty_grid(self, capsys):
         assert main(["tau-opt", "--steps", "0"]) == EXIT_USAGE
         captured = capsys.readouterr()

@@ -3,7 +3,7 @@
 The squared errors of a sign meter lie in [0, 2], the squared
 disturbances of sigma_x in [0, 4], region_bound in [0, 1], the q-rms
 error and disturbance of +-1-valued observables in [0, 2], and
-optimal_tau is a finite float or INFINITE.  Where the
+optimal_tau is a finite float >= 0 or INFINITE.  Where the
 closed forms' intermediates leave the float range they raise ValueError
 instead; no other exception and no warning may escape.
 """
@@ -86,7 +86,7 @@ class TestClosedForms:
         except ValueError as exc:
             assert re.match(OUT_OF_FLOAT_RANGE, str(exc)), exc
             return
-        assert tau is INFINITE or (type(tau) is float and math.isfinite(tau))
+        assert tau is INFINITE or (type(tau) is float and 0.0 <= tau < math.inf)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=20))

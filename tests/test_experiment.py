@@ -6,10 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from sgedr.experiment import (
+    HBAR,
+    MU_ELECTRON,
     ChainReport,
     ExperimentConfig1922,
     KRow,
-    PhysicalConstants,
     format_table,
     heisenberg_verdict,
     k_grid,
@@ -25,31 +26,30 @@ from sgedr.sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, 
 
 from helpers import flux_pdf
 
-C = PhysicalConstants()
 CFG = ExperimentConfig1922()
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_chain(CFG, C)
+    return run_chain(CFG)
 
 
 class TestSilverMass:
     def test_silver(self):
-        assert silver_mass(107.86822, C) == pytest.approx(1.7911939e-25, rel=1e-6)
+        assert silver_mass(107.86822) == pytest.approx(1.7911939e-25, rel=1e-6)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            silver_mass(0.0, C)
+            silver_mass(0.0)
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf])
     def test_rejects_non_finite(self, weight):
         with pytest.raises(ValueError, match="^atomic_weight must lie in"):
-            silver_mass(weight, C)
+            silver_mass(weight)
 
 
 class TestFluxPdf:
-    M = silver_mass(107.86822, C)
+    M = silver_mass(107.86822)
 
     def test_zero_speed(self):
         assert flux_pdf(0.0, 1500.0, self.M) == 0.0
@@ -63,7 +63,7 @@ class TestFluxPdf:
             lambda v: v * v * flux_pdf(v, 1500.0, self.M), 0.0, 5000.0
         )
         assert np.sqrt(mean_v_sq) == pytest.approx(
-            rms_velocity(1500.0, self.M, C), rel=1e-10
+            rms_velocity(1500.0, self.M), rel=1e-10
         )
 
     def test_rejects_negative_speed(self):
@@ -85,14 +85,14 @@ class TestFluxPdf:
 
 class TestRmsVelocity:
     def test_silver_beam(self):
-        m = silver_mass(107.86822, C)
-        assert rms_velocity(1500.0, m, C) == pytest.approx(6.80e2, rel=5e-3)
+        m = silver_mass(107.86822)
+        assert rms_velocity(1500.0, m) == pytest.approx(6.80e2, rel=5e-3)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            rms_velocity(-1.0, 1.0, C)
+            rms_velocity(-1.0, 1.0)
         with pytest.raises(ValueError):
-            rms_velocity(300.0, 0.0, C)
+            rms_velocity(300.0, 0.0)
 
     @pytest.mark.parametrize("T, m, field", [
         (np.inf, 1.79e-25, "T"),
@@ -102,7 +102,7 @@ class TestRmsVelocity:
     ])
     def test_rejects_non_finite_by_name(self, T, m, field):
         with pytest.raises(ValueError, match=rf"^{field} must lie in"):
-            rms_velocity(T, m, C)
+            rms_velocity(T, m)
 
 
 class TestRunChain:
@@ -128,28 +128,28 @@ class TestRunChain:
 
     def test_rejects_k_outside_bracket(self):
         with pytest.raises(ValueError):
-            run_chain(CFG, C, k_values=(0.5,))
+            run_chain(CFG, k_values=(0.5,))
         with pytest.raises(ValueError):
-            run_chain(CFG, C, k_values=())
+            run_chain(CFG, k_values=())
 
     # the second setup has free flight, partial damping and a nonzero phase
     @pytest.mark.parametrize("cfg", [CFG, ExperimentConfig1922(L3=3.5e-2, B1=-1e-3, B0=1e-9)])
     def test_rows_equal_scalar_closed_forms(self, cfg):
         # the one array pass over K gives bit for bit the per-K scalar chain
         k_values = tuple(np.linspace(0.6, 1.0, 7).tolist())
-        report = run_chain(cfg, C, k_values=k_values)
+        report = run_chain(cfg, k_values=k_values)
         params = SGParams(
-            mu=C.mu_electron, B0=cfg.B0, B1=cfg.B1, mass=report.m, hbar=C.hbar,
+            mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=report.m, hbar=HBAR,
             dt=report.dt, tau=report.tau,
         )
-        cm = CollimatorModel(cfg.d1, cfg.d2, cfg.L1, report.v_y, report.m, C.hbar)
+        cm = CollimatorModel(cfg.d1, cfg.d2, cfg.L1, report.v_y, report.m, HBAR)
         assert len(report.rows) == 7
         for k, row in zip(k_values, report.rows):
             cm_k = replace(cm, K=k)
             probe = collimator_posterior(cm_k)
-            spread = sigma_t(probe, report.dt + report.tau, C.hbar, report.m)
+            spread = sigma_t(probe, report.dt + report.tau, HBAR, report.m)
             assert row == KRow(
-                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe, C.hbar)[0],
+                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe, HBAR)[0],
                 sigma_dt_sq=spread * spread, erfc_arg=erfc_arg(params, probe),
                 damping_exponent=damping_exponent(params, probe),
                 eps_sq=error_sq(params, probe), eta_sq=disturbance_sq(params, probe),
@@ -157,8 +157,8 @@ class TestRunChain:
 
     def test_longer_flight_reduces_error_here(self):
         # tau becomes the L3/v_y free flight; the beams separate further
-        far = run_chain(ExperimentConfig1922(L3=3.5e-2), C)
-        near = run_chain(CFG, C)
+        far = run_chain(ExperimentConfig1922(L3=3.5e-2))
+        near = run_chain(CFG)
         assert far.tau > 0.0
         assert far.eps_sq_max < near.eps_sq_max
 
@@ -171,7 +171,7 @@ class TestVerdict:
         assert violated
 
     def test_satisfied_for_weak_gradient(self):
-        weak = run_chain(ExperimentConfig1922(B1=-1.35e-2), C)
+        weak = run_chain(ExperimentConfig1922(B1=-1.35e-2))
         _, _, violated = heisenberg_verdict(weak)
         assert not violated
 

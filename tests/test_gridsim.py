@@ -16,9 +16,7 @@ from sgedr.gridsim import (
 from sgedr.probe import GaussianProbe, moments, sigma_t
 from sgedr.sgmodel import INFINITE, SGParams, disturbance_sq, error_sq
 from sgedr.spin import IDENTITY_2, STATE_SY_PLUS, QubitState
-from sgedr.validation import (
-    VALIDATION_RTOL, ValidationCase, default_cases, run_case, run_validation,
-)
+from sgedr.validation import VALIDATION_RTOL, default_cases, run_case, run_validation
 
 from helpers import mean_p_sq, mean_sigma_x, mean_z_sq
 
@@ -248,20 +246,16 @@ class TestValidation:
     def test_default_cases_span_required_axes(self):
         cases = default_cases()
         assert len(cases) >= 8
-        assert any(c.lam.imag == 0 for c in cases)
-        assert any(c.lam.imag != 0 for c in cases)
-        assert any(c.b0 != 0 for c in cases)
-        assert any(c.tau == 0 for c in cases) and any(c.tau > 0 for c in cases)
+        assert any(probe.lambda_im == 0 for _, probe in cases)
+        assert any(probe.lambda_im != 0 for _, probe in cases)
+        assert any(p.B0 != 0 for p, _ in cases)
+        assert any(p.tau == 0 for p, _ in cases) and any(p.tau > 0 for p, _ in cases)
 
     def test_single_case_agrees_with_closed_forms(self):
-        case = ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0)
-        res = run_case(case, n=1024)
-        assert res.eps_sq_model == pytest.approx(
-            error_sq(case.params(), case.probe()), rel=1e-14
-        )
-        assert res.eta_sq_model == pytest.approx(
-            disturbance_sq(case.params(), case.probe()), rel=1e-14
-        )
+        p, probe = unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5)
+        res = run_case(p, probe, n=1024)
+        assert res.eps_sq_model == pytest.approx(error_sq(p, probe), rel=1e-14)
+        assert res.eta_sq_model == pytest.approx(disturbance_sq(p, probe), rel=1e-14)
         assert res.passed
         assert res.eps_rel <= 1e-2 and res.eta_rel <= 1e-2
 
@@ -273,8 +267,8 @@ class TestValidation:
     @pytest.mark.parametrize("hbar, mass", [(2.0, 3.0), (0.5, 0.25), (3.0, 1.0)])
     @pytest.mark.parametrize("index", [3, 5, 6])
     def test_closed_forms_at_non_unit_constants(self, hbar, mass, index):
-        case = default_cases()[index]
-        p, probe = replace(case.params(), hbar=hbar, mass=mass), case.probe()
+        p, probe = default_cases()[index]
+        p = replace(p, hbar=hbar, mass=mass)
         field = propagate(suggest_grid(p, probe), p, probe)
         eps_sq, eta_sq = measure_error(field, STATE_SY_PLUS) ** 2, measure_disturbance(field) ** 2
         assert eps_sq == pytest.approx(error_sq(p, probe), rel=VALIDATION_RTOL)
@@ -283,8 +277,7 @@ class TestValidation:
     def test_one_step_matches_many(self):
         # one split is exact for the linear magnet field (see evolve), so
         # 64 splits read the same error and disturbance
-        for case in default_cases():
-            p, probe = case.params(), case.probe()
+        for p, probe in default_cases():
             start = init_state(suggest_grid(p, probe), np.array([1.0, 1.0]), probe)
             one = evolve(start, p, steps=1)
             many = evolve(start, p, steps=64)
@@ -313,9 +306,9 @@ class TestValidation:
         assert 0 < len(calls) <= 24
 
     def test_self_convergence_under_refinement(self):
-        case = ValidationCase(lam=1.0 + 0.5j, mu_b1=3.0, b0=0.5, tau=1.0)
-        coarse = run_case(case, n=512)
-        fine = run_case(case, n=1024)
+        p, probe = unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5)
+        coarse = run_case(p, probe, n=512)
+        fine = run_case(p, probe, n=1024)
         assert abs(fine.eps_sq_grid - coarse.eps_sq_grid) <= 2e-3
         assert abs(fine.eta_sq_grid - coarse.eta_sq_grid) <= 2e-3
         assert fine.eps_rel <= coarse.eps_rel + 1e-6

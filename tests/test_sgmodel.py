@@ -189,14 +189,18 @@ class TestTauOptimization:
         assert finite == (anticom + var_p * dt < 0)
 
     def test_scan_confirms_minimum(self):
-        probe = GaussianProbe(1.0, 5.0)
-        p = unit_params(mu_b1=1.0, dt=0.1)
-        tau0 = optimal_tau(p, probe)
-        assert isinstance(tau0, float) and tau0 > 0
-        at_tau0 = error_sq(unit_params(mu_b1=1.0, dt=0.1, tau=tau0), probe)
-        taus = np.linspace(0.0, 100.0 * tau0, 4001)
-        scan = [error_sq(unit_params(mu_b1=1.0, dt=0.1, tau=float(t)), probe) for t in taus]
-        assert at_tau0 <= min(scan) + 1e-12
+        # the second input's stationary point lies at tau = -0.0228, below 0,
+        # so the error rises from tau = 0 and tau0 is 0
+        for probe, p, at_zero in [
+            (GaussianProbe(1.0, 5.0), unit_params(mu_b1=1.0, dt=0.1), False),
+            (GaussianProbe(1.0, 10.0), unit_params(mu_b1=100.0, dt=0.0743), True),
+        ]:
+            tau0 = optimal_tau(p, probe)
+            assert isinstance(tau0, float) and tau0 >= 0 and (tau0 == 0) is at_zero
+            at_tau0 = error_sq(dataclasses.replace(p, tau=tau0), probe)
+            taus = np.linspace(0.0, 100.0 * (tau0 or p.dt), 4001)
+            scan = [error_sq(dataclasses.replace(p, tau=float(t)), probe) for t in taus]
+            assert at_tau0 <= min(scan) + 1e-12
 
     def test_gradient_sign_does_not_move_tau0(self):
         probe = GaussianProbe(1.0, 5.0)

@@ -18,9 +18,10 @@ from sgedr.spin import (
     evaluate_edrs,
     expectation,
     hat_transform,
-    robertson_check,
     std_dev,
 )
+
+from helpers import robertson_check
 
 SX = PauliObservable.x()
 SY = PauliObservable.y()
