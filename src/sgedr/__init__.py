@@ -13,7 +13,6 @@ from .spin import (
     std_dev,
 )
 from .measurement import (
-    LWParams,
     MeasuringProcess,
     lund_wiseman,
     lw_sweep,
@@ -21,16 +20,13 @@ from .measurement import (
     qrms_error,
 )
 from .probe import (
-    CollimatorModel,
     GaussianProbe,
     collimator_posterior,
     moments,
     sigma_t,
 )
 from .sgmodel import (
-    INFINITE,
     SGParams,
-    TauLimit,
     disturbance_sq,
     error_sq,
     error_sq_limit,

@@ -30,7 +30,6 @@ from .gridsim import Grid1D
 from .measurement import lw_sweep
 from .probe import GaussianProbe
 from .sgmodel import (
-    INFINITE,
     SGParams,
     error_sq,
     error_sq_limit,
@@ -265,7 +264,7 @@ def cmd_tau_opt(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     tau0 = optimal_tau(p, probe)
-    if tau0 is INFINITE:
+    if tau0 is None:
         print("no finite minimizer; error decreases toward the free-flight limit")
         print(f"limit eps^2 = {error_sq_limit(p, probe):.17g}")
         tau_grid = np.geomspace(1e-3, 1e3, args.steps) * p.dt
@@ -278,7 +277,7 @@ def cmd_tau_opt(args) -> int:
     eps_sq = error_sq(replace(p, tau=check_finite("tau_grid", tau_grid)), probe)
     _write_table(
         args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},
-        tau0=None if tau0 is INFINITE else tau0,
+        tau0=tau0,
     )
     return EXIT_OK
 

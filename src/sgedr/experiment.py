@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ._arrays import check_in, require_in
-from .probe import CollimatorModel, collimator_posterior, sigma_t
+from .probe import collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
 
@@ -97,22 +97,31 @@ def rms_velocity(T: float, m: float) -> float:
 
 def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0)) -> ChainReport:
     """Execute the full estimate over the given K bracketing values, every K in
-    one array pass: the collimator takes K as an array, each closed form runs once."""
+    one array pass: each closed form runs once over the array of K.
+
+    The collimator's momentum and position resolutions are D = 1.25*K*delta,
+    delta the geometric half-width; K in [0.6, 1] brackets the half-widths
+    by +-25%.
+    """
     if not k_values:
         raise ValueError("k_values must be nonempty")
+    K = np.array(k_values)
+    if not np.all((0.6 <= K) & (K <= 1.0)):
+        raise ValueError("K must lie in [0.6, 1.0]")
 
     m = silver_mass(cfg.atomic_weight)
     v_y = rms_velocity(cfg.T, m)
     dt = cfg.L2 / v_y
     tau = cfg.L3 / v_y
     params = SGParams(mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=HBAR, dt=dt, tau=tau)
-    cm = CollimatorModel(
-        d1=cfg.d1, d2=cfg.d2, L1=cfg.L1, v_y=v_y, mass=m, hbar=HBAR, K=np.array(k_values)
-    )
-    probe = collimator_posterior(cm)
+    # half widths of the momentum after the collimator and the position after the slit
+    delta_p = (cfg.d1 + cfg.d2) / (2.0 * cfg.L1) * m * v_y
+    delta_z = cfg.d2 / 2.0
+    D_p, D_z = 1.25 * K * delta_p, 1.25 * K * delta_z
+    probe = collimator_posterior(D_p, D_z, HBAR)
     eps_sq, eta_sq = error_sq(params, probe), disturbance_sq(params, probe)
     columns = (
-        cm.K, cm.D_p, cm.D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, HBAR, m)),
+        K, D_p, D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, HBAR, m)),
         erfc_arg(params, probe), damping_exponent(params, probe), eps_sq, eta_sq,
     )
     rows = tuple(KRow(*row) for row in zip(*(col.tolist() for col in columns)))
@@ -123,7 +132,7 @@ def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0
     edr_min = evaluate_edrs(EDPoint(eps_min, eta), STATE_SY_PLUS, sz, sx)
     edr_max = evaluate_edrs(EDPoint(eps_max, eta), STATE_SY_PLUS, sz, sx)
     return ChainReport(
-        m=m, v_y=v_y, dt=dt, tau=tau, delta_p=cm.delta_p, delta_z=cm.delta_z, g0=g0(params),
+        m=m, v_y=v_y, dt=dt, tau=tau, delta_p=delta_p, delta_z=delta_z, g0=g0(params),
         rows=rows, eps_sq_min=eps_min, eps_sq_max=eps_max, eta_sq=eta,
         error_prob_bound=eps_max / 4.0, edr_at_min=edr_min, edr_at_max=edr_max,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import clamp_sq, unwrap
+from ._arrays import check_in, clamp_sq, unwrap
 from .spin import IDENTITY_2, SIGMA_X, SIGMA_Z, PauliObservable, QubitState, _is_hermitian
 
 UNITARITY_TOL = 1e-10
@@ -46,11 +46,12 @@ class MeasuringProcess:
         if xi.ndim not in (1, 2) or xi.shape[-1] < 1:
             raise ValueError("probe_state must have shape (d,) or (n, d) with d >= 1")
         d = xi.shape[-1]
-        if np.any(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) > NORM_TOL):
+        # written as not (<=) so that a nan, which compares False, is rejected
+        if not np.all(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) <= NORM_TOL):
             raise ValueError("probe_state is not normalized within 1e-12")
         if u.shape != (2 * d, 2 * d):
             raise ValueError("unitary must be (2d, 2d) for probe dimension d")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2 * d))) > UNITARITY_TOL:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(2 * d))) <= UNITARITY_TOL:
             raise ValueError("unitary fails U^dag U = I within 1e-10")
         if m.shape != (d, d):
             raise ValueError("meter must be (d, d) for probe dimension d")
@@ -61,17 +62,6 @@ class MeasuringProcess:
         object.__setattr__(self, "probe_state", xi)
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "meter", m)
-
-
-@dataclass(frozen=True)
-class LWParams:
-    """Probe rotation angle(s) of the CNOT measurement family."""
-
-    theta: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.theta)):
-            raise ValueError("theta must be finite")
 
 
 def _rms_deviation(
@@ -120,16 +110,17 @@ def qrms_disturbance(
     return _rms_deviation(mp, state, disturbed.matrix, False)
 
 
-def lund_wiseman(params: LWParams) -> MeasuringProcess:
+def lund_wiseman(theta: float | np.ndarray) -> MeasuringProcess:
     """CNOT measurement of sigma_z with a rotated qubit probe.
 
     Probe state cos(theta)|0> + sin(theta)|1>, meter sigma_z on the probe;
     an array of angles gives one process with a stack of probe vectors.
+    Every angle must be finite.
     """
+    check_in("theta", theta)
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)
     p1 = np.array([[0, 0], [0, 1]], dtype=complex)
     u = np.kron(p0, np.eye(2)) + np.kron(p1, SIGMA_X)
-    theta = params.theta
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1).astype(complex)
     return MeasuringProcess(probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
 
@@ -146,6 +137,6 @@ def lw_sweep(n: int, state: QubitState | None = None) -> np.ndarray:
         state = QubitState.from_bloch(0.0, 1.0, 0.0)
     sz = PauliObservable.z()
     sx = PauliObservable.x()
-    mp = lund_wiseman(LWParams(np.linspace(0.0, np.pi / 2.0, n)))
+    mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, n))
     rms = np.stack([qrms_error(mp, state, sz), qrms_disturbance(mp, state, sx)], axis=-1)
     return clamp_sq(np.square(rms))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import check_finite, require_in, unwrap
+from ._arrays import check_finite, check_in, require_in, unwrap
 
 
 @dataclass(frozen=True)
@@ -62,53 +62,14 @@ def sigma_t(probe: GaussianProbe, t, hbar: float, mass: float):
     return unwrap(check_finite("sigma_t", np.sqrt(np.maximum(radicand, 0.0))))
 
 
-@dataclass(frozen=True)
-class CollimatorModel:
-    """Hole-and-slit beam filter producing a real-lambda Gaussian posterior.
+def collimator_posterior(D_p, D_z, hbar: float) -> GaussianProbe:
+    """Posterior Gaussian of the beam after hole-and-slit filtering to momentum
+    and position resolutions D_p and D_z (each a positive float or array).
 
-    The momentum and position resolutions are D = 1.25*K*delta with
-    K in [0.6, 1], bracketing the geometric half-widths by +-25%.  K may be
-    an array of scale factors; D_p, D_z and the posterior then follow it.
-    """
-
-    d1: float
-    d2: float
-    L1: float
-    v_y: float
-    mass: float
-    hbar: float
-    K: float | np.ndarray = 1.0
-
-    def __post_init__(self) -> None:
-        require_in(self, ("d1", "d2", "L1", "v_y", "mass", "hbar"), 0.0)
-        if not np.all((0.6 <= self.K) & (self.K <= 1.0)):
-            raise ValueError("K must lie in [0.6, 1.0]")
-
-    @property
-    def delta_p(self) -> float:
-        """Half width of the classical momentum after the collimator."""
-        return (self.d1 + self.d2) / (2.0 * self.L1) * self.mass * self.v_y
-
-    @property
-    def delta_z(self) -> float:
-        """Half width of the classical position after the slit."""
-        return self.d2 / 2.0
-
-    @property
-    def D_p(self) -> float:
-        return 1.25 * self.K * self.delta_p
-
-    @property
-    def D_z(self) -> float:
-        return 1.25 * self.K * self.delta_z
-
-
-def collimator_posterior(cm: CollimatorModel) -> GaussianProbe:
-    """Posterior Gaussian of the beam after hole-and-slit filtering.
-
-    lambda = D_p^2/hbar^2 + 1/(4 D_z^2), real, squared by products so that an
-    array K gives its scalar posteriors bit for bit; assumes the prior momentum
-    spread dominates D_p so the prior width drops out.  The packet alone: cm's
-    hbar and mass reach the closed forms through SGParams."""
-    lam = cm.D_p * cm.D_p / cm.hbar**2 + 1.0 / (4.0 * (cm.D_z * cm.D_z))
+    lambda = D_p^2/hbar^2 + 1/(4 D_z^2), real, squared by products so that
+    arrays give their scalar posteriors bit for bit; assumes the prior momentum
+    spread dominates D_p so the prior width drops out."""
+    for name, x in (("D_p", D_p), ("D_z", D_z), ("hbar", hbar)):
+        check_in(name, x, 0.0)
+    lam = D_p * D_p / hbar**2 + 1.0 / (4.0 * (D_z * D_z))
     return GaussianProbe(lam, 0.0)

@@ -1,9 +1,8 @@
 """Closed-form Stern-Gerlach error and disturbance.
 
 Error comes from the finite spread of the packet on the screen, disturbance
-from uncontrolled precession inside the magnet.  The free-flight time tau can
-be a distinguished INFINITE value, in which case the error is the limiting
-expression rather than the finite-tau formula.
+from uncontrolled precession inside the magnet.  The free-flight time tau is
+finite; error_sq_limit is the separate tau -> infinity limit of the error.
 
 The formulas broadcast over array-valued fields; scalar inputs return floats.
 An intermediate that leaves the float range raises ValueError naming it,
@@ -12,10 +11,9 @@ except an infinite damping exponent: total damping, a disturbance of exactly 2.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -23,15 +21,6 @@ from ._arrays import check_finite, check_sq, clamp_sq, require_in, unwrap
 from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
-
-
-class TauLimit(enum.Enum):
-    INFINITE = "infinite"
-
-
-INFINITE = TauLimit.INFINITE
-
-Tau = Union[float, np.ndarray, TauLimit]
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -51,21 +40,17 @@ class SGParams:
     mass: float
     hbar: float
     dt: float
-    tau: Tau = 0.0
+    tau: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         require_in(self, ("mu", "B0", "B1"))
         require_in(self, ("mass", "hbar", "dt"), 0.0)
-        if not isinstance(self.tau, TauLimit):
-            if not np.all((0.0 <= self.tau) & (self.tau < math.inf)):
-                raise ValueError("tau must be >= 0 or INFINITE")
+        require_in(self, ("tau",), 0.0, closed=True)
 
 
 @np.errstate(all="ignore")
 def g0(p: SGParams):
     """Half-separation of the packet centers at the screen."""
-    if isinstance(p.tau, TauLimit):
-        raise ValueError("g0 undefined at INFINITE tau; use error_sq_limit")
     return check_finite("g0", p.mu * p.B1 * p.dt * (p.dt / 2.0 + p.tau) / p.mass)
 
 
@@ -90,18 +75,15 @@ def damping_exponent(p: SGParams, probe: GaussianProbe):
 def error_sq(p: SGParams, probe: GaussianProbe):
     """Squared q-rms error 2*erfc(|g0| / (sqrt(2) sigma(dt + tau))).
 
-    Routed to error_sq_limit when tau is INFINITE.  The |g0| convention keeps
-    the result in (0, 2] for either sign of mu*B1 (the meter orientation
-    absorbs the sign).
+    The |g0| convention keeps the result in (0, 2] for either sign of mu*B1
+    (the meter orientation absorbs the sign).
     """
-    if isinstance(p.tau, TauLimit):
-        return error_sq_limit(p, probe)
     return 2.0 * erfc(erfc_arg(p, probe))
 
 
 @np.errstate(all="ignore")
 def error_sq_limit(p: SGParams, probe: GaussianProbe):
-    """Limit of error_sq as the free flight grows without bound."""
+    """Limit of error_sq as the free flight grows without bound; p.tau is not read."""
     arg = abs(p.mu * p.B1 * p.dt) / (math.sqrt(2.0) * np.sqrt(moments(probe, p.hbar)[1]))
     return 2.0 * erfc(check_finite("erfc_arg", arg))
 
@@ -119,8 +101,9 @@ def disturbance_sq(p: SGParams, probe: GaussianProbe):
 
 
 @np.errstate(all="ignore")
-def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
-    """Error-minimizing free-flight time; INFINITE unless m <{Z,P}> + Var P dt < 0.
+def optimal_tau(p: SGParams, probe: GaussianProbe) -> float | None:
+    """Error-minimizing free-flight time, or None where m <{Z,P}> + Var P dt >= 0:
+    there the error falls toward error_sq_limit and has no finite minimizer.
 
     Past g0's zero at tau = -dt/2, |g0| / sigma(dt + tau) has one stationary
     point, its maximum; when that lies below 0 the error rises on all of
@@ -131,7 +114,7 @@ def optimal_tau(p: SGParams, probe: GaussianProbe) -> Tau:
     # a nan denominator (m <{Z,P}> = -inf against Var P dt = inf) has no sign
     denom = check_finite("tau_denom", m * anticom + var_p * p.dt)
     if denom >= 0.0:
-        return INFINITE
+        return None
     # np.float64's ** is C pow, as the float ** it replaces, but overflows to inf
     num = 4.0 * m * m * var_z + 3.0 * m * anticom * p.dt + 2.0 * var_p * np.float64(p.dt) ** 2
     tau0 = -check_finite("tau_num", num) / (2.0 * denom)

@@ -19,10 +19,9 @@ from sgedr.experiment import (
     heisenberg_verdict,
     run_chain,
 )
-from sgedr.measurement import LWParams, lund_wiseman, qrms_disturbance, qrms_error
+from sgedr.measurement import lund_wiseman, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe, moments, sigma_t
 from sgedr.sgmodel import (
-    INFINITE,
     SGParams,
     error_sq,
     error_sq_limit,
@@ -114,7 +113,7 @@ def test_criterion_3_lund_wiseman_exactness():
     worst_closed = 0.0
     worst_tight = 0.0
     for theta in np.linspace(0.0, np.pi / 2.0, 100):
-        mp = lund_wiseman(LWParams(float(theta)))
+        mp = lund_wiseman(float(theta))
         want_eps = 2.0 * abs(np.sin(theta))
         want_eta = np.sqrt(2.0) * abs(np.cos(theta) - np.sin(theta))
         for state in states:
@@ -196,7 +195,7 @@ def test_criterion_6_tau_optimization():
         dt = 0.5 * im / (re * re + im * im)
         p = SGParams(mu=1.0, B0=0.0, B1=rng.uniform(0.5, 5.0), mass=1.0, hbar=1.0, dt=dt)
         tau0 = optimal_tau(p, probe)
-        if tau0 is INFINITE:
+        if tau0 is None:
             failures.append(f"case {i}: constructed probe fails the condition")
             continue
         if tau0 <= 0.0:
@@ -224,7 +223,7 @@ def test_criterion_6_tau_optimization():
         im = rng.uniform(-5.0, 0.0)
         probe = GaussianProbe(re, im)
         p = SGParams(mu=1.0, B0=0.0, B1=rng.uniform(0.5, 5.0), mass=1.0, hbar=1.0, dt=1.0)
-        if optimal_tau(p, probe) is not INFINITE:
+        if optimal_tau(p, probe) is not None:
             failures.append(f"monotone case {i}: condition unexpectedly holds")
             continue
 

@@ -3,7 +3,7 @@
 The squared errors of a sign meter lie in [0, 2], the squared
 disturbances of sigma_x in [0, 4], region_bound in [0, 1], the q-rms
 error and disturbance of +-1-valued observables in [0, 2], and
-optimal_tau is a finite float >= 0 or INFINITE.  Where the
+optimal_tau is a finite float >= 0 or None.  Where the
 closed forms' intermediates leave the float range they raise ValueError
 instead; no other exception and no warning may escape.
 """
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from sgedr.experiment import ExperimentConfig1922, run_chain
 from sgedr.gridsim import Grid1D
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
-from sgedr.probe import CollimatorModel, GaussianProbe
+from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
-    INFINITE, SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
+    SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
 )
 from sgedr.spin import PauliObservable, QubitState
 
@@ -86,7 +86,7 @@ class TestClosedForms:
         except ValueError as exc:
             assert re.match(OUT_OF_FLOAT_RANGE, str(exc)), exc
             return
-        assert tau is INFINITE or (type(tau) is float and 0.0 <= tau < math.inf)
+        assert tau is None or (type(tau) is float and 0.0 <= tau < math.inf)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=20))
@@ -191,7 +191,11 @@ def above(x: float):
 not_positive = non_finite | st.sampled_from([0.0, -0.0]) | below(0.0)
 negative = non_finite | below(0.0)
 outside_k = non_finite | below(0.6) | above(1.0)
-bad_grid_n = st.integers(max_value=255) | st.integers(257, 2**40).filter(lambda n: n & (n - 1))
+bad_grid_n = (
+    st.integers(max_value=255)
+    | st.integers(257, 2**40).filter(lambda n: n & (n - 1))
+    | st.floats()
+)
 
 CONSTRUCTORS = {
     SGParams: (
@@ -207,11 +211,6 @@ CONSTRUCTORS = {
         dict(n=1024, z_min=-1.0, z_max=1.0),
         dict(n=bad_grid_n, z_min=non_finite,
              z_max=non_finite | below(-1.0) | st.just(-1.0)),
-    ),
-    CollimatorModel: (
-        dict(d1=1.0, d2=1.0, L1=1.0, v_y=1.0, mass=1.0, hbar=1.0, K=1.0),
-        dict(d1=not_positive, d2=not_positive, L1=not_positive, v_y=not_positive,
-             mass=not_positive, hbar=not_positive, K=outside_k),
     ),
     ExperimentConfig1922: (
         dataclasses.asdict(ExperimentConfig1922()),
@@ -237,3 +236,11 @@ class TestInvalidInputNamed:
         with pytest.raises(ValueError) as info:
             cls(**{**valid, name: value})
         assert str(info.value).split()[0] == name
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.6, 1.0), max_size=3), outside_k, st.integers(0, 3))
+    def test_run_chain_names_k(self, k_values, bad, at):
+        # run_chain's k_values is a public input: one K outside [0.6, 1] anywhere
+        k_values.insert(min(at, len(k_values)), bad)
+        with pytest.raises(ValueError, match=r"^K must lie in \[0\.6, 1\.0\]"):
+            run_chain(ExperimentConfig1922(), k_values=tuple(k_values))

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from sgedr.experiment import (
     run_chain,
     silver_mass,
 )
-from sgedr.probe import CollimatorModel, collimator_posterior, moments, sigma_t
+from sgedr.probe import collimator_posterior, moments, sigma_t
 from sgedr.sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq
 
 from helpers import flux_pdf
@@ -142,14 +141,14 @@ class TestRunChain:
             mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=report.m, hbar=HBAR,
             dt=report.dt, tau=report.tau,
         )
-        cm = CollimatorModel(cfg.d1, cfg.d2, cfg.L1, report.v_y, report.m, HBAR)
+        delta_p = (cfg.d1 + cfg.d2) / (2.0 * cfg.L1) * report.m * report.v_y
         assert len(report.rows) == 7
         for k, row in zip(k_values, report.rows):
-            cm_k = replace(cm, K=k)
-            probe = collimator_posterior(cm_k)
+            D_p, D_z = 1.25 * k * delta_p, 1.25 * k * (cfg.d2 / 2.0)
+            probe = collimator_posterior(D_p, D_z, HBAR)
             spread = sigma_t(probe, report.dt + report.tau, HBAR, report.m)
             assert row == KRow(
-                K=k, D_p=cm_k.D_p, D_z=cm_k.D_z, var_z=moments(probe, HBAR)[0],
+                K=k, D_p=D_p, D_z=D_z, var_z=moments(probe, HBAR)[0],
                 sigma_dt_sq=spread * spread, erfc_arg=erfc_arg(params, probe),
                 damping_exponent=damping_exponent(params, probe),
                 eps_sq=error_sq(params, probe), eta_sq=disturbance_sq(params, probe),

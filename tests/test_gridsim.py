@@ -13,9 +13,10 @@ from sgedr.gridsim import (
     propagate,
     suggest_grid,
 )
+from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe, moments, sigma_t
-from sgedr.sgmodel import INFINITE, SGParams, disturbance_sq, error_sq
-from sgedr.spin import IDENTITY_2, STATE_SY_PLUS, QubitState
+from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
+from sgedr.spin import IDENTITY_2, STATE_SY_PLUS, PauliObservable, QubitState
 from sgedr.validation import VALIDATION_RTOL, default_cases, run_case, run_validation
 
 from helpers import mean_p_sq, mean_sigma_x, mean_z_sq
@@ -39,6 +40,11 @@ class TestGrid1D:
             Grid1D(128, -1.0, 1.0)
         with pytest.raises(ValueError):
             Grid1D(300, -1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1024.0, np.nan, 1e300])
+    def test_rejects_float_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a power of two"):
+            Grid1D(n, -1.0, 1.0)
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
@@ -164,28 +170,6 @@ class TestEvolve:
             evolve(field, unit_params(mu_b1=0.0), 16)
 
 
-class TestInfiniteTau:
-    # the grid holds a finite flight only; INFINITE was once read as tau = 0
-    LAM = 1.0 + 0.5j
-
-    def test_propagate_rejects(self):
-        # the error and the disturbance are both read from propagate's field
-        probe = GaussianProbe(self.LAM.real, self.LAM.imag)
-        grid = suggest_grid(unit_params(), probe)
-        with pytest.raises(ValueError, match="INFINITE"):
-            propagate(grid, unit_params(tau=INFINITE), probe)
-
-    def test_suggest_grid_rejects(self):
-        with pytest.raises(ValueError, match="INFINITE"):
-            suggest_grid(unit_params(tau=INFINITE), GaussianProbe(1.0))
-
-    def test_evolve_rejects(self):
-        probe = GaussianProbe(1.0)
-        field = init_state(suggest_grid(unit_params(), probe), SY_SPIN, probe)
-        with pytest.raises(ValueError, match="INFINITE"):
-            evolve(field, unit_params(tau=INFINITE))
-
-
 class TestMeasure:
     def test_no_gradient_is_coin_flip(self):
         p = unit_params(mu_b1=0.0)
@@ -240,6 +224,44 @@ class TestMeasure:
         grid = Grid1D(256, -1.0, 1.0)
         with pytest.raises(ValueError, match="span"):
             propagate(grid, p, probe)
+
+
+def grid_process(p, probe, grid):
+    """The Stern-Gerlach process on the grid as a MeasuringProcess: the
+    block-diagonal unitary of the exact split step and the free flight, the
+    sampled probe normalised in l2, and the sign meter, -1 at z >= 0 and +1
+    below.  Each block's columns are the propagated basis vectors, built by
+    FFTs of the identity."""
+    n = grid.n
+    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
+    kinetic = np.exp(-1j * p.hbar * grid.k**2 * p.dt / (2.0 * p.mass))[:, None]
+    flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))[:, None]
+    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    # the up block (sigma_z = +1) sees the potential +mu (B0 + B1 z)
+    for block, sign in ((slice(0, n), -1j), (slice(n, 2 * n), 1j)):
+        kick = np.exp(sign * half_phase)[:, None]
+        cols = kick * np.fft.ifft(kinetic * np.fft.fft(np.diag(kick[:, 0]), axis=0), axis=0)
+        u[block, block] = np.fft.ifft(flight * np.fft.fft(cols, axis=0), axis=0)
+    xi = np.exp(-probe.lam * grid.z**2)
+    meter = np.diag(np.where(grid.z >= 0.0, -1.0, 1.0))
+    return MeasuringProcess(xi / np.linalg.norm(xi), u, meter)
+
+
+class TestQrmsDefinitions:
+    """The oracle's readouts against Ozawa's q-rms definitions, which
+    measurement implements directly (PRA 67, 042105, 2003)."""
+
+    # (real lambda, tau = 0) and (lambda = 1 + 0.5j, B0 = 0.5, tau = 1)
+    @pytest.mark.parametrize("index", [0, 6])
+    def test_readouts_match_measuring_process(self, index):
+        p, probe = default_cases()[index]
+        grid = suggest_grid(p, probe, n=512)
+        field = propagate(grid, p, probe)
+        mp = grid_process(p, probe, grid)
+        eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
+        eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
+        assert abs(eps**2 - measure_error(field, STATE_SY_PLUS) ** 2) <= 1e-13
+        assert abs(eta**2 - measure_disturbance(field) ** 2) <= 1e-13
 
 
 class TestValidation:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import sgedr.measurement
 from sgedr.measurement import (
-    LWParams,
     MeasuringProcess,
     lund_wiseman,
     lw_sweep,
@@ -81,7 +80,17 @@ class TestMeasuringProcess:
 
     def test_lw_params_reject_one_nan(self):
         with pytest.raises(ValueError, match="theta"):
-            LWParams(np.array([0.0, 0.5, np.nan, 1.0]))
+            lund_wiseman(np.array([0.0, 0.5, np.nan, 1.0]))
+
+    def test_rejects_nan_probe(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            MeasuringProcess(np.array([np.nan, 0.0]), np.eye(4), SZ.matrix)
+
+    def test_rejects_nan_unitary(self):
+        u = np.eye(4)
+        u[3, 2] = np.nan
+        with pytest.raises(ValueError, match="unitary fails"):
+            MeasuringProcess(np.array([1.0, 0.0]), u, SZ.matrix)
 
 
 class TestStackedProbes:
@@ -89,8 +98,8 @@ class TestStackedProbes:
     @settings(max_examples=100, deadline=None)
     def test_stack_matches_per_angle_calls(self, v, thetas):
         state = QubitState.from_bloch(*v)
-        mp = lund_wiseman(LWParams(thetas))
-        per_angle = [lund_wiseman(LWParams(t)) for t in thetas]
+        mp = lund_wiseman(thetas)
+        per_angle = [lund_wiseman(t) for t in thetas]
         assert np.array_equal(
             qrms_error(mp, state, SZ), [qrms_error(m, state, SZ) for m in per_angle]
         )
@@ -100,7 +109,7 @@ class TestStackedProbes:
         )
 
     def test_single_probe_returns_float(self):
-        mp = lund_wiseman(LWParams(0.3))
+        mp = lund_wiseman(0.3)
         assert mp.probe_state.shape == (2,)
         assert type(qrms_error(mp, STATE_SY_PLUS, SZ)) is float
         assert type(qrms_disturbance(mp, STATE_SY_PLUS, SX)) is float
@@ -108,16 +117,16 @@ class TestStackedProbes:
 
 class TestQrmsError:
     def test_perfect_meter_at_theta_zero(self):
-        mp = lund_wiseman(LWParams(0.0))
+        mp = lund_wiseman(0.0)
         for state in (STATE_SY_PLUS, QubitState.from_bloch(0.3, -0.1, 0.2)):
             assert qrms_error(mp, state, SZ) == pytest.approx(0.0, abs=1e-12)
 
     def test_worst_meter_at_theta_half_pi(self):
-        mp = lund_wiseman(LWParams(np.pi / 2))
+        mp = lund_wiseman(np.pi / 2)
         assert qrms_error(mp, STATE_SY_PLUS, SZ) == pytest.approx(2.0, abs=1e-12)
 
     def test_theta_pi_over_6(self):
-        mp = lund_wiseman(LWParams(np.pi / 6))
+        mp = lund_wiseman(np.pi / 6)
         got = qrms_error(mp, STATE_SY_PLUS, SZ)
         assert got == pytest.approx(1.0, abs=1e-12)
         assert got == pytest.approx(
@@ -127,11 +136,11 @@ class TestQrmsError:
 
 class TestQrmsDisturbance:
     def test_no_disturbance_at_theta_quarter_pi(self):
-        mp = lund_wiseman(LWParams(np.pi / 4))
+        mp = lund_wiseman(np.pi / 4)
         assert qrms_disturbance(mp, STATE_SY_PLUS, SX) == pytest.approx(0.0, abs=1e-12)
 
     def test_theta_zero(self):
-        mp = lund_wiseman(LWParams(0.0))
+        mp = lund_wiseman(0.0)
         assert qrms_disturbance(mp, STATE_SY_PLUS, SX) == pytest.approx(
             np.sqrt(2.0), abs=1e-12
         )
@@ -146,7 +155,7 @@ class TestClosedFormAgreement:
         rng = np.random.default_rng(2)
         thetas = np.linspace(0, np.pi, 25)
         for theta in thetas:
-            mp = lund_wiseman(LWParams(theta))
+            mp = lund_wiseman(theta)
             for _ in range(4):
                 v = rng.normal(size=3)
                 v *= rng.random() / np.linalg.norm(v)
@@ -161,7 +170,7 @@ class TestClosedFormAgreement:
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(9)
         for theta in rng.uniform(0, np.pi / 2, 10):
-            mp = lund_wiseman(LWParams(theta))
+            mp = lund_wiseman(theta)
             state = QubitState.from_bloch(0.2, 0.5, -0.1)
             assert qrms_error(mp, state, SZ) == pytest.approx(
                 dense_qrms_oracle(mp, state.rho, SZ.matrix, True), abs=1e-10
@@ -172,7 +181,7 @@ class TestClosedFormAgreement:
 
     def test_error_vanishes_only_at_multiples_of_pi(self):
         for theta in np.linspace(0, np.pi, 41):
-            eps = qrms_error(lund_wiseman(LWParams(theta)), STATE_SY_PLUS, SZ)
+            eps = qrms_error(lund_wiseman(theta), STATE_SY_PLUS, SZ)
             if min(abs(theta), abs(theta - np.pi)) < 1e-9:
                 assert eps < 1e-9
             else:
@@ -180,7 +189,7 @@ class TestClosedFormAgreement:
 
     def test_squared_error_linear_in_state_mixture(self):
         rng = np.random.default_rng(21)
-        mp = lund_wiseman(LWParams(0.7))
+        mp = lund_wiseman(0.7)
         for _ in range(20):
             p = rng.random()
             v1 = rng.normal(size=3)

@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sgedr.probe import (
-    CollimatorModel,
-    GaussianProbe,
-    collimator_posterior,
-    moments,
-    sigma_t,
-)
+from sgedr.experiment import HBAR, ExperimentConfig1922, run_chain
+from sgedr.probe import GaussianProbe, collimator_posterior, moments, sigma_t
 
 
 def quadrature_moments(lam: complex, hbar: float):
@@ -132,43 +127,34 @@ class TestSigmaT:
 
 
 class TestCollimator:
-    def make_1922(self, K=1.0):
-        # silver-beam configuration
-        return CollimatorModel(
-            d1=6.2e-5, d2=4.0e-5, L1=3.3e-2,
-            v_y=680.057, mass=1.7911939e-25, hbar=1.054571817e-34, K=K,
-        )
+    # the 1922 silver-beam resolutions at K = 1: D_p = 1.25 delta_p, D_z = 1.25 delta_z
+    D_P, D_Z = 2.35e-25, 2.50e-5
 
     def test_half_widths(self):
-        cm = self.make_1922()
-        assert 1.25 * cm.delta_z == pytest.approx(2.50e-5, rel=1e-3)
-        assert 1.25 * cm.delta_p == pytest.approx(2.35e-25, rel=5e-3)
+        report = run_chain(ExperimentConfig1922())
+        assert 1.25 * report.delta_z == pytest.approx(2.50e-5, rel=1e-3)
+        assert 1.25 * report.delta_p == pytest.approx(2.35e-25, rel=5e-3)
 
     def test_posterior_variance(self):
-        for k in (0.6, 0.8, 1.0):
-            cm = self.make_1922(K=k)
-            var_z, _, _ = moments(collimator_posterior(cm), cm.hbar)
-            assert var_z * k * k == pytest.approx(5.03e-20, rel=5e-3)
+        report = run_chain(ExperimentConfig1922(), k_values=(0.6, 0.8, 1.0))
+        for row in report.rows:
+            assert row.var_z * row.K * row.K == pytest.approx(5.03e-20, rel=5e-3)
 
     def test_momentum_term_dominates_for_wide_slit(self):
-        cm = self.make_1922()
-        wide = CollimatorModel(
-            d1=cm.d1, d2=1.0, L1=cm.L1, v_y=cm.v_y, mass=cm.mass, hbar=cm.hbar
-        )
-        probe = collimator_posterior(wide)
+        probe = collimator_posterior(self.D_P, 0.625, HBAR)  # a 1 m slit
         # position-resolution term 1/(4 D_z^2) is negligible
-        assert probe.lambda_re == pytest.approx(wide.D_p**2 / wide.hbar**2, rel=1e-6)
+        assert probe.lambda_re == pytest.approx(self.D_P**2 / HBAR**2, rel=1e-6)
 
     def test_rejects_out_of_range_k(self):
+        cfg = ExperimentConfig1922()
         with pytest.raises(ValueError):
-            self.make_1922(K=0.5)
+            run_chain(cfg, k_values=(0.5,))
         with pytest.raises(ValueError):
-            self.make_1922(K=1.1)
+            run_chain(cfg, k_values=(1.1,))
         with pytest.raises(ValueError, match="K must lie in"):
-            self.make_1922(K=np.array([0.7, 0.5]))
+            run_chain(cfg, k_values=(0.7, 0.5))
 
     def test_posterior_is_real_lambda(self):
-        cm = self.make_1922()
-        probe = collimator_posterior(cm)
+        probe = collimator_posterior(self.D_P, self.D_Z, HBAR)
         assert probe.lambda_im == 0.0
-        assert moments(probe, cm.hbar)[2] == 0.0
+        assert moments(probe, HBAR)[2] == 0.0

@@ -6,11 +6,9 @@ import pytest
 from scipy.special import erfc as scipy_erfc
 from scipy.special import erfinv as scipy_erfinv
 
-from sgedr.probe import GaussianProbe, collimator_posterior, CollimatorModel, moments, sigma_t
+from sgedr.probe import GaussianProbe, collimator_posterior, moments, sigma_t
 from sgedr.sgmodel import (
-    INFINITE,
     SGParams,
-    TauLimit,
     disturbance_sq,
     erfc,
     error_sq,
@@ -34,11 +32,10 @@ def silver_params(tau=0.0):
 
 
 def silver_probe(K=1.0):
-    p, v_y = silver_params()
-    cm = CollimatorModel(
-        d1=6.2e-5, d2=4.0e-5, L1=3.3e-2, v_y=v_y, mass=M_AG, hbar=HBAR, K=K
-    )
-    return collimator_posterior(cm)
+    # d1 = 62 um, d2 = 40 um, L1 = 3.3 cm; D = 1.25 K times each half width
+    _, v_y = silver_params()
+    delta_p = (6.2e-5 + 4.0e-5) / (2.0 * 3.3e-2) * M_AG * v_y
+    return collimator_posterior(1.25 * K * delta_p, 1.25 * K * (4.0e-5 / 2.0), HBAR)
 
 
 def unit_params(mu_b1=1.0, b0=0.0, dt=1.0, tau=0.0):
@@ -60,8 +57,9 @@ class TestG0:
         assert g0(p1) == pytest.approx(2.0 * g0(p0), rel=1e-12)
 
     def test_rejects_infinite_tau(self):
-        with pytest.raises(ValueError, match="INFINITE"):
-            g0(unit_params(tau=INFINITE))
+        # the tau -> infinity limit is error_sq_limit; SGParams holds a finite flight
+        with pytest.raises(ValueError, match="tau"):
+            g0(unit_params(tau=np.inf))
 
 
 class TestErrorSq:
@@ -127,11 +125,6 @@ class TestErrorSqLimit:
         for lam, value in zip(lambdas, got):
             assert value == error_sq_limit(p, GaussianProbe(float(lam), 0.3))
 
-    def test_routed_from_error_sq_at_infinite(self):
-        probe = GaussianProbe(1.0)
-        p = unit_params(tau=INFINITE)
-        assert error_sq(p, probe) == error_sq_limit(p, probe)
-
 
 class TestDisturbanceSq:
     def test_silver_is_fully_damped(self):
@@ -172,20 +165,20 @@ class TestTauOptimization:
     def test_real_lambda_never_finite(self):
         p = unit_params()
         probe = GaussianProbe(1.0)
-        assert optimal_tau(p, probe) is INFINITE
+        assert optimal_tau(p, probe) is None
 
     def test_focusing_probe_condition(self):
         # converging packet: positive Im(lambda), anticommutator negative
         probe = GaussianProbe(1.0, 5.0)
-        assert optimal_tau(unit_params(dt=0.1), probe) is not INFINITE
-        assert optimal_tau(unit_params(dt=10.0), probe) is INFINITE
+        assert optimal_tau(unit_params(dt=0.1), probe) is not None
+        assert optimal_tau(unit_params(dt=10.0), probe) is None
 
     def test_condition_sign_from_moments(self):
         probe = GaussianProbe(1.0, 1e6)
         _, var_p, anticom = moments(probe, 1.0)
         dt = 1e-9
         assert anticom < 0
-        finite = optimal_tau(unit_params(dt=dt), probe) is not INFINITE
+        finite = optimal_tau(unit_params(dt=dt), probe) is not None
         assert finite == (anticom + var_p * dt < 0)
 
     def test_scan_confirms_minimum(self):
@@ -325,11 +318,6 @@ class TestSGParams:
     def test_rejects_non_finite_tau(self, bad):
         with pytest.raises(ValueError, match="tau"):
             unit_params(tau=bad)
-
-    def test_infinite_is_enum(self):
-        assert isinstance(INFINITE, TauLimit)
-        p = unit_params(tau=INFINITE)
-        assert p.tau is INFINITE
 
 
 class TestFloatRange:
