@@ -1,7 +1,6 @@
 """Quantum error-disturbance toolkit for spin-1/2 measurement models."""
 
 from .spin import (
-    EDPoint,
     EDRReport,
     PauliObservable,
     QubitState,

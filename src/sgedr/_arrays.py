@@ -24,6 +24,14 @@ def require_in(
         check_in(name, getattr(obj, name), low, closed)
 
 
+def require_scalar(obj) -> None:
+    """Raise ValueError naming the first field of obj that holds an array:
+    for the functions that take one process, not a sweep of them."""
+    for name, x in vars(obj).items():
+        if np.ndim(x):
+            raise ValueError(f"{name} must be a single value, got an array of shape {np.shape(x)}")
+
+
 def check_finite(name: str, x):
     """x, or ValueError naming the intermediate if a value of x is nan or inf."""
     finite = np.isfinite(x)

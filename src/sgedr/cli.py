@@ -38,7 +38,7 @@ from .sgmodel import (
     region_bound,
     sweep_region,
 )
-from .spin import STATE_SY_PLUS, EDPoint, PauliObservable, evaluate_edrs
+from .spin import STATE_SY_PLUS, PauliObservable, evaluate_edrs
 from .validation import run_validation
 
 EXIT_OK = 0
@@ -162,7 +162,7 @@ def cmd_lw(args) -> int:
     if n < 2:
         raise _UsageError("--steps must be >= 2")
     eps_sq, eta_sq = lw_sweep(n, STATE_SY_PLUS).T
-    edr = evaluate_edrs(EDPoint(eps_sq, eta_sq), STATE_SY_PLUS, _SZ, _SX)
+    edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
     columns = (
         np.linspace(0.0, np.pi / 2.0, n), np.sqrt(eps_sq), np.sqrt(eta_sq),
@@ -192,7 +192,7 @@ def cmd_region(args) -> int:
     eps_sq, eta_sq = sweep_region(
         base, lambdas, _axis("--b0", args.b0, steps), _axis("--tau", args.tau, steps)
     ).T
-    edr = evaluate_edrs(EDPoint(eps_sq, eta_sq), STATE_SY_PLUS, _SZ, _SX)
+    edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
     columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, ~edr.heisenberg_satisfied)
     b_eps_sq = np.linspace(0.0, 4.0, 1024)

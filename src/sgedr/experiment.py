@@ -8,16 +8,19 @@ factor K in [0.6, 1].
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from ._arrays import check_in, require_in
 from .probe import collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
-from .spin import STATE_SY_PLUS, EDPoint, EDRReport, PauliObservable, evaluate_edrs
+from .spin import STATE_SY_PLUS, EDRReport, PauliObservable, evaluate_edrs
 
 REFERENCE_RTOL = 5e-3
+# the range of the collimator's resolution scale factor K (see run_chain)
+K_BRACKET = (0.6, 1.0)
 
 # CODATA 2018 (SI units); the chain's constants, which no configuration changes
 K_B = 1.380649e-23
@@ -47,8 +50,7 @@ class ExperimentConfig1922:
         require_in(self, ("L3",), 0.0, closed=True)
 
 
-@dataclass(frozen=True)
-class KRow:
+class KRow(NamedTuple):
     """Chain intermediates at one value of the scale factor K."""
 
     K: float
@@ -62,8 +64,7 @@ class KRow:
     eta_sq: float
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Every intermediate of the calculation chain plus the per-K table."""
 
     m: float
@@ -78,8 +79,8 @@ class ChainReport:
     eps_sq_max: float
     eta_sq: float
     error_prob_bound: float
-    edr_at_min: EDRReport = field(repr=False)
-    edr_at_max: EDRReport = field(repr=False)
+    edr_at_min: EDRReport
+    edr_at_max: EDRReport
 
 
 def silver_mass(atomic_weight: float) -> float:
@@ -95,7 +96,7 @@ def rms_velocity(T: float, m: float) -> float:
     return float(np.sqrt(4.0 * K_B * T / m))
 
 
-def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0)) -> ChainReport:
+def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = K_BRACKET) -> ChainReport:
     """Execute the full estimate over the given K bracketing values, every K in
     one array pass: each closed form runs once over the array of K.
 
@@ -106,8 +107,8 @@ def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0
     if not k_values:
         raise ValueError("k_values must be nonempty")
     K = np.array(k_values)
-    if not np.all((0.6 <= K) & (K <= 1.0)):
-        raise ValueError("K must lie in [0.6, 1.0]")
+    if not np.all((K_BRACKET[0] <= K) & (K <= K_BRACKET[1])):
+        raise ValueError("K must lie in [%r, %r]" % K_BRACKET)
 
     m = silver_mass(cfg.atomic_weight)
     v_y = rms_velocity(cfg.T, m)
@@ -129,8 +130,8 @@ def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = (0.6, 1.0
     eps_min, eps_max = float(eps_sq.min()), float(eps_sq.max())
     eta = rows[0].eta_sq
     sz, sx = PauliObservable.z(), PauliObservable.x()
-    edr_min = evaluate_edrs(EDPoint(eps_min, eta), STATE_SY_PLUS, sz, sx)
-    edr_max = evaluate_edrs(EDPoint(eps_max, eta), STATE_SY_PLUS, sz, sx)
+    edr_min = evaluate_edrs(eps_min, eta, STATE_SY_PLUS, sz, sx)
+    edr_max = evaluate_edrs(eps_max, eta, STATE_SY_PLUS, sz, sx)
     return ChainReport(
         m=m, v_y=v_y, dt=dt, tau=tau, delta_p=delta_p, delta_z=delta_z, g0=g0(params),
         rows=rows, eps_sq_min=eps_min, eps_sq_max=eps_max, eta_sq=eta,
@@ -203,7 +204,10 @@ def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]
 
 def report_to_json(report: ChainReport) -> str:
     """The full report and its Heisenberg verdict as indented JSON."""
-    d = asdict(report)
+    d = report._asdict()
+    d["rows"] = [row._asdict() for row in report.rows]
+    d["edr_at_min"] = report.edr_at_min._asdict()
+    d["edr_at_max"] = report.edr_at_max._asdict()
     product_max, bound, violated = heisenberg_verdict(report)
     d["heisenberg"] = {"product_max": product_max, "bound": bound, "violated": violated}
     return json.dumps(d, indent=2)
@@ -273,7 +277,9 @@ def parse_config(path: str) -> tuple[ExperimentConfig1922, dict[str, float]]:
     return ExperimentConfig1922(**values), k_args
 
 
-def k_grid(k_min: float = 0.6, k_max: float = 1.0, k_steps: float = 2) -> tuple[float, ...]:
+def k_grid(
+    k_min: float = K_BRACKET[0], k_max: float = K_BRACKET[1], k_steps: float = 2
+) -> tuple[float, ...]:
     """k_steps values of K spanning [k_min, k_max] (k_min alone for one step).
 
     Raises ValueError unless k_steps is a positive integer and every K lies
@@ -282,6 +288,6 @@ def k_grid(k_min: float = 0.6, k_max: float = 1.0, k_steps: float = 2) -> tuple[
     if not (k_steps >= 1 and float(k_steps).is_integer()):
         raise ValueError(f"K_steps must be a positive integer, got {k_steps}")
     # linspace keeps every K between the ends, and warns on a nan or inf end
-    if any(not (0.6 <= k <= 1.0) for k in (k_min, k_max)):
-        raise ValueError("every K must lie in [0.6, 1.0]")
+    if any(not (K_BRACKET[0] <= k <= K_BRACKET[1]) for k in (k_min, k_max)):
+        raise ValueError("every K must lie in [%r, %r]" % K_BRACKET)
     return tuple(float(x) for x in np.linspace(k_min, k_max, int(k_steps)))

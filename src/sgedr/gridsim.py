@@ -12,10 +12,11 @@ rescaling, not directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import require_in, unit_vector
+from ._arrays import require_in, require_scalar, unit_vector
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
 from .spin import QubitState
@@ -54,8 +55,7 @@ class Grid1D:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
 
 
-@dataclass
-class SpinorField:
+class SpinorField(NamedTuple):
     """Amplitudes of both sigma_z branches as one (2, n) array: row 0 is
     sigma_z = +1 (up), row 1 is sigma_z = -1 (down)."""
 
@@ -82,6 +82,9 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
 
 
 def _half_width(p: SGParams, probe: GaussianProbe, margin: float) -> float:
+    # suggest_grid and propagate size one packet, so every field is one value
+    require_scalar(p)
+    require_scalar(probe)
     deflection = abs(g0(p))
     spread = max(sigma_t(probe, t, p.hbar, p.mass) for t in (0.0, p.dt + p.tau))
     return deflection + margin * spread

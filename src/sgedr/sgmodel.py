@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._arrays import check_finite, check_sq, clamp_sq, require_in, unwrap
+from ._arrays import check_finite, check_sq, clamp_sq, require_in, require_scalar, unwrap
 from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
@@ -107,8 +107,11 @@ def optimal_tau(p: SGParams, probe: GaussianProbe) -> float | None:
 
     Past g0's zero at tau = -dt/2, |g0| / sigma(dt + tau) has one stationary
     point, its maximum; when that lies below 0 the error rises on all of
-    tau >= 0, and the minimizer is tau = 0.
+    tau >= 0, and the minimizer is tau = 0.  p and probe must hold single
+    values: a field that is an array raises ValueError naming it.
     """
+    require_scalar(p)
+    require_scalar(probe)
     var_z, var_p, anticom = moments(probe, p.hbar)
     m = p.mass
     # a nan denominator (m <{Z,P}> = -inf against Var P dt = inf) has no sign

@@ -7,6 +7,7 @@ closed-form 2x2 expressions, exact up to floating-point rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,24 +117,7 @@ class PauliObservable:
         return cls(SIGMA_Z)
 
 
-@dataclass(frozen=True)
-class EDPoint:
-    """A squared error / squared disturbance pair for +-1-valued observables;
-    the two fields may also be arrays of one shape."""
-
-    eps_sq: float
-    eta_sq: float
-
-    def __post_init__(self) -> None:
-        check_sq("eps_sq", self.eps_sq)
-        check_sq("eta_sq", self.eta_sq)
-        shapes = np.shape(self.eps_sq), np.shape(self.eta_sq)
-        if shapes[0] != shapes[1]:
-            raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}")
-
-
-@dataclass(frozen=True)
-class EDRReport:
+class EDRReport(NamedTuple):
     """Evaluation of the four error-disturbance relations at one point, or
     elementwise over an array of points.
 
@@ -190,18 +174,26 @@ def hat_transform(v):
 
 
 def evaluate_edrs(
-    point: EDPoint,
+    eps_sq,
+    eta_sq,
     state: QubitState,
     a: PauliObservable,
     b: PauliObservable,
 ) -> EDRReport:
-    """Evaluate Heisenberg, Ozawa, Branciard-Ozawa, and tight-disk relations.
+    """Evaluate Heisenberg, Ozawa, Branciard-Ozawa, and tight-disk relations at
+    the squared error and disturbance eps_sq, eta_sq in [0, 4] of +-1-valued
+    observables.
 
-    The fields of point may be arrays of one shape; every lhs and flag of the
-    report then has that shape.  Scalar input gives Python floats and bools.
+    The two may be arrays of one shape; every lhs and flag of the report then
+    has that shape.  Scalar input gives Python floats and bools.
     """
-    eps = np.sqrt(point.eps_sq)
-    eta = np.sqrt(point.eta_sq)
+    check_sq("eps_sq", eps_sq)
+    check_sq("eta_sq", eta_sq)
+    shapes = np.shape(eps_sq), np.shape(eta_sq)
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}")
+    eps = np.sqrt(eps_sq)
+    eta = np.sqrt(eta_sq)
 
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     half_comm = 0.5 * abs(complex(np.trace(state.rho @ comm)))
@@ -216,7 +208,7 @@ def evaluate_edrs(
     bran_lhs = eps_hat**2 + eta_hat**2 + 2.0 * eps_hat * eta_hat * np.sqrt(discr)
     bran_rhs = d * d
 
-    tight_lhs = (point.eps_sq - 2.0) ** 2 + (point.eta_sq - 2.0) ** 2
+    tight_lhs = (eps_sq - 2.0) ** 2 + (eta_sq - 2.0) ** 2
     zero_mean = (
         abs(expectation(state, a)) <= ZERO_MEAN_TOL
         and abs(expectation(state, b)) <= ZERO_MEAN_TOL

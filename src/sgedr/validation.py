@@ -7,7 +7,7 @@ read from that field.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gridsim import measure_disturbance, measure_error, propagate, suggest_grid
 from .probe import GaussianProbe
@@ -17,8 +17,7 @@ from .spin import STATE_SY_PLUS
 VALIDATION_RTOL = 1e-2
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     params: SGParams
     probe: GaussianProbe
     eps_sq_model: float

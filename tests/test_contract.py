@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgedr
 from sgedr.experiment import ExperimentConfig1922, run_chain
-from sgedr.gridsim import Grid1D
+from sgedr.gridsim import Grid1D, propagate, suggest_grid
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
@@ -168,7 +169,7 @@ class TestRunChain:
         assert math.isfinite(report.tau) and report.tau >= 0.0
         assert math.isfinite(report.g0)
         for row in report.rows:
-            assert all(math.isfinite(x) for x in dataclasses.astuple(row))
+            assert all(math.isfinite(x) for x in row)
             assert in_range(row.eps_sq, 2.0) and in_range(row.eta_sq, 4.0)
         assert report.eps_sq_min <= report.eps_sq_max
         assert in_range(report.error_prob_bound, 0.5)
@@ -244,3 +245,39 @@ class TestInvalidInputNamed:
         k_values.insert(min(at, len(k_values)), bad)
         with pytest.raises(ValueError, match=r"^K must lie in \[0\.6, 1\.0\]"):
             run_chain(ExperimentConfig1922(), k_values=tuple(k_values))
+
+
+def test_every_exported_dataclass_validates():
+    # a record that checks nothing is a NamedTuple: a dataclass means that
+    # its constructor rejects bad fields
+    classes = [
+        obj for obj in vars(sgedr).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    ]
+    assert classes
+    for cls in classes:
+        assert "__post_init__" in vars(cls), cls.__name__
+
+
+# the functions that size or optimise one packet, each called as f(p, probe)
+ONE_PROCESS = {
+    "suggest_grid": suggest_grid,
+    "propagate": lambda p, probe: propagate(Grid1D(1024, -10.0, 10.0), p, probe),
+    "optimal_tau": optimal_tau,
+}
+
+
+class TestArrayFieldNamed:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_value_error_starts_with_field(self, data):
+        # values in [0.5, 2] are valid for every field of both constructors
+        f = ONE_PROCESS[data.draw(st.sampled_from(sorted(ONE_PROCESS)), label="function")]
+        cls = data.draw(st.sampled_from([SGParams, GaussianProbe]), label="constructor")
+        name = data.draw(st.sampled_from(sorted(CONSTRUCTORS[cls][0])), label="field")
+        values = data.draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4), label="values")
+        args = {c: c(**CONSTRUCTORS[c][0]) for c in (SGParams, GaussianProbe)}
+        args[cls] = cls(**{**CONSTRUCTORS[cls][0], name: np.array(values)})
+        with pytest.raises(ValueError) as info:
+            f(args[SGParams], args[GaussianProbe])
+        assert str(info.value).split()[0] == name

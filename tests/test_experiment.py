@@ -22,6 +22,7 @@ from sgedr.experiment import (
 )
 from sgedr.probe import collimator_posterior, moments, sigma_t
 from sgedr.sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq
+from sgedr.spin import EDRReport
 
 from helpers import flux_pdf
 
@@ -207,6 +208,16 @@ class TestReportSerialization:
         assert data["m"] == report.m
         assert len(data["rows"]) == 2
         assert data["heisenberg"]["violated"] is True
+
+    def test_json_nests_each_record_as_an_object(self, report):
+        # a record serialised as a list instead would lose its field names
+        data = json.loads(report_to_json(report))
+        assert list(data) == [*ChainReport._fields, "heisenberg"]
+        for row in data["rows"]:
+            assert list(row) == list(KRow._fields)
+        assert [KRow(**row) for row in data["rows"]] == list(report.rows)
+        for name in ("edr_at_min", "edr_at_max"):
+            assert list(data[name]) == list(EDRReport._fields)
 
     def test_dict_contains_verdict(self, report):
         d = json.loads(report_to_json(report))

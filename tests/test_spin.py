@@ -11,7 +11,6 @@ from sgedr.spin import (
     SIGMA_Y,
     SIGMA_Z,
     STATE_SY_PLUS,
-    EDPoint,
     PauliObservable,
     QubitState,
     d_quantity,
@@ -240,21 +239,19 @@ class TestHatTransform:
             hat_transform(np.array([0.5, 2.5, -1.0]))
 
 
-class TestEDPoint:
+class TestEvaluateEDRs:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            EDPoint(-0.1, 1.0)
+            evaluate_edrs(-0.1, 1.0, STATE_SY_PLUS, SZ, SX)
         with pytest.raises(ValueError):
-            EDPoint(1.0, 4.1)
+            evaluate_edrs(1.0, 4.1, STATE_SY_PLUS, SZ, SX)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match=r"shapes differ: \(3,\) and \(4,\)"):
-            EDPoint(np.zeros(3), np.zeros(4))
+            evaluate_edrs(np.zeros(3), np.zeros(4), STATE_SY_PLUS, SZ, SX)
 
-
-class TestEvaluateEDRs:
     def test_center_of_tight_disk(self):
-        rep = evaluate_edrs(EDPoint(2.0, 2.0), STATE_SY_PLUS, SZ, SX)
+        rep = evaluate_edrs(2.0, 2.0, STATE_SY_PLUS, SZ, SX)
         assert rep.heisenberg_lhs == pytest.approx(2.0, abs=1e-12)
         assert rep.heisenberg_rhs == pytest.approx(1.0, abs=1e-12)
         assert rep.heisenberg_satisfied
@@ -262,7 +259,7 @@ class TestEvaluateEDRs:
         assert rep.tight_applicable and rep.tight_satisfied
 
     def test_1922_point_violates_heisenberg(self):
-        rep = evaluate_edrs(EDPoint(0.338, 2.0), STATE_SY_PLUS, SZ, SX)
+        rep = evaluate_edrs(0.338, 2.0, STATE_SY_PLUS, SZ, SX)
         assert rep.heisenberg_lhs == pytest.approx(np.sqrt(0.338 * 2.0), abs=1e-12)
         assert rep.heisenberg_lhs < rep.heisenberg_rhs
         assert not rep.heisenberg_satisfied
@@ -271,19 +268,18 @@ class TestEvaluateEDRs:
         theta = np.pi / 8
         eps = 2 * abs(np.sin(theta))
         eta = np.sqrt(2) * abs(np.cos(theta) - np.sin(theta))
-        rep = evaluate_edrs(EDPoint(eps**2, eta**2), STATE_SY_PLUS, SZ, SX)
+        rep = evaluate_edrs(eps**2, eta**2, STATE_SY_PLUS, SZ, SX)
         assert rep.tight_lhs == pytest.approx(4.0, abs=1e-12)
         assert rep.tight_satisfied
 
     def test_ozawa_lhs_dominates_heisenberg_lhs(self):
         rng = np.random.default_rng(5)
         for state in random_states(100, seed=13):
-            point = EDPoint(4 * rng.random(), 4 * rng.random())
-            rep = evaluate_edrs(point, state, SZ, SX)
+            rep = evaluate_edrs(4 * rng.random(), 4 * rng.random(), state, SZ, SX)
             assert rep.ozawa_lhs >= rep.heisenberg_lhs - 1e-12
 
     def test_tight_not_applicable_without_zero_means(self):
-        rep = evaluate_edrs(EDPoint(1.0, 1.0), QubitState.from_vector([1, 0]), SZ, SX)
+        rep = evaluate_edrs(1.0, 1.0, QubitState.from_vector([1, 0]), SZ, SX)
         assert not rep.tight_applicable
         assert rep.tight_satisfied is None
 
@@ -296,8 +292,8 @@ class TestEvaluateEDRs:
         # Python's float ** and numpy's square may round apart by an ulp
         state = bloch(*v)
         eps_sq, eta_sq = np.array(points).T
-        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
-        singles = [evaluate_edrs(EDPoint(*pt), state, SZ, SX) for pt in points]
+        rep = evaluate_edrs(eps_sq, eta_sq, state, SZ, SX)
+        singles = [evaluate_edrs(*pt, state, SZ, SX) for pt in points]
         for name in ("heisenberg_lhs", "ozawa_lhs", "branciard_lhs", "tight_lhs"):
             want = [getattr(r, name) for r in singles]
             np.testing.assert_array_max_ulp(getattr(rep, name), np.array(want), maxulp=2)
@@ -313,7 +309,7 @@ class TestEDRsHoldOnSweeps:
     def test_cnot_family(self, v):
         state = bloch(*v)
         eps_sq, eta_sq = lw_sweep(101, state).T
-        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
+        rep = evaluate_edrs(eps_sq, eta_sq, state, SZ, SX)
         assert rep.ozawa_satisfied.all() and rep.branciard_satisfied.all()
 
     @settings(max_examples=50, deadline=None)
@@ -332,5 +328,5 @@ class TestEDRsHoldOnSweeps:
             base, lambdas, np.linspace(*b0, 6), np.linspace(*tau, 6)
         ).T
         state = bloch(*v)
-        rep = evaluate_edrs(EDPoint(eps_sq, eta_sq), state, SZ, SX)
+        rep = evaluate_edrs(eps_sq, eta_sq, state, SZ, SX)
         assert rep.ozawa_satisfied.all() and rep.branciard_satisfied.all()
