@@ -72,24 +72,23 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
     on stdout ('-') they follow each other.  CSV floats carry 17 significant
     digits and bools read 1 or 0.
 
-    Each table's rows come from one % template, a CSV line or an indented
-    JSON row object, filled for a block of _BLOCK_ROWS rows at a time from
-    the flat tuple of the block's values, so neither a per-cell format call
-    nor Python's pure-Python indenting encoder runs, and the temporaries stay
-    bounded.
+    Each table's rows come from one % template of %s cells, a CSV line or
+    an indented JSON row object, filled for a block of _BLOCK_ROWS rows at a
+    time from the flat tuple of the block's cells, which _cells spells once
+    per distinct value, so no value is formatted twice and Python's
+    pure-Python indenting encoder never runs.
     """
     if fmt == "json":
         head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
         with _open_out(path) as fh:
             fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
             for name, (header, columns) in tables.items():
-                specs, cells = zip(*(_cells(c, fmt) for c in columns))
                 keys = (json.dumps(h).replace("%", "%%") for h in header)
-                row = ",\n".join(f"      {k}: {s}" for k, s in zip(keys, specs))
+                row = ",\n".join(f"      {k}: %s" for k in keys)
                 fh.write(f",\n  {json.dumps(name)}: [")
                 if len(columns[0]):  # an empty list is "[]"
                     fh.write("\n")
-                    _fill(fh, "    {\n" + row + "\n    }", ",\n", cells)
+                    _fill(fh, "    {\n" + row + "\n    }", ",\n", fmt, columns)
                     fh.write("\n  ")
                 fh.write("]")
             fh.write("\n}\n")
@@ -99,37 +98,54 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
         if name != "rows":
             label = f"{command}-{name}"
             out = path if path == "-" else f"{path}.{name}.csv"
-        specs, cells = zip(*(_cells(c, fmt) for c in columns))
         with _open_out(out) as fh:
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
-            _fill(fh, ",".join(specs) + "\n", "", cells)
+            _fill(fh, ",".join(["%s"] * len(columns)) + "\n", "", fmt, columns)
 
 
 # as fast as 4,096 rows per block, but a 4,096-row block of lw's seven float
 # columns lifted a command's peak RSS by 0.7 MB over per-row writing
 _BLOCK_ROWS = 1024
-# a bool column's (true, false) cells: %s of a str fills faster than %d of a bool
-_BOOL_CELLS = {"csv": ("1", "0"), "json": ("true", "false")}
+# a bool column's cells, looked up by the column's Python bools
+_BOOL_CELLS = {"csv": {True: "1", False: "0"}, "json": {True: "true", False: "false"}}
 
 
-def _cells(c: np.ndarray, fmt: str) -> tuple[str, np.ndarray]:
-    """A column's % spec and the values that fill it.  CSV floats take %.17g,
-    JSON floats float.__repr__, and a JSON column holding nan or inf takes
-    json.dumps's spelling of each value (NaN, Infinity, -Infinity)."""
+def _cells(c: np.ndarray, fmt: str):
+    """Yield a column's cells as lists of strings, _BLOCK_ROWS rows at a time.  CSV floats
+    take %.17g, JSON floats float.__repr__, and a JSON column holding nan or
+    inf takes json.dumps's spelling of each value (NaN, Infinity, -Infinity);
+    bools read 1 or 0, true or false.
+
+    Each distinct float is spelled once, keyed by its bit pattern, so -0.0,
+    0.0 and every nan keep their own spelling.  A product-grid sweep repeats
+    its values: in region's rows eps^2 does not depend on B0, nor eta^2 on
+    tau, so --steps 16 puts about 4,096 distinct values in each 65,536-row
+    column.  A dict keeps this off np.unique, whose first call raises a cold
+    command's peak RSS by about 0.4 MB, and keys one block at a time, as
+    whole-column key lists raised region --steps 8's by 0.4 MB.
+    """
     if c.dtype == bool:
-        return "%s", np.where(c, *_BOOL_CELLS[fmt])
+        spelling = _BOOL_CELLS[fmt]
+        for start in range(0, len(c), _BLOCK_ROWS):
+            yield list(map(spelling.__getitem__, c[start:start + _BLOCK_ROWS].tolist()))
+        return
     if fmt == "csv":
-        return "%.17g", c
-    if np.isfinite(c).all():
-        return "%r", c
-    return "%s", np.array([json.dumps(v) for v in c.tolist()], dtype=object)
+        spell = "%.17g".__mod__
+    else:
+        spell = repr if np.isfinite(c).all() else json.dumps
+    spelling: dict[int, str] = {}
+    for start in range(0, len(c), _BLOCK_ROWS):
+        keys = c[start:start + _BLOCK_ROWS].view(np.int64).tolist()
+        new = list(set(keys).difference(spelling))
+        values = np.array(new, dtype=np.int64).view(float).tolist()
+        spelling.update(zip(new, map(spell, values)))
+        yield list(map(spelling.__getitem__, keys))
 
 
-def _fill(fh, template: str, sep: str, columns) -> None:
+def _fill(fh, template: str, sep: str, fmt: str, columns) -> None:
     """Write template once per row, sep between rows, _BLOCK_ROWS rows per %."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-        if start:
+    for i, block in enumerate(zip(*(_cells(c, fmt) for c in columns))):
+        if i:
             fh.write(sep)
         fh.write(sep.join([template] * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
 

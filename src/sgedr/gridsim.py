@@ -35,6 +35,7 @@ class Grid1D:
     z_max: float
 
     def __post_init__(self) -> None:
+        require_scalar(self)
         require_in(self, ("z_min", "z_max"))
         n = self.n
         if not isinstance(n, (int, np.integer)) or n < 256 or (n & (n - 1)) != 0:

@@ -146,6 +146,11 @@ def region_bound(eps_sq):
 
     exp(-erfinv((2 - eps_sq)/2)^2), solved as erfc(u) = min(eps_sq, 4 - eps_sq)/2
     so the tails keep full precision; exactly 0 at eps_sq in {0, 4}.
+
+    The bound is Robertson's inequality: for A = Z + (dt/2) P/m and
+    B = Z + (dt + tau) P/m, sigma_A sigma_B >= (dt/2 + tau) hbar / (2m) gives
+    damping_exponent >= erfc_arg^2, so |2 - eta_sq|/2 = exp(-damping_exponent)
+    <= exp(-erfc_arg^2) at B0 = 0, with equality for Cov(A, B) = 0.
     """
     eps_sq = np.asarray(eps_sq, dtype=float)
     check_sq("eps_sq", eps_sq)
@@ -155,10 +160,25 @@ def region_bound(eps_sq):
 
 
 def in_region(eps_sq, eta_sq):
-    """Whether error-disturbance pairs lie in the achievable region."""
+    """Whether error-disturbance pairs lie in the achievable region,
+    |2 - eta_sq|/2 <= region_bound(eps_sq) + REGION_TOL.
+
+    erfc is decreasing, so no inverse is needed: with
+    b = |2 - eta_sq|/2 - REGION_TOL and y = min(eps_sq, 4 - eps_sq)/2, a pair
+    is inside when b <= 0, or when y > 0 and y >= erfc(sqrt(-ln b)); b < 1
+    for eta_sq in [0, 4].  That is one erfc per pair, where region_bound's
+    inverse takes four.  The y > 0 term is the bound's exact 0 at eps_sq in
+    {0, 4}, which holds for any b > 0 even where math.erfc rounds to 0.
+    """
     eta_sq = np.asarray(eta_sq, dtype=float)
     check_sq("eta_sq", eta_sq)
-    return unwrap(np.abs(2.0 - eta_sq) / 2.0 <= region_bound(eps_sq) + REGION_TOL)
+    eps_sq = np.asarray(eps_sq, dtype=float)
+    check_sq("eps_sq", eps_sq)
+    b = np.abs(2.0 - eta_sq) / 2.0 - REGION_TOL
+    y = np.minimum(eps_sq, 4.0 - eps_sq) / 2.0
+    # log(1) = 0 stands in where b <= 0, which is inside whatever erfc gives
+    u = np.sqrt(-np.log(np.where(b > 0.0, b, 1.0)))
+    return unwrap((b <= 0.0) | ((y > 0.0) & (y >= erfc(u))))
 
 
 def sweep_region(

@@ -281,3 +281,16 @@ class TestArrayFieldNamed:
         with pytest.raises(ValueError) as info:
             f(args[SGParams], args[GaussianProbe])
         assert str(info.value).split()[0] == name
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_grid_rejects_an_array_field(self, data):
+        # each field's values are valid as scalars; two-element bounds raised
+        # numpy's ambiguous truth value, one-element bounds built a grid
+        valid = {"n": st.sampled_from([256, 1024]), "z_min": st.floats(-2.0, -0.5),
+                 "z_max": st.floats(0.5, 2.0)}
+        name = data.draw(st.sampled_from(sorted(valid)), label="field")
+        values = data.draw(st.lists(valid[name], min_size=1, max_size=4), label="values")
+        with pytest.raises(ValueError) as info:
+            Grid1D(**{**CONSTRUCTORS[Grid1D][0], name: np.array(values)})
+        assert str(info.value).split()[0] == name

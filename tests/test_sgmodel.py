@@ -1,16 +1,22 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 from scipy.special import erfinv as scipy_erfinv
 
 from sgedr.probe import GaussianProbe, collimator_posterior, moments, sigma_t
 from sgedr.sgmodel import (
+    REGION_TOL,
     SGParams,
+    damping_exponent,
     disturbance_sq,
     erfc,
+    erfc_arg,
     error_sq,
     error_sq_limit,
     g0,
@@ -238,6 +244,116 @@ class TestRegion:
 
     def test_1922_point_inside(self):
         assert in_region(0.338, 2.0)
+
+
+def bound_flags(eps_sq, eta_sq):
+    """in_region by its definition, through region_bound's Newton inverse."""
+    return np.abs(2.0 - eta_sq) / 2.0 <= region_bound(eps_sq) + REGION_TOL
+
+
+class TestInRegion:
+    """in_region's one erfc per pair against the definition through region_bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-13.0, -1.0))
+    @example(0, -12.0)
+    def test_matches_the_bound_off_the_edge(self, seed, log_offset):
+        # 1,024 pairs: half anywhere, half scattered about the edge
+        # region_bound + REGION_TOL with relative offsets up to 10**log_offset
+        rng = np.random.default_rng(seed)
+        eps_sq = rng.uniform(0.0, 4.0, 1024)
+        eps_sq[:9] = [0.0, 4.0, 5e-324, 1e-300, 1e-17, 2e-12, 2.0, 4.0 - 4e-16, 3.9999]
+        edge = region_bound(eps_sq) + REGION_TOL
+        offset = rng.choice([-1.0, 1.0], 1024) * 10.0 ** rng.uniform(-13.0, log_offset, 1024)
+        half = np.minimum(edge * (1.0 + offset), 1.0)
+        near = 2.0 + rng.choice([-2.0, 2.0], 1024) * half
+        eta_sq = np.where(rng.random(1024) < 0.5, near, rng.uniform(0.0, 4.0, 1024))
+        lhs = np.abs(2.0 - eta_sq) / 2.0
+        far = np.abs(lhs - edge) > 1e-12 * edge
+        assert far.sum() > 256
+        assert np.array_equal(in_region(eps_sq, eta_sq)[far], bound_flags(eps_sq, eta_sq)[far])
+
+    @pytest.mark.parametrize("eps_sq", [0.0, 4.0])
+    def test_ends_hold_only_eta_sq_two(self, eps_sq):
+        # the bound is 0 at eps_sq in {0, 4}: only |2 - eta_sq|/2 <= REGION_TOL is inside
+        assert in_region(eps_sq, 2.0)
+        assert in_region(eps_sq, math.nextafter(2.0, 0.0))
+        assert in_region(eps_sq, math.nextafter(2.0, 4.0))
+        assert not in_region(eps_sq, 2.0 - 2.5 * REGION_TOL)
+        assert not in_region(eps_sq, 2.0 + 2.5 * REGION_TOL)
+
+    def test_smallest_positive_b(self):
+        # b = |2 - eta_sq|/2 - REGION_TOL cannot be subnormal: |2 - eta_sq|/2
+        # is a multiple of 2**-53, so the least b > 0 is 8.9e-17 (at
+        # eta_sq = 2.000000000002), where erfc(sqrt(-ln b)) is 8.1e-18, not 0
+        eta_sq = 2.0 + 2.0 * REGION_TOL
+        while abs(2.0 - eta_sq) / 2.0 - REGION_TOL <= 0.0:
+            eta_sq = math.nextafter(eta_sq, 4.0)
+        b = abs(2.0 - eta_sq) / 2.0 - REGION_TOL
+        assert 0.0 < b < 1e-15
+        assert erfc(math.sqrt(-math.log(b))) > 0.0
+        eps_sq = np.array([0.0, 5e-324, 1e-300, 4.0, 2.0, 1.0])
+        got = in_region(eps_sq, np.full(6, eta_sq))
+        assert got.tolist() == bound_flags(eps_sq, eta_sq).tolist()
+        assert got.tolist() == [False, False, False, False, True, True]
+
+    def test_eta_sq_two_is_inside_everywhere(self):
+        # b = -REGION_TOL <= 0 needs no erfc
+        eps_sq = np.concatenate([np.linspace(0.0, 4.0, 101), [5e-324, 4.0 - 4e-16]])
+        assert np.all(in_region(eps_sq, np.full(eps_sq.shape, 2.0)))
+
+    def test_scalar_in_bool_out(self):
+        assert in_region(2.0, 0.0) is True
+        assert in_region(0.0, 0.0) is False
+
+    @pytest.mark.parametrize("eps_sq, eta_sq, name", [
+        (-0.1, 2.0, "eps_sq"), (4.1, 2.0, "eps_sq"), (math.nan, 2.0, "eps_sq"),
+        (2.0, -0.1, "eta_sq"), (2.0, math.inf, "eta_sq"),
+        (-1.0, 5.0, "eta_sq"),  # both bad: eta_sq is checked first
+    ])
+    def test_names_the_bad_input(self, eps_sq, eta_sq, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 4\], got "):
+            in_region(eps_sq, eta_sq)
+
+
+# ROADMAP item 13's domain: hbar, m, dt and Re lambda log-uniform in [e^-2, e^2]
+log_e2 = st.floats(-2.0, 2.0).map(math.exp)
+# |2 - eta_sq|/2 against region_bound at the saturating probe, in units of
+# 2**-52, the scale on which eta_sq = 2 - 2 exp(-damping) is rounded: 11.6
+# measured over 100,000 random draws of the domain below
+TIGHT_ULPS = 32
+
+
+class TestRobertsonBound:
+    """region_bound is Robertson's inequality (Phys. Rev. 34, 163, 1929).
+
+    With A = Z + (dt/2) P/m and B = Z + (dt + tau) P/m, sigma_A sigma_B >=
+    |<[A, B]>|/2 = (dt/2 + tau) hbar / (2m) gives damping_exponent >=
+    erfc_arg**2, so |2 - eta_sq|/2 <= region_bound(eps_sq) at B0 = 0, with
+    equality when Cov(A, B) = 0.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_e2, log_e2, log_e2, log_e2, st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
+           st.floats(0.1, 5.0))
+    def test_damping_exceeds_erfc_arg_squared(self, hbar, mass, dt, re, im, tau, mu_b1):
+        p = SGParams(mu=1.0, B0=0.0, B1=mu_b1, mass=mass, hbar=hbar, dt=dt, tau=tau)
+        probe = GaussianProbe(re, im)
+        assert damping_exponent(p, probe) >= erfc_arg(p, probe) ** 2 * (1.0 - 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_e2, log_e2, log_e2, st.floats(0.0, 3.0), st.floats(-3.0, 2.0).map(lambda e: 10.0**e))
+    @example(1.0, 1.0, 1.0, 0.0, 1.0)
+    def test_saturating_probe_meets_the_bound(self, hbar, mass, dt, tau, mu_b1):
+        # Cov(A, B) = 0 for lambda = (m/hbar) ((c - a) + i(c + a)) / (4ac),
+        # a = dt/2, c = dt + tau; mu_b1 over five decades spans eps_sq over (0, 2)
+        a, c = dt / 2.0, dt + tau
+        lam = (mass / hbar) * complex(c - a, c + a) / (4.0 * a * c)
+        p = SGParams(mu=1.0, B0=0.0, B1=mu_b1, mass=mass, hbar=hbar, dt=dt, tau=tau)
+        probe = GaussianProbe(lam.real, lam.imag)
+        eps_sq, eta_sq = error_sq(p, probe), disturbance_sq(p, probe)
+        assert abs(abs(2.0 - eta_sq) / 2.0 - region_bound(eps_sq)) <= TIGHT_ULPS * 2.0**-52
+        assert in_region(eps_sq, eta_sq)
 
 
 class TestErfc:
