@@ -316,7 +316,8 @@ class TestInRegion:
             in_region(eps_sq, eta_sq)
 
 
-# ROADMAP item 13's domain: hbar, m, dt and Re lambda log-uniform in [e^-2, e^2]
+# hbar, m, dt and Re lambda log-uniform in [e^-2, e^2]: a domain in which no
+# intermediate leaves the normal float range (moments squares hbar on its own)
 log_e2 = st.floats(-2.0, 2.0).map(math.exp)
 # |2 - eta_sq|/2 against region_bound at the saturating probe, in units of
 # 2**-52, the scale on which eta_sq = 2 - 2 exp(-damping) is rounded: 11.6
