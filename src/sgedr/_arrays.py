@@ -51,18 +51,6 @@ def check_sq(name: str, x, high: float = 4.0) -> None:
         raise ValueError(f"{name} must lie in [0, {high:g}], got {bad}")
 
 
-def unit_vector(name: str, v) -> np.ndarray:
-    """v as a complex vector of norm 1, or ValueError naming it if a value of
-    v is nan or inf or its norm is 0."""
-    v = np.asarray(v, dtype=complex)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError(f"{name} must have nonzero norm")
-    return v / norm
-
-
 def clamp_sq(x):
     """Clip squared errors or disturbances into [0, 4], which rounding leaves
     by a few ulp at most (4.0000000000000018 at theta = pi/2 of lw_sweep)."""

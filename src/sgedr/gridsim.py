@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import require_in, require_scalar, unit_vector
+from ._arrays import require_in, require_scalar
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
 from .spin import QubitState
@@ -57,8 +57,11 @@ class Grid1D:
 
 
 class SpinorField(NamedTuple):
-    """Amplitudes of both sigma_z branches as one (2, n) array: row 0 is
-    sigma_z = +1 (up), row 1 is sigma_z = -1 (down)."""
+    """The branch pair (U_up xi, U_down xi) / sqrt(2) as one (2, n) array:
+    row 0 is sigma_z = +1 (up), row 1 is sigma_z = -1 (down).
+
+    No spin state is held: it enters only through measure_error's rho.
+    """
 
     grid: Grid1D
     psi: np.ndarray
@@ -98,13 +101,10 @@ def _check_domain(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> None:
         raise ValueError(f"grid span {span:.3g} below required {need:.3g}")
 
 
-def init_state(
-    grid: Grid1D, spin: np.ndarray, probe: GaussianProbe
-) -> SpinorField:
-    """Product state of a pure spinor with the sampled Gaussian probe."""
-    if np.shape(spin) != (2,):
-        raise ValueError("spin must be a 2-component vector")
-    spin = unit_vector("spin", spin)
+def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
+    """The branch pair (xi, xi) / sqrt(2) of the sampled Gaussian probe xi,
+    before the magnet: what measure_error and measure_disturbance read once
+    evolved.  The spin state enters only through measure_error's rho."""
     width = np.sqrt(probe.var_z)
     span = grid.z_max - grid.z_min
     if not (4.0 * grid.dz <= width <= span / 16.0):
@@ -114,7 +114,8 @@ def init_state(
         )
     xi = np.exp(-probe.lam * grid.z**2)
     xi = xi / np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
-    return SpinorField(grid, spin[:, None] * xi)
+    branch = xi * (1.0 / np.sqrt(2.0))
+    return SpinorField(grid, np.stack([branch, branch]))
 
 
 def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
@@ -174,16 +175,17 @@ def propagate(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> SpinorField:
     the disturbance are read from the one field.
     """
     _check_domain(grid, p, probe)
-    return evolve(init_state(grid, np.array([1.0, 1.0]), probe), p)
+    return evolve(init_state(grid, probe), p)
 
 
 def measure_error(field: SpinorField, spin: QubitState) -> float:
     """q-rms error of the sign-of-position meter against sigma_z, read from
-    the propagated field.
+    the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
     below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
     four times the probability of landing on the wrong side of the screen.
+    rho is the only place the spin state enters the grid oracle.
     """
     above = field.grid.z >= 0.0
     up, down = field.psi
@@ -196,7 +198,7 @@ def measure_error(field: SpinorField, spin: QubitState) -> float:
 
 def measure_disturbance(field: SpinorField) -> float:
     """q-rms disturbance of sigma_x across the magnet transit, read from the
-    propagated field.
+    propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     eta^2 = ||U_up xi - U_down xi||^2 over the magnet alone.  The free flight
     multiplies both branches by the same unitary, so it leaves the norm of

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import check_in, clamp_sq, unwrap
-from .spin import IDENTITY_2, SIGMA_X, SIGMA_Z, PauliObservable, QubitState, _is_hermitian
+from .spin import (
+    IDENTITY_2, SIGMA_X, SIGMA_Z, STATE_SY_PLUS, PauliObservable, QubitState, _is_hermitian,
+)
 
 UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -125,7 +127,7 @@ def lund_wiseman(theta: float | np.ndarray) -> MeasuringProcess:
     return MeasuringProcess(probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
 
 
-def lw_sweep(n: int, state: QubitState | None = None) -> np.ndarray:
+def lw_sweep(n: int, state: QubitState = STATE_SY_PLUS) -> np.ndarray:
     """(eps^2, eta^2) of the CNOT family at n equally spaced angles, shape (n, 2).
 
     Angles span [0, pi/2] as np.linspace(0, pi/2, n); the points go through
@@ -133,8 +135,6 @@ def lw_sweep(n: int, state: QubitState | None = None) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("need at least 2 sweep points")
-    if state is None:
-        state = QubitState.from_bloch(0.0, 1.0, 0.0)
     sz = PauliObservable.z()
     sx = PauliObservable.x()
     mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, n))

@@ -1,8 +1,8 @@
 """Qubit states, Pauli observables, and error-disturbance relation evaluators.
 
-All matrices are dense complex 2x2 arrays.  Nothing is eigendecomposed:
-the positivity floor, the matrix square root and the trace norm are
-closed-form 2x2 expressions, exact up to floating-point rounding.
+All matrices are dense complex 2x2 arrays.  Nothing is eigendecomposed and
+no matrix square root is formed: the positivity floor and the commutator
+strength are closed-form 2x2 expressions, exact up to floating-point rounding.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import check_sq, unit_vector, unwrap
+from ._arrays import check_sq, unwrap
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -28,11 +28,8 @@ def _is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
 
 
-def _trace_norm_2x2(m: np.ndarray) -> float:
-    """Sum of singular values of a general 2x2 matrix, in closed form."""
-    t = float(np.sum(np.abs(m) ** 2))
-    d = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return float(np.sqrt(max(t + 2.0 * d, 0.0)))
+def _det_2x2(m: np.ndarray) -> complex:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 @dataclass(frozen=True)
@@ -68,25 +65,9 @@ class QubitState:
         rho = 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
         return cls(rho)
 
-    @classmethod
-    def from_vector(cls, psi: np.ndarray) -> "QubitState":
-        psi = unit_vector("psi", psi)
-        return cls(np.outer(psi, psi.conj()))
 
-    def sqrt(self) -> np.ndarray:
-        """Matrix square root (rho + s I) / sqrt(Tr rho + 2 s), s = sqrt(det rho).
-
-        Cayley-Hamilton gives rho^2 = Tr(rho) rho - det(rho) I, so the square
-        of the numerator is (Tr rho + 2 s) rho.  det rho is floored at 0
-        against rounding.
-        """
-        rho = self.rho
-        s = np.sqrt(max((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real, 0.0))
-        return (rho + s * IDENTITY_2) / np.sqrt(np.trace(rho).real + 2.0 * s)
-
-
-# convenient named state
-STATE_SY_PLUS = QubitState.from_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+# the sigma_y = +1 eigenstate, (I + sigma_y)/2: every entry is exact
+STATE_SY_PLUS = QubitState.from_bloch(0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -161,10 +142,18 @@ def std_dev(state: QubitState, obs: PauliObservable) -> float:
 def d_quantity(
     state: QubitState, a: PauliObservable, b: PauliObservable
 ) -> float:
-    """Commutator strength (1/2) Tr|sqrt(rho) [A,B] sqrt(rho)|."""
+    """Commutator strength (1/2) Tr|sqrt(rho) C sqrt(rho)|, C = [A,B].
+
+    The singular values of a 2x2 matrix M give (Tr|M|)^2 = ||M||_F^2 +
+    2 |det M|.  For M = sqrt(rho) C sqrt(rho) that is Tr(C^dag rho C rho) +
+    2 det(rho) |det C|, so no square root of rho is formed.  det rho is
+    floored at 0 against rounding.
+    """
+    rho = state.rho
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    root = state.sqrt()
-    return 0.5 * _trace_norm_2x2(root @ comm @ root)
+    frob_sq = np.trace(comm.conj().T @ rho @ comm @ rho).real
+    det_rho = max(_det_2x2(rho).real, 0.0)
+    return 0.5 * float(np.sqrt(max(frob_sq + 2.0 * det_rho * abs(_det_2x2(comm)), 0.0)))
 
 
 def hat_transform(v):
@@ -185,8 +174,13 @@ def evaluate_edrs(
     observables.
 
     The two may be arrays of one shape; every lhs and flag of the report then
-    has that shape.  Scalar input gives Python floats and bools.
+    has that shape.  Scalar input gives Python floats and bools.  An a or b
+    whose square is not the identity within 1e-12 raises ValueError.
     """
+    for name, obs in (("a", a), ("b", b)):
+        m = obs.matrix
+        if not np.max(np.abs(m @ m - IDENTITY_2)) <= HERMITICITY_TOL:
+            raise ValueError(f"{name} is not +-1-valued: its square is not the identity within 1e-12")
     check_sq("eps_sq", eps_sq)
     check_sq("eta_sq", eta_sq)
     shapes = np.shape(eps_sq), np.shape(eta_sq)

@@ -166,7 +166,8 @@ class TestRunChain:
 class TestVerdict:
     def test_violated(self, report):
         product_max, bound, violated = heisenberg_verdict(report)
-        assert bound == pytest.approx(1.0, abs=1e-12)
+        # sigma_y+ is exact, so half |<[sigma_z, sigma_x]>| is exactly 1
+        assert bound == 1.0
         assert product_max == pytest.approx(0.822, rel=1e-2)
         assert violated
 

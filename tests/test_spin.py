@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,10 +48,6 @@ bloch_vectors = st.tuples(
 ).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0 - 1e-9)
 
 
-# Bloch vectors at least 1e-6 inside the sphere.  Nearer to it, a rounding
-# error e in the smallest eigenvalue moves the square root by sqrt(e) (up to
-# 1e-8), so no two constructions of the root need agree to 1e-12 there;
-# exactly pure states (det rho = 0) are added as explicit examples.
 directions = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
     lambda d: np.linalg.norm(d) >= 1e-3
 )
@@ -60,8 +57,16 @@ def scaled(d, r):
     return tuple(r * c / np.linalg.norm(d) for c in d)
 
 
-inner_ball_vectors = st.builds(scaled, directions, st.floats(0, 1 - 1e-6))
-unit_vectors = st.builds(scaled, directions, st.just(1.0))
+# the whole ball, with extra weight within 1e-15 of the sphere, where det rho
+# is below 1e-15 and rounding can leave it a few ulp negative
+ball_vectors = st.builds(
+    scaled, directions, st.one_of(st.floats(0, 1), st.floats(1 - 1e-15, 1))
+)
+# the +-1-valued observables are exactly the unit-Bloch n . sigma
+pm1_observables = st.builds(
+    lambda n: PauliObservable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z),
+    st.builds(scaled, directions, st.just(1.0)),
+)
 
 
 class TestQubitState:
@@ -89,36 +94,8 @@ class TestQubitState:
         with pytest.raises(ValueError, match="density matrix must be finite"):
             QubitState(rho)
 
-    def test_from_vector_rejects_zero(self):
-        with pytest.raises(ValueError, match="psi must have nonzero norm"):
-            QubitState.from_vector([0, 0])
-
-    def test_from_vector_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="psi must be finite"):
-            QubitState.from_vector([np.nan, 1])
-
-    @settings(max_examples=200, deadline=None)
-    @given(unit_vectors)
-    @example((0.3, -0.2, 0.5))
-    def test_sqrt_squares_back(self, v):
-        st_ = bloch(*v)
-        root = st_.sqrt()
-        assert np.allclose(root @ root, st_.rho, rtol=0, atol=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(inner_ball_vectors)
-    @example((0.1, 0.7, -0.3))
-    @example((0.0, 0.0, 0.0))
-    @example((0.0, 0.0, 1.0))
-    @example((-1.0, 0.0, 0.0))
-    @example((0.0, 1.0, 0.0))
-    def test_sqrt_matches_numpy(self, v):
-        st_ = bloch(*v)
-        evals, vecs = np.linalg.eigh(st_.rho)
-        expected = (vecs * np.sqrt(np.clip(evals, 0, None))) @ vecs.conj().T
-        root = st_.sqrt()
-        assert np.allclose(root, expected, rtol=0, atol=1e-12)
-        assert np.allclose(root @ root, st_.rho, rtol=0, atol=1e-12)
+    def test_sy_plus_is_exact(self):
+        assert np.array_equal(STATE_SY_PLUS.rho, [[0.5, -0.5j], [0.5j, 0.5]])
 
 
 class TestPauliObservable:
@@ -131,7 +108,7 @@ class TestExpectation:
         assert expectation(STATE_SY_PLUS, SZ) == pytest.approx(0.0, abs=1e-12)
 
     def test_computational_basis(self):
-        assert expectation(QubitState.from_vector([1, 0]), SZ) == pytest.approx(1.0)
+        assert expectation(bloch(0, 0, 1), SZ) == pytest.approx(1.0)
 
     def test_mixed_x_polarized(self):
         state = QubitState((IDENTITY_2 + 0.3 * SIGMA_X) / 2)
@@ -143,20 +120,27 @@ class TestStdDev:
         assert std_dev(STATE_SY_PLUS, SZ) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstate_has_zero_spread(self):
-        assert std_dev(QubitState.from_vector([1, 0]), SZ) == pytest.approx(0.0, abs=1e-9)
+        assert std_dev(bloch(0, 0, 1), SZ) == pytest.approx(0.0, abs=1e-9)
 
     def test_partially_polarized(self):
         state = QubitState((IDENTITY_2 + 0.6 * SIGMA_Z) / 2)
         assert std_dev(state, SZ) == pytest.approx(0.8, abs=1e-12)
 
 
-def trace_norm_oracle(m):
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+def d_quantity_oracle(rho, comm):
+    """(1/2) Tr|sqrt(rho) C sqrt(rho)| at 200 bits: sqrt(rho) from the
+    eigendecomposition, negative eigenvalues clipped to 0, and the trace norm
+    as the sum of the singular values."""
+    with mpmath.workprec(200):
+        evals, vecs = mpmath.eighe(mpmath.matrix(rho.tolist()))
+        root = vecs * mpmath.diag([mpmath.sqrt(max(e, 0)) for e in evals]) * vecs.H
+        m = root * mpmath.matrix(comm.tolist()) * root
+        return float(mpmath.fsum(mpmath.svd_c(m, compute_uv=False)) / 2)
 
 
 class TestDQuantity:
     def test_sy_eigenstate(self):
-        assert d_quantity(STATE_SY_PLUS, SZ, SX) == pytest.approx(1.0, abs=1e-12)
+        assert d_quantity(STATE_SY_PLUS, SZ, SX) == 1.0
 
     def test_maximally_mixed(self):
         assert d_quantity(QubitState(IDENTITY_2 / 2), SZ, SX) == pytest.approx(1.0, abs=1e-12)
@@ -164,12 +148,23 @@ class TestDQuantity:
     def test_commuting_pair_vanishes(self):
         assert d_quantity(bloch(0.2, 0.1, 0.4), SZ, SZ) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_svd_oracle(self):
-        for state in random_states(50, seed=3):
-            root = state.sqrt()
-            comm = SIGMA_Z @ SIGMA_X - SIGMA_X @ SIGMA_Z
-            expected = 0.5 * trace_norm_oracle(root @ comm @ root)
-            assert d_quantity(state, SZ, SX) == pytest.approx(expected, abs=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(ball_vectors, pm1_observables, pm1_observables)
+    @example((0.0, 0.0, 1.0), SZ, SX)
+    @example((0.0, 1.0, 0.0), SZ, SX)
+    @example((0.6, 0.0, -0.8), SX, SY)
+    @example((0.0, 0.0, 0.0), SZ, SX)
+    @example(scaled((1.0, 0.0, 1.0), 1.0), SZ, SX)
+    def test_matches_svd_oracle(self, v, a, b):
+        state = bloch(*v)
+        comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+        got, want = d_quantity(state, a, b), d_quantity_oracle(state.rho, comm)
+        # D is the root of a sum that rounding moves by a few 1e-16.  Where
+        # the sum is near 0 (a pure state with Bloch vector orthogonal to
+        # n_a x n_b, the last example) the root makes that about 1e-8 for any
+        # float64 route, so D itself is held to 1e-12 only away from 0
+        assert abs(got**2 - want**2) <= 1e-14
+        assert abs(got - want) <= 1e-12 or want < 1e-2
 
     def test_dominates_half_mean_commutator(self):
         for state in random_states(200, seed=7):
@@ -185,7 +180,7 @@ class TestRobertson:
         assert holds
 
     def test_sz_eigenstate(self):
-        lhs, rhs, holds = robertson_check(QubitState.from_vector([1, 0]), SZ, SX)
+        lhs, rhs, holds = robertson_check(bloch(0, 0, 1), SZ, SX)
         assert lhs == pytest.approx(0.0, abs=1e-9)
         assert rhs == pytest.approx(0.0, abs=1e-12)
         assert holds
@@ -250,6 +245,17 @@ class TestEvaluateEDRs:
         with pytest.raises(ValueError, match=r"shapes differ: \(3,\) and \(4,\)"):
             evaluate_edrs(np.zeros(3), np.zeros(4), STATE_SY_PLUS, SZ, SX)
 
+    @pytest.mark.parametrize("a, b, name", [
+        (PauliObservable(2 * SIGMA_Z), SX, "a"),
+        (PauliObservable((IDENTITY_2 + SIGMA_Z) / 2), SX, "a"),
+        (SZ, PauliObservable((IDENTITY_2 + SIGMA_Z) / 2), "b"),
+    ])
+    def test_rejects_observable_not_pm1_valued(self, a, b, name):
+        # the [0, 4] ranges, hat_transform and the tight disk all assume
+        # +-1-valued observables; 2 sigma_z used to report a Branciard violation
+        with pytest.raises(ValueError, match=rf"^{name} is not \+-1-valued"):
+            evaluate_edrs(0.5, 0.5, STATE_SY_PLUS, a, b)
+
     def test_center_of_tight_disk(self):
         rep = evaluate_edrs(2.0, 2.0, STATE_SY_PLUS, SZ, SX)
         assert rep.heisenberg_lhs == pytest.approx(2.0, abs=1e-12)
@@ -279,7 +285,7 @@ class TestEvaluateEDRs:
             assert rep.ozawa_lhs >= rep.heisenberg_lhs - 1e-12
 
     def test_tight_not_applicable_without_zero_means(self):
-        rep = evaluate_edrs(1.0, 1.0, QubitState.from_vector([1, 0]), SZ, SX)
+        rep = evaluate_edrs(1.0, 1.0, bloch(0, 0, 1), SZ, SX)
         assert not rep.tight_applicable
         assert rep.tight_satisfied is None
 
