@@ -20,7 +20,6 @@ from ._arrays import check_finite
 from .experiment import (
     ExperimentConfig1922,
     format_table,
-    k_grid,
     parse_config,
     reference_checks,
     report_to_json,
@@ -177,7 +176,7 @@ def cmd_lw(args) -> int:
     n = args.steps
     if n < 2:
         raise _UsageError("--steps must be >= 2")
-    eps_sq, eta_sq = lw_sweep(n, STATE_SY_PLUS).T
+    eps_sq, eta_sq = lw_sweep(n).T
     edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
     columns = (
@@ -221,24 +220,23 @@ def cmd_region(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg, k_args = ExperimentConfig1922(), {}
+    cfg = ExperimentConfig1922()
     if args.config is not None:
-        cfg, k_args = parse_config(args.config)
-    k_flags = {"k_min": args.k_min, "k_max": args.k_max, "k_steps": args.k_steps}
-    # a flag overrides its key alone; parse_config checked the file's keys
-    k_args.update((k, v) for k, v in k_flags.items() if v is not None)
+        cfg = parse_config(args.config)
+    k_flags = {"K_min": args.k_min, "K_max": args.k_max, "K_steps": args.k_steps}
     try:
-        k_values = k_grid(**k_args)
+        # a flag overrides its key alone, checked as the file's keys are
+        cfg = replace(cfg, **{k: v for k, v in k_flags.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    report = run_chain(cfg, k_values=k_values)
+    report = run_chain(cfg)
     print(format_table(report))
     print()
     print(report_to_json(report))
 
-    if cfg != ExperimentConfig1922():
-        return EXIT_OK  # reference values only apply to the default setup
+    if cfg != ExperimentConfig1922(K_min=cfg.K_min, K_max=cfg.K_max, K_steps=cfg.K_steps):
+        return EXIT_OK  # reference values only apply to the default apparatus
     checks = reference_checks(report)
     bad = [(name, got, want) for name, got, want, ok in checks if not ok]
     if bad:

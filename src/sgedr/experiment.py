@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import check_in, require_in
+from ._arrays import check_finite, check_in, require_in
 from .probe import collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDRReport, PauliObservable, evaluate_edrs
@@ -31,7 +31,10 @@ HBAR = 1.054571817e-34
 
 @dataclass(frozen=True)
 class ExperimentConfig1922:
-    """Apparatus parameters of the 1922 run (SI units)."""
+    """Apparatus parameters of the 1922 run (SI units) and the K_steps values
+    of the collimator's scale factor K spanning [K_min, K_max] (K_min alone
+    for one step), each in [0.6, 1.0]; K_steps is a whole number, which a
+    config file gives as a float."""
 
     T: float = 1500.0
     B1: float = -1.35e3
@@ -42,12 +45,22 @@ class ExperimentConfig1922:
     d2: float = 4.0e-5
     atomic_weight: float = 107.86822
     B0: float = 0.0
+    K_min: float = K_BRACKET[0]
+    K_max: float = K_BRACKET[1]
+    K_steps: float = 2
 
     def __post_init__(self) -> None:
         # T > 0: the transit time L2 / v_y is infinite at T = 0
         require_in(self, ("B1", "B0"))
         require_in(self, ("T", "L1", "L2", "d1", "d2", "atomic_weight"), 0.0)
         require_in(self, ("L3",), 0.0, closed=True)
+        # linspace keeps every K between the ends, and warns on a nan or inf end
+        for name in ("K_min", "K_max"):
+            k = getattr(self, name)
+            if not (K_BRACKET[0] <= k <= K_BRACKET[1]):
+                raise ValueError(f"{name} must lie in [{K_BRACKET[0]}, {K_BRACKET[1]}], got {k}")
+        if not (self.K_steps >= 1 and float(self.K_steps).is_integer()):
+            raise ValueError(f"K_steps must be a positive integer, got {self.K_steps}")
 
 
 class KRow(NamedTuple):
@@ -93,25 +106,26 @@ def rms_velocity(T: float, m: float) -> float:
     """Root-mean-square longitudinal velocity sqrt(4 k_B T / m)."""
     check_in("T", T, 0.0, closed=True)
     check_in("m", m, 0.0)
-    return float(np.sqrt(4.0 * K_B * T / m))
+    return float(check_finite("v_y", np.sqrt(4.0 * K_B * T / m)))
 
 
-def run_chain(cfg: ExperimentConfig1922, k_values: tuple[float, ...] = K_BRACKET) -> ChainReport:
-    """Execute the full estimate over the given K bracketing values, every K in
-    one array pass: each closed form runs once over the array of K.
+# an intermediate past the float range raises a ValueError naming it: v_y
+# here, dt and tau in SGParams, D_p, D_z and lambda in collimator_posterior,
+# the rest in the closed forms
+@np.errstate(all="ignore")
+def run_chain(cfg: ExperimentConfig1922) -> ChainReport:
+    """Execute the full estimate at the cfg.K_steps values of K spanning
+    [cfg.K_min, cfg.K_max], every K in one array pass: each closed form runs
+    once over the array of K.
 
     The collimator's momentum and position resolutions are D = 1.25*K*delta,
     delta the geometric half-width; K in [0.6, 1] brackets the half-widths
     by +-25%.
     """
-    if not k_values:
-        raise ValueError("k_values must be nonempty")
-    K = np.array(k_values)
-    if not np.all((K_BRACKET[0] <= K) & (K <= K_BRACKET[1])):
-        raise ValueError("K must lie in [%r, %r]" % K_BRACKET)
-
+    K = np.linspace(cfg.K_min, cfg.K_max, int(cfg.K_steps))
     m = silver_mass(cfg.atomic_weight)
     v_y = rms_velocity(cfg.T, m)
+    check_in("v_y", v_y, 0.0)  # T > 0, so a zero v_y has underflowed
     dt = cfg.L2 / v_y
     tau = cfg.L3 / v_y
     params = SGParams(mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=m, hbar=HBAR, dt=dt, tau=tau)
@@ -244,16 +258,15 @@ def format_table(report: ChainReport) -> str:
     return "\n".join(lines)
 
 
-def parse_config(path: str) -> tuple[ExperimentConfig1922, dict[str, float]]:
+def parse_config(path: str) -> ExperimentConfig1922:
     """Read a key = value config file; unknown keys are an error.
 
-    Recognized keys: T, B1, L1, L2, L3, d1, d2, atomic_weight, B0,
-    K_min, K_max, K_steps.  Missing keys fall back to the 1922 defaults.
-    The K keys come back, checked, as k_grid's arguments, to merge key by key.
+    The keys are ExperimentConfig1922's fields: T, B1, L1, L2, L3, d1, d2,
+    atomic_weight, B0, K_min, K_max and K_steps.  Missing keys fall back to
+    the 1922 defaults.
     """
     cfg_keys = {f.name for f in fields(ExperimentConfig1922)}
     values: dict[str, float] = {}
-    k_args: dict[str, float] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -267,27 +280,7 @@ def parse_config(path: str) -> tuple[ExperimentConfig1922, dict[str, float]]:
                 num = float(val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
-            if key in cfg_keys:
-                values[key] = num
-            elif key in ("K_min", "K_max", "K_steps"):
-                k_args[key.lower()] = num
-            else:
+            if key not in cfg_keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    k_grid(**k_args)  # k_grid checks each key on its own
-    return ExperimentConfig1922(**values), k_args
-
-
-def k_grid(
-    k_min: float = K_BRACKET[0], k_max: float = K_BRACKET[1], k_steps: float = 2
-) -> tuple[float, ...]:
-    """k_steps values of K spanning [k_min, k_max] (k_min alone for one step).
-
-    Raises ValueError unless k_steps is a positive integer and every K lies
-    in the collimator's bracket [0.6, 1.0].
-    """
-    if not (k_steps >= 1 and float(k_steps).is_integer()):
-        raise ValueError(f"K_steps must be a positive integer, got {k_steps}")
-    # linspace keeps every K between the ends, and warns on a nan or inf end
-    if any(not (K_BRACKET[0] <= k <= K_BRACKET[1]) for k in (k_min, k_max)):
-        raise ValueError("every K must lie in [%r, %r]" % K_BRACKET)
-    return tuple(float(x) for x in np.linspace(k_min, k_max, int(k_steps)))
+            values[key] = num
+    return ExperimentConfig1922(**values)

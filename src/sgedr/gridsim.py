@@ -5,7 +5,8 @@ disturbance: `propagate` evolves the probe in the two spin branches, held
 as one (2, n) array on a 1D position grid, under the magnet Hamiltonian,
 then free flight, in one exact split step, each FFT covering both branches;
 `measure_error` and `measure_disturbance` read the root-mean-square
-definitions directly from that one field.  Intended for
+definitions directly from that one field, and neither depends on the spin
+state, so neither takes one.  Intended for
 order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
 rescaling, not directly.
 """
@@ -19,7 +20,6 @@ import numpy as np
 from ._arrays import require_in, require_scalar
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
-from .spin import QubitState
 
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-10
@@ -60,7 +60,7 @@ class SpinorField(NamedTuple):
     """The branch pair (U_up xi, U_down xi) / sqrt(2) as one (2, n) array:
     row 0 is sigma_z = +1 (up), row 1 is sigma_z = -1 (down).
 
-    No spin state is held: it enters only through measure_error's rho.
+    No spin state is held: neither q-rms readout depends on one.
     """
 
     grid: Grid1D
@@ -104,7 +104,7 @@ def _check_domain(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> None:
 def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     """The branch pair (xi, xi) / sqrt(2) of the sampled Gaussian probe xi,
     before the magnet: what measure_error and measure_disturbance read once
-    evolved.  The spin state enters only through measure_error's rho."""
+    evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+."""
     width = np.sqrt(probe.var_z)
     span = grid.z_max - grid.z_min
     if not (4.0 * grid.dz <= width <= span / 16.0):
@@ -178,22 +178,24 @@ def propagate(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> SpinorField:
     return evolve(init_state(grid, probe), p)
 
 
-def measure_error(field: SpinorField, spin: QubitState) -> float:
+def measure_error(field: SpinorField) -> float:
     """q-rms error of the sign-of-position meter against sigma_z, read from
     the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
     below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
     four times the probability of landing on the wrong side of the screen.
-    rho is the only place the spin state enters the grid oracle.
+    The two are equal on the line, so no spin state is taken.  The grid's
+    z = 0 point parts them at first order in dz; the equal sigma_y+ weights
+    read here, rho_upup = rho_downdown = 1/2, cancel that term, which a pure
+    up or down state would keep, and leave a second-order error.
     """
     above = field.grid.z >= 0.0
     up, down = field.psi
     wrong_up = np.sum(np.abs(up[above]) ** 2)
     wrong_down = np.sum(np.abs(down[~above]) ** 2)
-    rho = spin.rho.real
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
-    return float(np.sqrt(8.0 * (rho[0, 0] * wrong_up + rho[1, 1] * wrong_down) * field.grid.dz))
+    return float(np.sqrt(4.0 * (wrong_up + wrong_down) * field.grid.dz))
 
 
 def measure_disturbance(field: SpinorField) -> float:

@@ -127,16 +127,17 @@ def lund_wiseman(theta: float | np.ndarray) -> MeasuringProcess:
     return MeasuringProcess(probe_state=xi, unitary=u, meter=SIGMA_Z.copy())
 
 
-def lw_sweep(n: int, state: QubitState = STATE_SY_PLUS) -> np.ndarray:
+def lw_sweep(n: int) -> np.ndarray:
     """(eps^2, eta^2) of the CNOT family at n equally spaced angles, shape (n, 2).
 
     Angles span [0, pi/2] as np.linspace(0, pi/2, n); the points go through
     one stacked qrms_error and one qrms_disturbance, not the closed forms.
+    Both are read in sigma_y+, but neither depends on the system state:
+    eps = 2|sin theta| and eta = sqrt(2)|cos theta - sin theta|.
     """
     if n < 2:
         raise ValueError("need at least 2 sweep points")
-    sz = PauliObservable.z()
-    sx = PauliObservable.x()
     mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, n))
-    rms = np.stack([qrms_error(mp, state, sz), qrms_disturbance(mp, state, sx)], axis=-1)
-    return clamp_sq(np.square(rms))
+    eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
+    eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
+    return clamp_sq(np.square(np.stack([eps, eta], axis=-1)))

@@ -62,6 +62,7 @@ def sigma_t(probe: GaussianProbe, t, hbar: float, mass: float):
     return unwrap(check_finite("sigma_t", np.sqrt(np.maximum(radicand, 0.0))))
 
 
+@np.errstate(all="ignore")
 def collimator_posterior(D_p, D_z, hbar: float) -> GaussianProbe:
     """Posterior Gaussian of the beam after hole-and-slit filtering to momentum
     and position resolutions D_p and D_z (each a positive float or array).
@@ -71,5 +72,8 @@ def collimator_posterior(D_p, D_z, hbar: float) -> GaussianProbe:
     spread dominates D_p so the prior width drops out."""
     for name, x in (("D_p", D_p), ("D_z", D_z), ("hbar", hbar)):
         check_in(name, x, 0.0)
+    # float64 arithmetic overflows to inf and underflows to 0 where Python's
+    # float ** and / raise; a 0 or an inf is named below instead
+    D_p, D_z, hbar = np.asarray(D_p, float), np.asarray(D_z, float), np.float64(hbar)
     lam = D_p * D_p / hbar**2 + 1.0 / (4.0 * (D_z * D_z))
-    return GaussianProbe(lam, 0.0)
+    return GaussianProbe(unwrap(check_finite("lambda", lam)), 0.0)

@@ -90,10 +90,6 @@ class PauliObservable:
         return cls(SIGMA_X)
 
     @classmethod
-    def y(cls) -> "PauliObservable":
-        return cls(SIGMA_Y)
-
-    @classmethod
     def z(cls) -> "PauliObservable":
         return cls(SIGMA_Z)
 

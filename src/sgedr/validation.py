@@ -12,7 +12,6 @@ from typing import NamedTuple
 from .gridsim import measure_disturbance, measure_error, propagate, suggest_grid
 from .probe import GaussianProbe
 from .sgmodel import SGParams, disturbance_sq, error_sq
-from .spin import STATE_SY_PLUS
 
 VALIDATION_RTOL = 1e-2
 
@@ -59,7 +58,7 @@ def default_cases() -> list[tuple[SGParams, GaussianProbe]]:
 
 def run_case(p: SGParams, probe: GaussianProbe, n: int = 1024) -> ValidationResult:
     field = propagate(suggest_grid(p, probe, n=n), p, probe)
-    eps_grid = measure_error(field, STATE_SY_PLUS)
+    eps_grid = measure_error(field)
     eta_grid = measure_disturbance(field)
     return ValidationResult(
         params=p,

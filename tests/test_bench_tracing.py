@@ -58,3 +58,32 @@ def test_installs_after_importing_the_cli_alone():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# (argv, exit code): a replay that calls every wrapped function through the
+# CLI; experiment exits 2 on the default setup's known reference mismatches
+REPLAY = [
+    (["experiment"], 2),
+    (["lw", "--steps", "3"], 0),
+    (["region", "--steps", "2"], 0),
+    (["validate", "--grid-n", "512"], 0),
+    (["tau-opt", "--steps", "3"], 0),
+]
+
+
+def test_traced_replay_fires_every_span_and_leaf(capsys):
+    # a signature change under src/ that the wrappers or their callers miss
+    # fails here rather than first in `bench/run.py --trace 1`
+    from sgedr.cli import main
+
+    tracer = tracing.Tracer()
+    tracer.begin_pass()
+    tracer.install()
+    try:
+        codes = [main(argv) for argv, _ in REPLAY]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [code for _, code in REPLAY]
+    assert {span[0] for span in tracer.spans} == {name for _, _, name, _ in tracing.SPANS}
+    assert {name for _, _, name in tracing.LEAVES} <= set(tracer.leaves[-1])

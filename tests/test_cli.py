@@ -160,7 +160,7 @@ class TestExperiment:
         cfg = tmp_path / "k.cfg"
         cfg.write_text("T = 1600\nK_min = 0.5\n")
         assert main(["experiment", "--config", str(cfg), "--k-min", "0.7"]) == EXIT_VALIDATION
-        assert "[0.6, 1.0]" in capsys.readouterr().err
+        assert "error: K_min must lie in [0.6, 1.0], got 0.5" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["experiment", "--config", "/nonexistent.cfg"]) == EXIT_IO
@@ -190,13 +190,14 @@ class TestExperiment:
     @pytest.mark.parametrize("flags", [["--k-min", "0.5"], ["--k-max", "1.5"], ["--k-steps", "0"]])
     def test_rejects_bad_k_flags(self, flags, capsys):
         assert main(["experiment", *flags]) == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        field = flags[0][2:].replace("k-", "K_")
+        assert f"error: {field} must" in capsys.readouterr().err
 
     def test_bad_k_flag_over_valid_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("K_min = 0.7\nK_steps = 3\n")
         assert main(["experiment", "--config", str(cfg), "--k-max", "1.5"]) == EXIT_USAGE
-        assert "[0.6, 1.0]" in capsys.readouterr().err
+        assert "error: K_max must lie in [0.6, 1.0], got 1.5" in capsys.readouterr().err
 
 
 class TestValidate:

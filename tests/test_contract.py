@@ -13,18 +13,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgedr
-from sgedr.experiment import ExperimentConfig1922, run_chain
+from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
 from sgedr.gridsim import Grid1D, propagate, suggest_grid
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
     SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
 )
-from sgedr.spin import PauliObservable, QubitState
+from sgedr.spin import SIGMA_Y, PauliObservable, QubitState
 
 # rounding slack on the upper end of a q-rms range
 ULP_SLACK = 1e-12
@@ -137,7 +137,7 @@ class TestQrms:
         meter = (basis * signs) @ basis.conj().T
         mp = MeasuringProcess(xi, random_unitary(rng, 2 * d), meter)
         state = QubitState.from_bloch(*v)
-        for obs in (PauliObservable.x(), PauliObservable.y(), PauliObservable.z()):
+        for obs in (PauliObservable.x(), PauliObservable(SIGMA_Y), PauliObservable.z()):
             eps = qrms_error(mp, state, obs)
             eta = qrms_disturbance(mp, state, obs)
             assert np.shape(eps) == np.shape(eta) == (n_probes,)
@@ -155,24 +155,62 @@ configs = st.builds(
     d2=log_uniform(-6.0, -3.0),
     atomic_weight=st.floats(1.0, 300.0),
     B0=st.floats(-1.0, 1.0),
+    K_min=st.floats(0.6, 1.0),
+    K_max=st.floats(0.6, 1.0),
+    K_steps=st.integers(1, 4),
 )
+# every positive field over the whole normal float range
+wide_configs = st.builds(
+    ExperimentConfig1922,
+    T=positive, B1=signed, L1=positive, L2=positive, L3=st.one_of(st.just(0.0), positive),
+    d1=positive, d2=positive, atomic_weight=positive, B0=signed,
+    K_min=st.floats(0.6, 1.0), K_max=st.floats(0.6, 1.0), K_steps=st.integers(1, 4),
+)
+# the names a chain's ValueError may start with: its inputs, the fields of the
+# records it builds and the closed forms' intermediates
+CHAIN_NAMES = {
+    f.name for cls in (ExperimentConfig1922, SGParams, GaussianProbe) for f in dataclasses.fields(cls)
+} | {*ChainReport._fields, *KRow._fields, "lambda", "sigma_t", "var_p", "anticom", "phase"}
+
+
+def assert_report_in_range(report):
+    for name in ("m", "v_y", "dt", "delta_p", "delta_z"):
+        value = getattr(report, name)
+        assert math.isfinite(value) and value > 0.0, name
+    assert math.isfinite(report.tau) and report.tau >= 0.0
+    assert math.isfinite(report.g0)
+    for row in report.rows:
+        # total damping, eta^2 = 2, reads as a damping exponent of +inf
+        assert all(math.isfinite(x) for x in row._replace(damping_exponent=0.0)), row
+        assert row.damping_exponent >= 0.0
+        assert in_range(row.eps_sq, 2.0) and in_range(row.eta_sq, 4.0)
+    assert report.eps_sq_min <= report.eps_sq_max
+    assert in_range(report.error_prob_bound, 0.5)
 
 
 class TestRunChain:
     @settings(max_examples=100, deadline=None)
-    @given(configs, st.lists(st.floats(0.6, 1.0), min_size=1, max_size=4))
-    def test_finite_in_range(self, cfg, k_values):
-        report = run_chain(cfg, k_values=tuple(k_values))
-        for name in ("m", "v_y", "dt", "delta_p", "delta_z"):
-            value = getattr(report, name)
-            assert math.isfinite(value) and value > 0.0, name
-        assert math.isfinite(report.tau) and report.tau >= 0.0
-        assert math.isfinite(report.g0)
-        for row in report.rows:
-            assert all(math.isfinite(x) for x in row)
-            assert in_range(row.eps_sq, 2.0) and in_range(row.eta_sq, 4.0)
-        assert report.eps_sq_min <= report.eps_sq_max
-        assert in_range(report.error_prob_bound, 0.5)
+    @given(configs)
+    def test_finite_in_range(self, cfg):
+        report = run_chain(cfg)
+        assert_report_in_range(report)
+        assert all(math.isfinite(row.damping_exponent) for row in report.rows)
+
+    # each example takes an intermediate past the float range: lambda or v_y
+    @settings(max_examples=300, deadline=None)
+    @given(wide_configs)
+    @example(ExperimentConfig1922(d2=1e-300))
+    @example(ExperimentConfig1922(T=1e300))
+    @example(ExperimentConfig1922(L1=1e-300))
+    @example(ExperimentConfig1922(atomic_weight=1e300))
+    @example(ExperimentConfig1922(T=1.37e-135, atomic_weight=2.48e209))
+    def test_finite_in_range_or_named(self, cfg):
+        try:
+            report = run_chain(cfg)
+        except ValueError as exc:
+            assert str(exc).split()[0] in CHAIN_NAMES, exc
+            return
+        assert_report_in_range(report)
 
 
 # Invalid input raises ValueError naming the input: each constructor, a valid
@@ -198,6 +236,8 @@ bad_grid_n = (
     | st.floats()
 )
 
+not_whole = st.floats(1.0, 1e6).filter(lambda x: not x.is_integer())
+
 CONSTRUCTORS = {
     SGParams: (
         dict(mu=1.0, B0=0.0, B1=1.0, mass=1.0, hbar=1.0, dt=1.0, tau=0.0),
@@ -216,7 +256,8 @@ CONSTRUCTORS = {
     ExperimentConfig1922: (
         dataclasses.asdict(ExperimentConfig1922()),
         dict(T=not_positive, B1=non_finite, L1=not_positive, L2=not_positive, L3=negative,
-             d1=not_positive, d2=not_positive, atomic_weight=not_positive, B0=non_finite),
+             d1=not_positive, d2=not_positive, atomic_weight=not_positive, B0=non_finite,
+             K_min=outside_k, K_max=outside_k, K_steps=non_finite | below(1.0) | not_whole),
     ),
 }
 
@@ -237,14 +278,6 @@ class TestInvalidInputNamed:
         with pytest.raises(ValueError) as info:
             cls(**{**valid, name: value})
         assert str(info.value).split()[0] == name
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.6, 1.0), max_size=3), outside_k, st.integers(0, 3))
-    def test_run_chain_names_k(self, k_values, bad, at):
-        # run_chain's k_values is a public input: one K outside [0.6, 1] anywhere
-        k_values.insert(min(at, len(k_values)), bad)
-        with pytest.raises(ValueError, match=r"^K must lie in \[0\.6, 1\.0\]"):
-            run_chain(ExperimentConfig1922(), k_values=tuple(k_values))
 
 
 def test_every_exported_dataclass_validates():

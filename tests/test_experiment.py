@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from sgedr.experiment import (
     KRow,
     format_table,
     heisenberg_verdict,
-    k_grid,
     parse_config,
     reference_checks,
     report_to_json,
@@ -104,6 +104,11 @@ class TestRmsVelocity:
         with pytest.raises(ValueError, match=rf"^{field} must lie in"):
             rms_velocity(T, m)
 
+    def test_overflow_is_named(self):
+        # 4 k_B T / m overflows to inf
+        with pytest.raises(ValueError, match="^v_y is not finite"):
+            rms_velocity(1e300, 1e-300)
+
 
 class TestRunChain:
     def test_timing_chain(self, report):
@@ -127,17 +132,17 @@ class TestRunChain:
         assert report.error_prob_bound < 0.09
 
     def test_rejects_k_outside_bracket(self):
-        with pytest.raises(ValueError):
-            run_chain(CFG, k_values=(0.5,))
-        with pytest.raises(ValueError):
-            run_chain(CFG, k_values=())
+        with pytest.raises(ValueError, match=r"^K_min must lie in \[0\.6, 1\.0\], got 0\.5$"):
+            ExperimentConfig1922(K_min=0.5)
+        with pytest.raises(ValueError, match="^K_steps must be a positive integer"):
+            ExperimentConfig1922(K_steps=0)
 
     # the second setup has free flight, partial damping and a nonzero phase
     @pytest.mark.parametrize("cfg", [CFG, ExperimentConfig1922(L3=3.5e-2, B1=-1e-3, B0=1e-9)])
     def test_rows_equal_scalar_closed_forms(self, cfg):
         # the one array pass over K gives bit for bit the per-K scalar chain
-        k_values = tuple(np.linspace(0.6, 1.0, 7).tolist())
-        report = run_chain(cfg, k_values=k_values)
+        report = run_chain(replace(cfg, K_steps=7))
+        k_values = np.linspace(0.6, 1.0, 7).tolist()
         params = SGParams(
             mu=MU_ELECTRON, B0=cfg.B0, B1=cfg.B1, mass=report.m, hbar=HBAR,
             dt=report.dt, tau=report.tau,
@@ -247,23 +252,22 @@ class TestParseConfig:
         return str(path)
 
     def test_defaults_when_empty(self, tmp_path):
-        cfg, ks = parse_config(self.write(tmp_path, "# nothing here\n\n"))
+        cfg = parse_config(self.write(tmp_path, "# nothing here\n\n"))
         assert cfg == ExperimentConfig1922()
-        assert ks == {}
-        assert k_grid(**ks) == (0.6, 1.0)
+        assert [r.K for r in run_chain(cfg).rows] == [0.6, 1.0]
 
     def test_overrides_and_comments(self, tmp_path):
         text = "T = 1200  # cooler oven\nB1 = -2e3\nK_min = 0.7\nK_max=0.9\nK_steps = 3\n"
-        cfg, ks = parse_config(self.write(tmp_path, text))
+        cfg = parse_config(self.write(tmp_path, text))
         assert cfg.T == 1200.0
         assert cfg.B1 == -2e3
         assert cfg.L2 == 3.5e-2
-        assert ks == {"k_min": 0.7, "k_max": 0.9, "k_steps": 3.0}
-        assert k_grid(**ks) == pytest.approx((0.7, 0.8, 0.9))
+        assert (cfg.K_min, cfg.K_max, cfg.K_steps) == (0.7, 0.9, 3.0)
+        assert [r.K for r in run_chain(cfg).rows] == pytest.approx([0.7, 0.8, 0.9])
 
     def test_single_k(self, tmp_path):
-        _, ks = parse_config(self.write(tmp_path, "K_min = 0.8\nK_steps = 1\n"))
-        assert k_grid(**ks) == (0.8,)
+        cfg = parse_config(self.write(tmp_path, "K_min = 0.8\nK_steps = 1\n"))
+        assert [r.K for r in run_chain(cfg).rows] == [0.8]
 
     def test_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):

@@ -229,9 +229,6 @@ class TestLwSweep:
         with pytest.raises(ValueError):
             lw_sweep(1)
 
-    def test_default_state_is_sy_plus(self):
-        assert lw_sweep(101).tobytes() == lw_sweep(101, STATE_SY_PLUS).tobytes()
-
     def test_one_qrms_call_each(self, monkeypatch):
         calls = {"error": 0, "disturbance": 0}
 

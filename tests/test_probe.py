@@ -136,7 +136,7 @@ class TestCollimator:
         assert 1.25 * report.delta_p == pytest.approx(2.35e-25, rel=5e-3)
 
     def test_posterior_variance(self):
-        report = run_chain(ExperimentConfig1922(), k_values=(0.6, 0.8, 1.0))
+        report = run_chain(ExperimentConfig1922(K_steps=3))
         for row in report.rows:
             assert row.var_z * row.K * row.K == pytest.approx(5.03e-20, rel=5e-3)
 
@@ -146,13 +146,22 @@ class TestCollimator:
         assert probe.lambda_re == pytest.approx(self.D_P**2 / HBAR**2, rel=1e-6)
 
     def test_rejects_out_of_range_k(self):
-        cfg = ExperimentConfig1922()
-        with pytest.raises(ValueError):
-            run_chain(cfg, k_values=(0.5,))
-        with pytest.raises(ValueError):
-            run_chain(cfg, k_values=(1.1,))
-        with pytest.raises(ValueError, match="K must lie in"):
-            run_chain(cfg, k_values=(0.7, 0.5))
+        with pytest.raises(ValueError, match="^K_min must lie in"):
+            ExperimentConfig1922(K_min=0.5)
+        with pytest.raises(ValueError, match="^K_max must lie in"):
+            ExperimentConfig1922(K_max=1.1)
+        with pytest.raises(ValueError, match="^K_max must lie in"):
+            ExperimentConfig1922(K_min=0.7, K_max=0.5)
+
+    # D_z^2 and hbar^2 underflow to 0, so lambda overflows
+    @pytest.mark.parametrize("D_p, D_z, hbar", [(1.0, 1e-200, 1.0), (1.0, 1.0, 1e-200)])
+    def test_lambda_past_the_float_range_is_named(self, D_p, D_z, hbar):
+        with pytest.raises(ValueError, match="^lambda is not finite"):
+            collimator_posterior(D_p, D_z, hbar)
+
+    def test_momentum_term_underflows_for_huge_hbar(self):
+        # hbar^2 overflows and D_p^2 / hbar^2 underflows: the exact lambda is 1/4
+        assert collimator_posterior(1.0, 1.0, 1e200).lambda_re == 0.25
 
     def test_posterior_is_real_lambda(self):
         probe = collimator_posterior(self.D_P, self.D_Z, HBAR)
