@@ -5,6 +5,11 @@ import math
 
 import numpy as np
 
+# the most rows one table or K grid may hold, checked before anything is
+# allocated: 10^12 rows would need terabytes, and numpy's MemoryError or
+# "Maximum allowed size exceeded" names no input
+MAX_ROWS = 10**7
+
 
 def check_in(name: str, x, low: float = -math.inf, closed: bool = False) -> None:
     """Raise ValueError naming the input unless every value of x lies in

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from ._arrays import check_finite
+from ._arrays import MAX_ROWS, check_finite
 from .experiment import (
     ExperimentConfig1922,
     format_table,
@@ -46,6 +47,8 @@ EXIT_IO = 3
 EXIT_USAGE = 4
 
 SCHEMA_VERSION = 1
+# region's rows are its four axes' product grid, each axis of --steps points
+_REGION_MAX_STEPS = math.isqrt(math.isqrt(MAX_ROWS))
 # region's tight_ok slack; bench/checks.py recomputes the flag with the same margin
 TIGHT_FLAG_MARGIN = 1e-9
 # the sweeps' EDRs compare an error in sigma_z with a disturbance of sigma_x
@@ -71,23 +74,28 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
     on stdout ('-') they follow each other.  CSV floats carry 17 significant
     digits and bools read 1 or 0.
 
-    Each table's rows come from one % template of %s cells, a CSV line or
-    an indented JSON row object, filled for a block of _BLOCK_ROWS rows at a
-    time from the flat tuple of the block's cells, which _cells spells once
-    per distinct value, so no value is formatted twice and Python's
-    pure-Python indenting encoder never runs.
+    Each cell carries the separators around it (_spelled), so a block of
+    _BLOCK_ROWS rows is one join of its cells, and Python's pure-Python
+    indenting encoder never runs.
     """
     if fmt == "json":
         head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
         with _open_out(path) as fh:
             fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
             for name, (header, columns) in tables.items():
-                keys = (json.dumps(h).replace("%", "%%") for h in header)
-                row = ",\n".join(f"      {k}: %s" for k in keys)
                 fh.write(f",\n  {json.dumps(name)}: [")
                 if len(columns[0]):  # an empty list is "[]"
-                    fh.write("\n")
-                    _fill(fh, "    {\n" + row + "\n    }", ",\n", fmt, columns)
+                    # each cell opens with the "," that ends the line before
+                    # it, column 0's also with its row's "{"; the last column's
+                    # cell closes the row's "}"
+                    opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
+                    closes = [""] * (len(header) - 1) + ["\n    }"]
+                    cells = [
+                        _spelled(c, fmt, f"{o}      {json.dumps(h)}: ", e)
+                        for c, h, o, e in zip(columns, header, opens, closes)
+                    ]
+                    cells[0][0] = cells[0][0][1:]  # the first row follows "[" with no ","
+                    _write_rows(fh, cells)
                     fh.write("\n  ")
                 fh.write("]")
             fh.write("\n}\n")
@@ -99,7 +107,8 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
             out = path if path == "-" else f"{path}.{name}.csv"
         with _open_out(out) as fh:
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
-            _fill(fh, ",".join(["%s"] * len(columns)) + "\n", "", fmt, columns)
+            seps = [","] * (len(columns) - 1) + ["\n"]
+            _write_rows(fh, [_spelled(c, fmt, "", sep) for c, sep in zip(columns, seps)])
 
 
 # as fast as 4,096 rows per block, but a 4,096-row block of lw's seven float
@@ -109,44 +118,36 @@ _BLOCK_ROWS = 1024
 _BOOL_CELLS = {"csv": {True: "1", False: "0"}, "json": {True: "true", False: "false"}}
 
 
-def _cells(c: np.ndarray, fmt: str):
-    """Yield a column's cells as lists of strings, _BLOCK_ROWS rows at a time.  CSV floats
-    take %.17g, JSON floats float.__repr__, and a JSON column holding nan or
-    inf takes json.dumps's spelling of each value (NaN, Infinity, -Infinity);
-    bools read 1 or 0, true or false.
+def _spelled(c: np.ndarray, fmt: str, before: str, after: str) -> np.ndarray:
+    """A column's cells, each framed by before and after, as an object array
+    of str.  CSV floats take %.17g, JSON floats float.__repr__, and a JSON
+    column holding nan or inf takes json.dumps's spelling of each value (NaN,
+    Infinity, -Infinity); bools read 1 or 0, true or false.
 
-    Each distinct float is spelled once, keyed by its bit pattern, so -0.0,
-    0.0 and every nan keep their own spelling.  A product-grid sweep repeats
-    its values: in region's rows eps^2 does not depend on B0, nor eta^2 on
-    tau, so --steps 16 puts about 4,096 distinct values in each 65,536-row
-    column.  A dict keeps this off np.unique, whose first call raises a cold
-    command's peak RSS by about 0.4 MB, and keys one block at a time, as
-    whole-column key lists raised region --steps 8's by 0.4 MB.
+    Each distinct value is spelled once and its cells gathered from that
+    spelling.  Floats are told apart by their bit patterns, so -0.0, 0.0 and
+    every nan keep their own spelling.  A product-grid sweep repeats its
+    values: in region's rows eps^2 does not depend on B0, nor eta^2 on tau,
+    so --steps 16 puts about 4,096 distinct values in each 65,536-row column.
     """
     if c.dtype == bool:
-        spelling = _BOOL_CELLS[fmt]
-        for start in range(0, len(c), _BLOCK_ROWS):
-            yield list(map(spelling.__getitem__, c[start:start + _BLOCK_ROWS].tolist()))
-        return
-    if fmt == "csv":
-        spell = "%.17g".__mod__
+        spell, keys = _BOOL_CELLS[fmt].__getitem__, c
     else:
-        spell = repr if np.isfinite(c).all() else json.dumps
-    spelling: dict[int, str] = {}
-    for start in range(0, len(c), _BLOCK_ROWS):
-        keys = c[start:start + _BLOCK_ROWS].view(np.int64).tolist()
-        new = list(set(keys).difference(spelling))
-        values = np.array(new, dtype=np.int64).view(float).tolist()
-        spelling.update(zip(new, map(spell, values)))
-        yield list(map(spelling.__getitem__, keys))
+        keys = c.view(np.int64)
+        if fmt == "csv":
+            spell = "%.17g".__mod__
+        else:
+            spell = repr if np.isfinite(c).all() else json.dumps
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(c.dtype).tolist()
+    return np.array([before + spell(v) + after for v in values], dtype=object)[inverse]
 
 
-def _fill(fh, template: str, sep: str, fmt: str, columns) -> None:
-    """Write template once per row, sep between rows, _BLOCK_ROWS rows per %."""
-    for i, block in enumerate(zip(*(_cells(c, fmt) for c in columns))):
-        if i:
-            fh.write(sep)
-        fh.write(sep.join([template] * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+def _write_rows(fh, cells) -> None:
+    """Write the rows of a table of framed cells, one join per _BLOCK_ROWS rows."""
+    for start in range(0, len(cells[0]), _BLOCK_ROWS):
+        block = (c[start:start + _BLOCK_ROWS].tolist() for c in cells)
+        fh.write("".join(chain.from_iterable(zip(*block))))
 
 
 def _open_out(path: str):
@@ -172,10 +173,17 @@ def _axis(flag: str, bounds: tuple[float, float], steps: int) -> np.ndarray:
     return axis
 
 
+def _check_steps(steps: int, low: int, high: int = MAX_ROWS) -> None:
+    """Bad usage unless low <= steps <= high, the most steps whose table fits MAX_ROWS."""
+    if steps < low:
+        raise _UsageError(f"--steps must be >= {low}")
+    if steps > high:
+        raise _UsageError(f"--steps must be <= {high}: a table holds at most {MAX_ROWS} rows")
+
+
 def cmd_lw(args) -> int:
     n = args.steps
-    if n < 2:
-        raise _UsageError("--steps must be >= 2")
+    _check_steps(n, 2)
     eps_sq, eta_sq = lw_sweep(n).T
     edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
@@ -189,8 +197,7 @@ def cmd_lw(args) -> int:
 
 def cmd_region(args) -> int:
     steps = args.steps
-    if steps < 1:
-        raise _UsageError("--steps must be >= 1")
+    _check_steps(steps, 1, _REGION_MAX_STEPS)
     if min(args.lambda_re) <= 0.0:
         raise _UsageError("Re(lambda) range must be positive")
     if min(args.tau) < 0.0:
@@ -270,8 +277,7 @@ def cmd_validate(args) -> int:
 # grid, whose overflow past the float range check_finite names below
 @np.errstate(all="ignore")
 def cmd_tau_opt(args) -> int:
-    if args.steps < 1:
-        raise _UsageError("--steps must be >= 1")
+    _check_steps(args.steps, 1)
     try:
         probe = GaussianProbe(args.lambda_re, args.lambda_im)
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
@@ -347,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -361,6 +363,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        if argv is None:
+            # The command is the whole process (the console script or
+            # python -m), so the interpreter's shutdown collection would only
+            # walk the ~22k objects the imported modules hold: frozen, it
+            # skips them.  Shutdown still runs atexit and flushes stdout.
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import check_finite, check_in, require_in
+from ._arrays import MAX_ROWS, check_finite, check_in, require_in
 from .probe import collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDRReport, PauliObservable, evaluate_edrs
@@ -33,8 +33,8 @@ HBAR = 1.054571817e-34
 class ExperimentConfig1922:
     """Apparatus parameters of the 1922 run (SI units) and the K_steps values
     of the collimator's scale factor K spanning [K_min, K_max] (K_min alone
-    for one step), each in [0.6, 1.0]; K_steps is a whole number, which a
-    config file gives as a float."""
+    for one step), each in [0.6, 1.0]; K_steps is a whole number up to
+    MAX_ROWS, which a config file gives as a float."""
 
     T: float = 1500.0
     B1: float = -1.35e3
@@ -59,6 +59,8 @@ class ExperimentConfig1922:
             k = getattr(self, name)
             if not (K_BRACKET[0] <= k <= K_BRACKET[1]):
                 raise ValueError(f"{name} must lie in [{K_BRACKET[0]}, {K_BRACKET[1]}], got {k}")
+        if self.K_steps > MAX_ROWS:  # before float(), which overflows past 1e308
+            raise ValueError(f"K_steps must be <= {MAX_ROWS}, got {self.K_steps}")
         if not (self.K_steps >= 1 and float(self.K_steps).is_integer()):
             raise ValueError(f"K_steps must be a positive integer, got {self.K_steps}")
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgedr
+from sgedr._arrays import MAX_ROWS
 from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _write_table, main
 
 
@@ -299,14 +301,82 @@ class TestTopLevel:
         assert "I/O error" in capsys.readouterr().err
 
     def test_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sgedr.__file__)))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = "import sys, sgedr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120, check=True,
-        )
+        done = run_python(code, [], os.getcwd())
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    # sizes whose arrays could never be allocated (10^12 points or more)
+    @pytest.mark.parametrize("argv", [
+        ["lw", "--steps", "1000000000000"],
+        ["tau-opt", "--steps", "1000000000000"],
+        ["region", "--steps", "1000000000000"],
+        ["experiment", "--k-steps", "1000000000000"],
+    ])
+    def test_row_cap_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        field = "K_steps" if argv[0] == "experiment" else "--steps"
+        assert captured.err.startswith(f"error: {field} must be <= ") and captured.out == ""
+        assert str(MAX_ROWS) in captured.err
+
+    def test_row_cap_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("K_steps = 1e20\n")
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert f"error: K_steps must be <= {MAX_ROWS}, got 1e+20" in capsys.readouterr().err
+
+
+def run_python(code, args, cwd):
+    """python -c code args in a fresh interpreter that imports this sgedr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgedr.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+# main() as the console script and python -m call it; the freeze count goes
+# to stderr after the command's own output
+WHOLE_PROCESS = (
+    "import gc, sys; from sgedr.cli import main; rc = main(); "
+    "print('frozen', gc.get_freeze_count(), file=sys.stderr); sys.exit(rc)"
+)
+
+
+class TestWholeProcess:
+    """main() with no argv is the whole process and freezes the heap before
+    it returns, so that shutdown skips collecting it; main(argv) is a call
+    inside some other program and leaves the collector alone."""
+
+    def test_call_with_argv_freezes_nothing(self, tmp_path, capsys):
+        before = gc.get_freeze_count()
+        assert main(["lw", "--steps", "3", "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+        assert main(["lw", "--steps", "1"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [
+        (["lw", "--steps", "3", "--out", "f.csv"], EXIT_OK),
+        (["experiment"], EXIT_VALIDATION),
+        (["lw", "--steps", "1"], EXIT_USAGE),
+    ])
+    def test_whole_process_matches_a_call(self, tmp_path, capsys, monkeypatch, argv, code):
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        done = run_python(WHOLE_PROCESS, argv, child)
+        *err, frozen = done.stderr.splitlines(keepends=True)
+        assert done.returncode == code, done.stderr
+        assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+        monkeypatch.chdir(here)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        # stdout is flushed at exit and every --out file is whole
+        assert (done.stdout, "".join(err)) == (captured.out, captured.err)
+        files = {p.name: p.read_bytes() for p in child.iterdir()}
+        assert files == {p.name: p.read_bytes() for p in here.iterdir()}
 
 
 # The writer's route before the row templates: json.dumps of the whole
@@ -442,7 +512,11 @@ flag_float = (
     | st.floats(-5.0, 5.0)
     | st.floats()
 ).map(repr)
-flag_size = st.integers(-1, 4).map(str) | st.integers(1, 4).map(str) | flag_float
+flag_size = (
+    st.integers(-1, 4).map(str) | st.integers(1, 4).map(str) | flag_float
+    # over the row cap, and sizes that could never be allocated
+    | st.integers(10**12, 10**30).map(str)
+)
 flag_range = st.builds("{}:{}".format, flag_float, flag_float) | st.sampled_from(["1", "1:2:3", ""])
 flag_k = flag_float | st.floats(0.55, 1.05).map(repr)
 
@@ -480,6 +554,10 @@ class TestArgvProperty:
     @example(["region", "--lambda-im=-1e308:1e308", "--steps=2"])
     @example(["region", "--tau=1e308:1.7976931348623157e308"])
     @example(["tau-opt", "--dt=1e308", "--lambda-im=0"])
+    # numpy's MemoryError escaped main: sizes past any allocation
+    @example(["experiment", "--k-steps=1000000000000"])
+    @example(["lw", "--steps=1000000000000"])
+    @example(["tau-opt", "--steps=1000000000000"])
     # optimal_tau raised OverflowError from Python's float ** at dt^2
     @example(["tau-opt", "--lambda-re=1e-300", "--lambda-im=1e-300", "--dt=1e299"])
     def test_exit_code_without_traceback(self, argv):

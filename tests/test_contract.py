@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgedr
+from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
 from sgedr.gridsim import Grid1D, propagate, suggest_grid
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
@@ -237,6 +238,9 @@ bad_grid_n = (
 )
 
 not_whole = st.floats(1.0, 1e6).filter(lambda x: not x.is_integer())
+# a K grid over the row cap, as a config file's float or a flag's int, which
+# float() cannot hold past 1e308
+too_many_rows = above(float(MAX_ROWS)) | st.integers(min_value=MAX_ROWS + 1)
 
 CONSTRUCTORS = {
     SGParams: (
@@ -257,7 +261,8 @@ CONSTRUCTORS = {
         dataclasses.asdict(ExperimentConfig1922()),
         dict(T=not_positive, B1=non_finite, L1=not_positive, L2=not_positive, L3=negative,
              d1=not_positive, d2=not_positive, atomic_weight=not_positive, B0=non_finite,
-             K_min=outside_k, K_max=outside_k, K_steps=non_finite | below(1.0) | not_whole),
+             K_min=outside_k, K_max=outside_k,
+             K_steps=non_finite | below(1.0) | not_whole | too_many_rows),
     ),
 }
 
