@@ -47,8 +47,6 @@ EXIT_IO = 3
 EXIT_USAGE = 4
 
 SCHEMA_VERSION = 1
-# region's rows are its four axes' product grid, each axis of --steps points
-_REGION_MAX_STEPS = math.isqrt(math.isqrt(MAX_ROWS))
 # region's tight_ok slack; bench/checks.py recomputes the flag with the same margin
 TIGHT_FLAG_MARGIN = 1e-9
 # the sweeps' EDRs compare an error in sigma_z with a disturbance of sigma_x
@@ -197,7 +195,8 @@ def cmd_lw(args) -> int:
 
 def cmd_region(args) -> int:
     steps = args.steps
-    _check_steps(steps, 1, _REGION_MAX_STEPS)
+    # the rows are the product grid of four axes of --steps points each
+    _check_steps(steps, 1, math.isqrt(math.isqrt(MAX_ROWS)))
     if min(args.lambda_re) <= 0.0:
         raise _UsageError("Re(lambda) range must be positive")
     if min(args.tau) < 0.0:
@@ -365,10 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     finally:
         if argv is None:
-            # The command is the whole process (the console script or
-            # python -m), so the interpreter's shutdown collection would only
-            # walk the ~22k objects the imported modules hold: frozen, it
-            # skips them.  Shutdown still runs atexit and flushes stdout.
+            # the command is the whole process: frozen, the ~22k objects the
+            # imported modules hold skip the interpreter's shutdown collection
+            # (atexit handlers and the flush of stdout still run)
             gc.freeze()
 
 
