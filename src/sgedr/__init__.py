@@ -38,6 +38,7 @@ from .sgmodel import (
 from .gridsim import (
     Grid1D,
     SpinorField,
+    continuum_error_sq,
     evolve,
     init_state,
     measure_disturbance,

@@ -6,7 +6,8 @@ as one (2, n) array on a 1D position grid, under the magnet Hamiltonian,
 then free flight, in one exact split step, each FFT covering both branches;
 `measure_error` and `measure_disturbance` read the root-mean-square
 definitions directly from that one field, and neither depends on the spin
-state, so neither takes one.  Intended for
+state, so neither takes one; `continuum_error_sq` adds the screen-edge term
+that takes the error to the line's.  Intended for
 order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
 rescaling, not directly.
 """
@@ -118,9 +119,9 @@ def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     return SpinorField(grid, np.stack([branch, branch]))
 
 
-def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
-    """Forward evolution: the magnet interval as symmetric splits, then the
-    free flight.
+def evolve(field: SpinorField, p: SGParams) -> SpinorField:
+    """Forward evolution: the magnet interval as one symmetric split, then
+    the free flight.
 
     One split is exact.  In each sigma_z branch the magnet potential
     V = +-mu (B0 + B1 z) is linear in z, so [V, T] is linear in P,
@@ -128,33 +129,29 @@ def evolve(field: SpinorField, p: SGParams, steps: int = 1) -> SpinorField:
     The BCH series of e^{-iV dt/2} e^{-iT dt} e^{-iV dt/2} (hbar = 1)
     therefore ends at a global phase proportional to (mu B1)^2 dt^3 / m,
     the same in both branches, which cancels in every q-rms norm (Feit,
-    Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  `steps` > 1 repeats
-    the split and serves as a self-consistency check.
+    Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).
 
     The argument holds for z on the line.  On the periodic grid z wraps
     around at the edges, so the packets must stay clear of them: the norm
     and edge checks run on every propagation, which is always forward and
     always of a smooth packet.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     grid = field.grid
-    dt_step = p.dt / steps
+    k_sq = grid.k**2
 
-    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * dt_step / (2.0 * p.hbar)
-    # row 0 sees the potential +mu (B0 + B1 z), row 1 sees its negative
-    phase = np.exp(np.array([[-1j], [1j]]) * half_phase)
-    kin_step = np.exp(-1j * p.hbar * grid.k**2 * dt_step / (2.0 * p.mass))
+    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
+    # row 0 sees the potential +mu (B0 + B1 z); row 1 sees its negative,
+    # whose kick is the conjugate
+    kick = np.exp(-1j * half_phase)
+    kick = np.stack([kick, kick.conj()])
 
-    psi = field.psi
-    for _ in range(steps):
-        psi = np.fft.fft(psi * phase)
-        psi *= kin_step
-        psi = np.fft.ifft(psi)
-        psi *= phase
+    psi = np.fft.fft(field.psi * kick)
+    psi *= np.exp(-1j * p.hbar * k_sq * p.dt / (2.0 * p.mass))
+    psi = np.fft.ifft(psi)
+    psi *= kick
     if p.tau > 0.0:
         psi = np.fft.fft(psi)
-        psi *= np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
+        psi *= np.exp(-1j * p.hbar * k_sq * p.tau / (2.0 * p.mass))
         psi = np.fft.ifft(psi)
 
     out = SpinorField(grid, psi)
@@ -185,10 +182,10 @@ def measure_error(field: SpinorField) -> float:
     The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
     below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
     four times the probability of landing on the wrong side of the screen.
-    The two are equal on the line, so no spin state is taken.  The grid's
-    z = 0 point parts them at first order in dz; the equal sigma_y+ weights
-    read here, rho_upup = rho_downdown = 1/2, cancel that term, which a pure
-    up or down state would keep, and leave a second-order error.
+    The two are equal on the line, so no spin state is taken.  This is the
+    q-rms of the grid process itself.  It differs from the line's by the
+    screen-edge term that continuum_error_sq adds: second order in dz, as
+    the equal branch weights cancel the first-order part.
     """
     above = field.grid.z >= 0.0
     up, down = field.psi
@@ -196,6 +193,31 @@ def measure_error(field: SpinorField) -> float:
     wrong_down = np.sum(np.abs(down[~above]) ** 2)
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
     return float(np.sqrt(4.0 * (wrong_up + wrong_down) * field.grid.dz))
+
+
+def continuum_error_sq(field: SpinorField) -> float:
+    """eps^2 of the sign meter on the line, read from the grid field to
+    O(dz^4): measure_error's sum with its Euler-Maclaurin edge terms at the
+    meter's jump (Abramowitz & Stegun 23.1.30).
+
+    With f = |up|^2 and g = |down|^2, the integrals of f over z >= 0 and of
+    g over z < 0 exceed dz times the grid's sums by (dz/2)(g(0) - f(0)) +
+    (dz^2/12)(f'(0) - g'(0)) + O(dz^4), which this adds, times 4 as
+    measure_error weighs them.  The derivatives are central differences at
+    the z = 0 grid point, exact to O(dz^2).  The dz term is zero to rounding
+    for the even Gaussian probe, whose branches mirror each other in z; it
+    is kept, so no symmetry is assumed.  A grid whose interior holds no z = 0
+    point raises ValueError naming the grid.
+    """
+    grid = field.grid
+    zero = np.flatnonzero(grid.z == 0.0)
+    if zero.size == 0 or not 0 < zero[0] < grid.n - 1:
+        raise ValueError(f"{grid} has no interior z = 0 point for the screen edge")
+    cells = slice(zero[0] - 1, zero[0] + 2)
+    f, g = np.abs(field.psi[:, cells]) ** 2
+    dz = grid.dz
+    edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
+    return measure_error(field) ** 2 + float(edge)
 
 
 def measure_disturbance(field: SpinorField) -> float:

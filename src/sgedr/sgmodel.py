@@ -28,7 +28,10 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def erfc(x):
     """Complementary error function: math.erfc applied elementwise, once per
     distinct value.  in_region's arguments repeat, as its eta^2 column does
-    over a product grid (4,096 distinct of 65,536 at region --steps 16)."""
+    over a product grid (4,096 distinct of 65,536 at region --steps 16).
+    A single value goes to math.erfc directly: np.unique costs it 20 us."""
+    if np.ndim(x) == 0:
+        return math.erfc(x)
     distinct, inverse = np.unique(x, return_inverse=True)
     values = np.asarray(_erfc(distinct), dtype=float)
     return unwrap(values[inverse.reshape(np.shape(x))])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gridsim import measure_disturbance, measure_error, propagate, suggest_grid
+from .gridsim import continuum_error_sq, measure_disturbance, propagate, suggest_grid
 from .probe import GaussianProbe
 from .sgmodel import SGParams, disturbance_sq, error_sq
 
@@ -58,13 +58,12 @@ def default_cases() -> list[tuple[SGParams, GaussianProbe]]:
 
 def run_case(p: SGParams, probe: GaussianProbe, n: int = 1024) -> ValidationResult:
     field = propagate(suggest_grid(p, probe, n=n), p, probe)
-    eps_grid = measure_error(field)
     eta_grid = measure_disturbance(field)
     return ValidationResult(
         params=p,
         probe=probe,
         eps_sq_model=error_sq(p, probe),
-        eps_sq_grid=eps_grid * eps_grid,
+        eps_sq_grid=continuum_error_sq(field),
         eta_sq_model=disturbance_sq(p, probe),
         eta_sq_grid=eta_grid * eta_grid,
     )

@@ -7,6 +7,7 @@ lands outside a few of them, so those criteria report FAIL by design rather
 than loosening the stated tolerances.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,18 +203,14 @@ def test_criterion_6_tau_optimization():
             failures.append(f"case {i}: no finite positive tau0")
             continue
 
-        def f(tau):
-            q = SGParams(
-                mu=p.mu, B0=0.0, B1=p.B1, mass=1.0, hbar=1.0, dt=p.dt, tau=tau
-            )
-            return error_sq(q, probe)
-
-        at_tau0 = f(tau0)
-        scan = min(f(float(t)) for t in np.linspace(0.0, 100.0 * tau0, 2001))
+        # tau0, tau0 +- h for the derivative, then the scan: one array call
+        h = 1e-5 * tau0
+        taus = np.concatenate([[tau0, tau0 + h, tau0 - h], np.linspace(0.0, 100.0 * tau0, 2001)])
+        vals = error_sq(replace(p, tau=taus), probe)
+        at_tau0, scan = vals[0], vals[3:].min()
         if at_tau0 > scan + 1e-12:
             failures.append(f"case {i}: scan found a lower value than tau0")
-        h = 1e-5 * tau0
-        deriv = (f(tau0 + h) - f(tau0 - h)) / (2.0 * h)
+        deriv = (vals[1] - vals[2]) / (2.0 * h)
         rel = abs(deriv) * tau0 / max(at_tau0, 1e-300)
         if rel > 1e-6:
             failures.append(f"case {i}: relative derivative at tau0 is {rel:.3e}")
@@ -227,12 +224,7 @@ def test_criterion_6_tau_optimization():
             failures.append(f"monotone case {i}: condition unexpectedly holds")
             continue
 
-        def f(tau):
-            q = SGParams(mu=1.0, B0=0.0, B1=p.B1, mass=1.0, hbar=1.0, dt=1.0, tau=tau)
-            return error_sq(q, probe)
-
-        taus = np.geomspace(1e-3, 1e4, 50)
-        vals = [f(float(t)) for t in taus]
+        vals = error_sq(replace(p, tau=np.geomspace(1e-3, 1e4, 50)), probe)
         if not all(a >= b - 1e-14 for a, b in zip(vals, vals[1:])):
             failures.append(f"monotone case {i}: error not decreasing in tau")
         limit = error_sq_limit(p, probe)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sgedr.gridsim import (
     Grid1D,
     SpinorField,
+    continuum_error_sq,
     evolve,
     init_state,
     measure_disturbance,
@@ -27,6 +28,30 @@ from helpers import mean_p_sq, mean_sigma_x, mean_z_sq
 
 def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
     return SGParams(mu=1.0, B0=b0, B1=mu_b1, mass=1.0, hbar=1.0, dt=dt, tau=tau)
+
+
+def repeated_split(field, p, steps):
+    """Reference for evolve: the magnet interval as `steps` symmetric splits,
+    each branch propagated on its own, then the free flight.  evolve takes
+    one split; for the linear magnet field this repeats it exactly."""
+    grid = field.grid
+    h = p.dt / steps
+    kinetic = np.exp(-1j * p.hbar * grid.k**2 * h / (2.0 * p.mass))
+    flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
+    rows = []
+    # the up branch (sigma_z = +1) sees the potential +mu (B0 + B1 z)
+    for sign, branch in zip((1.0, -1.0), field.psi):
+        half_kick = np.exp(-1j * sign * p.mu * (p.B0 + p.B1 * grid.z) * h / (2.0 * p.hbar))
+        for _ in range(steps):
+            branch = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * branch))
+        rows.append(np.fft.ifft(flight * np.fft.fft(branch)))
+    return SpinorField(grid, np.stack(rows))
+
+
+def grid_sum_error_sq(p, probe, n):
+    """measure_error's squared sum on suggest_grid's n-point grid, without
+    the screen-edge term."""
+    return measure_error(propagate(suggest_grid(p, probe, n=n), p, probe)) ** 2
 
 
 def branch_mean_z(field, branch):
@@ -102,52 +127,49 @@ class TestInitState:
 
 
 class TestEvolve:
+    # each closed form is checked on evolve's one split and on the
+    # reference's many
+
     def test_free_spreading_matches_sigma_t(self):
         # no fields: the packet spread follows the ballistic closed form
         probe = GaussianProbe(1.0, 0.8)
         for tau in (0.0, 1.5):
             p = unit_params(mu_b1=0.0, tau=tau)
-            grid = suggest_grid(p, probe, n=2048)
-            field = evolve(init_state(grid, probe), p, steps=32)
+            start = init_state(suggest_grid(p, probe, n=2048), probe)
             expected = sigma_t(probe, p.dt + tau, p.hbar, p.mass) ** 2
-            assert mean_z_sq(field) == pytest.approx(expected, rel=1e-8)
+            for field in (evolve(start, p), repeated_split(start, p, 32)):
+                assert mean_z_sq(field) == pytest.approx(expected, rel=1e-8)
 
     def test_larmor_precession(self):
         # uniform field only: splitting is exact, <sigma_x> = cos(2 B0 dt)
         probe = GaussianProbe(1.0)
         p = unit_params(mu_b1=0.0, b0=0.4)
-        grid = suggest_grid(unit_params(), probe)
-        field = evolve(init_state(grid, probe), p, steps=32)
-        assert mean_sigma_x(field) == pytest.approx(np.cos(0.8), abs=1e-8)
+        start = init_state(suggest_grid(unit_params(), probe), probe)
+        for field in (evolve(start, p), repeated_split(start, p, 32)):
+            assert mean_sigma_x(field) == pytest.approx(np.cos(0.8), abs=1e-8)
 
     def test_branch_deflection(self):
         # mu B1 > 0 pushes the up branch toward negative z by g0
         p = unit_params(mu_b1=1.0)
         probe = GaussianProbe(1.0)
-        grid = suggest_grid(p, probe, n=2048)
-        field = evolve(init_state(grid, probe), p, steps=256)
-        assert branch_mean_z(field, field.psi[0]) == pytest.approx(-0.5, abs=1e-6)
-        assert branch_mean_z(field, field.psi[1]) == pytest.approx(0.5, abs=1e-6)
+        start = init_state(suggest_grid(p, probe, n=2048), probe)
+        for field in (evolve(start, p), repeated_split(start, p, 256)):
+            assert branch_mean_z(field, field.psi[0]) == pytest.approx(-0.5, abs=1e-6)
+            assert branch_mean_z(field, field.psi[1]) == pytest.approx(0.5, abs=1e-6)
 
     def test_norm_preserved(self):
         p = unit_params(mu_b1=3.0, b0=0.5, tau=1.0)
         probe = GaussianProbe(1.0, 0.5)
         grid = suggest_grid(p, probe)
-        field = evolve(init_state(grid, probe), p, steps=1)
+        field = evolve(init_state(grid, probe), p)
         assert abs(field.norm_sq() - 1.0) <= 1e-10
-
-    def test_rejects_nonpositive_steps(self):
-        probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        with pytest.raises(ValueError, match="steps"):
-            evolve(init_state(grid, probe), unit_params(), 0)
 
     def test_boundary_leak_detected(self):
         grid = Grid1D(256, -4.0, 4.0)
         flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
         field = SpinorField(grid, np.stack([flat, flat]) / np.sqrt(2))
         with pytest.raises(RuntimeError, match="leakage"):
-            evolve(field, unit_params(mu_b1=0.0), 16)
+            evolve(field, unit_params(mu_b1=0.0))
 
 
 class TestMeasure:
@@ -286,8 +308,8 @@ class TestValidation:
         # 64 splits read the same error and disturbance
         for p, probe in default_cases():
             start = init_state(suggest_grid(p, probe), probe)
-            one = evolve(start, p, steps=1)
-            many = evolve(start, p, steps=64)
+            one = evolve(start, p)
+            many = repeated_split(start, p, 64)
             assert abs(
                 measure_error(one) ** 2 - measure_error(many) ** 2
             ) <= 1e-10
@@ -324,8 +346,47 @@ class TestValidation:
     def test_error_converges_at_second_order(self, index):
         # the equal sigma_y+ branch weights cancel the first-order term of
         # the z = 0 grid point (see measure_error): halving dz quarters the
-        # error's deviation from the closed form
+        # grid sum's deviation from the closed form
+        p, probe = default_cases()[index]
+        model = error_sq(p, probe)
+        coarse, fine = (grid_sum_error_sq(p, probe, n) - model for n in (512, 1024))
+        assert 3.9 <= coarse / fine <= 4.1
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_continuum_error_converges_at_fourth_order(self, index):
+        # the screen-edge term removes the dz^2 part: halving dz divides the
+        # deviation by 16
         p, probe = default_cases()[index]
         coarse, fine = (run_case(p, probe, n=n) for n in (512, 1024))
         ratio = (coarse.eps_sq_grid - coarse.eps_sq_model) / (fine.eps_sq_grid - fine.eps_sq_model)
-        assert 3.9 <= ratio <= 4.1
+        assert 15.0 <= ratio <= 17.0
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_continuum_error_matches_richardson(self, index):
+        # a second propagation cancels the same dz^2 term by extrapolation
+        p, probe = default_cases()[index]
+        coarse, fine = (grid_sum_error_sq(p, probe, n) for n in (512, 1024))
+        extrapolated = (4.0 * fine - coarse) / 3.0
+        corrected = run_case(p, probe, n=1024).eps_sq_grid
+        assert abs(corrected - extrapolated) <= 1e-7 * extrapolated
+
+
+class TestContinuumError:
+    @pytest.mark.parametrize("z_min, z_max", [(-3.3, 4.1), (0.0, 8.0), (-8.0, 0.0)])
+    def test_refuses_grid_without_interior_zero(self, z_min, z_max):
+        grid = Grid1D(256, z_min, z_max)
+        field = SpinorField(grid, np.zeros((2, grid.n), dtype=complex))
+        with pytest.raises(ValueError, match=r"Grid1D\(n=256.*no interior z = 0 point"):
+            continuum_error_sq(field)
+
+    def test_offset_grid_reads_the_line(self):
+        # z = 0 sixteen cells off the middle of the grid: nothing assumes a
+        # symmetric grid.  The packets' tails meet the kick's jump at the
+        # periodic edge sooner, which the tolerance allows (2.6e-13 measured)
+        p, probe = default_cases()[6]
+        centred = suggest_grid(p, probe)
+        shift = 16 * centred.dz
+        shifted = Grid1D(centred.n, centred.z_min - shift, centred.z_max - shift)
+        assert np.count_nonzero(shifted.z == 0.0) == 1
+        eps_sq = [continuum_error_sq(propagate(g, p, probe)) for g in (centred, shifted)]
+        assert eps_sq[1] == pytest.approx(eps_sq[0], rel=1e-12)

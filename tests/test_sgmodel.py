@@ -362,6 +362,13 @@ class TestErfc:
         x = np.linspace(0.0, 10.0, 10001)
         np.testing.assert_allclose(erfc(x), scipy_erfc(x), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("x", [0.7, np.float64(0.7), np.array(0.7), 0.0, 27.3, -1.5, math.nan])
+    def test_single_value_is_a_float_with_the_array_bits(self, x):
+        # a 0-d input skips np.unique and calls math.erfc itself
+        got = erfc(x)
+        assert type(got) is float
+        assert np.array_equal(np.float64(got).view(np.int64), erfc(np.array([x]))[0].view(np.int64))
+
 
 class TestSweepRegion:
     BASE = SGParams(mu=1.0, B0=0.0, B1=3.0, mass=1.0, hbar=1.0, dt=1.0)
