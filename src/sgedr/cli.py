@@ -256,7 +256,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        Grid1D(args.grid_n, 0.0, 1.0)  # the grid's own size rule
+        Grid1D(args.grid_n, 1.0)  # the grid's own size rule
     except ValueError as exc:
         raise _UsageError(f"--grid-n: {exc}") from exc
     results = run_validation(n=args.grid_n)

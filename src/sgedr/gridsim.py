@@ -2,8 +2,9 @@
 
 Independent numerical check of the closed-form Stern-Gerlach error and
 disturbance: `propagate` evolves the probe in the two spin branches, held
-as one (2, n) array on a 1D position grid, under the magnet Hamiltonian,
-then free flight, in one exact split step, each FFT covering both branches;
+as one (2, n) array on a symmetric 1D position grid with z = 0 at index
+n // 2, under the magnet Hamiltonian, then free flight, in one exact
+split step, each FFT covering both branches;
 `measure_error` and `measure_disturbance` read the root-mean-square
 definitions directly from that one field, and neither depends on the spin
 state, so neither takes one; `continuum_error_sq` adds the screen-edge term
@@ -13,44 +14,49 @@ rescaling, not directly.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import require_in, require_scalar
+from ._arrays import require_scalar
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
 
 NORM_TOL = 1e-10
 LEAK_TOL = 1e-10
 _EDGE_CELLS = 4
+# the widest half span whose 2 half is still a finite float
+HALF_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform position grid; n must be an integer power of two, at least 256."""
+    """Uniform position grid of n points on [-half, half); n must be an
+    integer power of two, at least 256, so z = 0 is the point at n // 2."""
 
     n: int
-    z_min: float
-    z_max: float
+    half: float
 
     def __post_init__(self) -> None:
         require_scalar(self)
-        require_in(self, ("z_min", "z_max"))
         n = self.n
         if not isinstance(n, (int, np.integer)) or n < 256 or (n & (n - 1)) != 0:
             raise ValueError("n must be a power of two >= 256")
-        if self.z_max <= self.z_min:
-            raise ValueError("z_max must exceed z_min")
+        # 2 half stays finite and dz = 2 half / n a normal float, so that
+        # dz * n / 2 is half exactly, z[n // 2] is 0 and k stays finite
+        low = n * sys.float_info.min / 2.0
+        if not low <= self.half <= HALF_MAX:
+            raise ValueError(f"half must lie in [{low:.6g}, {HALF_MAX:.6g}], got {self.half}")
 
     @property
     def dz(self) -> float:
-        return (self.z_max - self.z_min) / self.n
+        return 2.0 * self.half / self.n
 
     @property
     def z(self) -> np.ndarray:
-        return self.z_min + self.dz * np.arange(self.n)
+        return -self.half + self.dz * np.arange(self.n)
 
     @property
     def k(self) -> np.ndarray:
@@ -79,27 +85,14 @@ class SpinorField(NamedTuple):
 
 def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
     """Grid wide enough for the deflected, spread packets at screen time."""
+    # it sizes one packet, so every field is one value
+    require_scalar(p)
+    require_scalar(probe)
     # the branches keep their Gaussian shape (linear potential), so the
     # exact spread sigma_t plus the deflection bounds the support; 8 sigma
     # of margin keeps the 1e-10 edge check comfortable
-    half = _half_width(p, probe, margin=8.0)
-    return Grid1D(n=n, z_min=-half, z_max=half)
-
-
-def _half_width(p: SGParams, probe: GaussianProbe, margin: float) -> float:
-    # suggest_grid and propagate size one packet, so every field is one value
-    require_scalar(p)
-    require_scalar(probe)
-    deflection = abs(g0(p))
     spread = max(sigma_t(probe, t, p.hbar, p.mass) for t in (0.0, p.dt + p.tau))
-    return deflection + margin * spread
-
-
-def _check_domain(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> None:
-    need = 2.0 * _half_width(p, probe, margin=6.0)
-    span = grid.z_max - grid.z_min
-    if span < need:
-        raise ValueError(f"grid span {span:.3g} below required {need:.3g}")
+    return Grid1D(n, abs(g0(p)) + 8.0 * spread)
 
 
 def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
@@ -107,7 +100,7 @@ def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     before the magnet: what measure_error and measure_disturbance read once
     evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+."""
     width = np.sqrt(probe.var_z)
-    span = grid.z_max - grid.z_min
+    span = 2.0 * grid.half
     if not (4.0 * grid.dz <= width <= span / 16.0):
         raise ValueError(
             f"probe width {width:.3g} unresolvable: need "
@@ -163,34 +156,35 @@ def evolve(field: SpinorField, p: SGParams) -> SpinorField:
     return out
 
 
-def propagate(grid: Grid1D, p: SGParams, probe: GaussianProbe) -> SpinorField:
+def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
     """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated through the
-    magnet and the free flight in both branches, one exact split.
+    magnet and the free flight in both branches, one exact split, on
+    suggest_grid's n-point grid.
 
     The propagator is diagonal in sigma_z, so these two amplitudes are all
     the q-rms squares need, whatever the spin state, and both the error and
     the disturbance are read from the one field.
     """
-    _check_domain(grid, p, probe)
-    return evolve(init_state(grid, probe), p)
+    return evolve(init_state(suggest_grid(p, probe, n), probe), p)
 
 
 def measure_error(field: SpinorField) -> float:
     """q-rms error of the sign-of-position meter against sigma_z, read from
     the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
-    The meter reads -1 at z >= 0 (the z = 0 grid point included) and +1
-    below, so eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
+    The meter reads -1 at z >= 0, the grid's upper half from the z = 0
+    point at n // 2, and +1 below, so
+    eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
     four times the probability of landing on the wrong side of the screen.
     The two are equal on the line, so no spin state is taken.  This is the
     q-rms of the grid process itself.  It differs from the line's by the
     screen-edge term that continuum_error_sq adds: second order in dz, as
     the equal branch weights cancel the first-order part.
     """
-    above = field.grid.z >= 0.0
+    h = field.grid.n // 2
     up, down = field.psi
-    wrong_up = np.sum(np.abs(up[above]) ** 2)
-    wrong_down = np.sum(np.abs(down[~above]) ** 2)
+    wrong_up = np.sum(np.abs(up[h:]) ** 2)
+    wrong_down = np.sum(np.abs(down[:h]) ** 2)
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
     return float(np.sqrt(4.0 * (wrong_up + wrong_down) * field.grid.dz))
 
@@ -206,15 +200,11 @@ def continuum_error_sq(field: SpinorField) -> float:
     measure_error weighs them.  The derivatives are central differences at
     the z = 0 grid point, exact to O(dz^2).  The dz term is zero to rounding
     for the even Gaussian probe, whose branches mirror each other in z; it
-    is kept, so no symmetry is assumed.  A grid whose interior holds no z = 0
-    point raises ValueError naming the grid.
+    is kept, so no symmetry is assumed.
     """
     grid = field.grid
-    zero = np.flatnonzero(grid.z == 0.0)
-    if zero.size == 0 or not 0 < zero[0] < grid.n - 1:
-        raise ValueError(f"{grid} has no interior z = 0 point for the screen edge")
-    cells = slice(zero[0] - 1, zero[0] + 2)
-    f, g = np.abs(field.psi[:, cells]) ** 2
+    h = grid.n // 2
+    f, g = np.abs(field.psi[:, h - 1 : h + 2]) ** 2
     dz = grid.dz
     edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
     return measure_error(field) ** 2 + float(edge)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import check_in, clamp_sq, unwrap
+from ._arrays import MAX_ROWS, check_in, clamp_sq, unwrap
 from .spin import (
     IDENTITY_2, SIGMA_X, SIGMA_Z, STATE_SY_PLUS, PauliObservable, QubitState, _is_hermitian,
 )
@@ -134,9 +134,11 @@ def lw_sweep(n: int) -> np.ndarray:
     one stacked qrms_error and one qrms_disturbance, not the closed forms.
     Both are read in sigma_y+, but neither depends on the system state:
     eps = 2|sin theta| and eta = sqrt(2)|cos theta - sin theta|.
+    n must be an integer in [2, MAX_ROWS], checked before anything is
+    allocated.
     """
-    if n < 2:
-        raise ValueError("need at least 2 sweep points")
+    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_ROWS:
+        raise ValueError(f"n must be an integer in [2, {MAX_ROWS}], got {n}")
     mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, n))
     eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
     eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .gridsim import continuum_error_sq, measure_disturbance, propagate, suggest_grid
+from .gridsim import continuum_error_sq, measure_disturbance, propagate
 from .probe import GaussianProbe
 from .sgmodel import SGParams, disturbance_sq, error_sq
 
@@ -57,7 +57,7 @@ def default_cases() -> list[tuple[SGParams, GaussianProbe]]:
 
 
 def run_case(p: SGParams, probe: GaussianProbe, n: int = 1024) -> ValidationResult:
-    field = propagate(suggest_grid(p, probe, n=n), p, probe)
+    field = propagate(p, probe, n)
     eta_grid = measure_disturbance(field)
     return ValidationResult(
         params=p,

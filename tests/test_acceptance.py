@@ -9,9 +9,9 @@ than loosening the stated tolerances.
 import time
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from sgedr.experiment import (
     HBAR,
@@ -258,8 +258,8 @@ def test_criterion_7_property_suites():
         hbar = 10.0 ** rng.uniform(-1, 1)
         var_z, var_p, anticom = moments(GaussianProbe(re, im), hbar)
         width = 8.0 / np.sqrt(2.0 * re)
-        norm = quad(lambda z: np.exp(-2.0 * re * z * z), -width, width)[0]
-        qz = quad(lambda z: z * z * np.exp(-2.0 * re * z * z), -width, width)[0] / norm
+        norm = mpmath.quad(lambda z: mpmath.exp(-2.0 * re * z * z), [-width, width])
+        qz = float(mpmath.quad(lambda z: z * z * mpmath.exp(-2.0 * re * z * z), [-width, width]) / norm)
         qp = hbar**2 * 4.0 * (re * re + im * im) * qz
         qa = -4.0 * hbar * im * qz
         scale = max(abs(qz), abs(qp), abs(qa), 1e-300)

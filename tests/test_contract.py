@@ -10,6 +10,7 @@ instead; no other exception and no warning may escape.
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import sgedr
 from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
-from sgedr.gridsim import Grid1D, propagate, suggest_grid
+from sgedr.gridsim import HALF_MAX, Grid1D, propagate, suggest_grid
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
@@ -253,9 +254,11 @@ CONSTRUCTORS = {
         dict(lambda_re=not_positive, lambda_im=non_finite),
     ),
     Grid1D: (
-        dict(n=1024, z_min=-1.0, z_max=1.0),
-        dict(n=bad_grid_n, z_min=non_finite,
-             z_max=non_finite | below(-1.0) | st.just(-1.0)),
+        dict(n=1024, half=1.0),
+        # past HALF_MAX, 2 half overflows; below 512 times the least normal
+        # float, dz = 2 half / 1024 is subnormal
+        dict(n=bad_grid_n, half=not_positive | above(HALF_MAX)
+             | st.floats(0.0, 512 * sys.float_info.min, exclude_min=True, exclude_max=True)),
     ),
     ExperimentConfig1922: (
         dataclasses.asdict(ExperimentConfig1922()),
@@ -300,7 +303,7 @@ def test_every_exported_dataclass_validates():
 # the functions that size or optimise one packet, each called as f(p, probe)
 ONE_PROCESS = {
     "suggest_grid": suggest_grid,
-    "propagate": lambda p, probe: propagate(Grid1D(1024, -10.0, 10.0), p, probe),
+    "propagate": propagate,
     "optimal_tau": optimal_tau,
 }
 
@@ -323,10 +326,9 @@ class TestArrayFieldNamed:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_grid_rejects_an_array_field(self, data):
-        # each field's values are valid as scalars; two-element bounds raised
-        # numpy's ambiguous truth value, one-element bounds built a grid
-        valid = {"n": st.sampled_from([256, 1024]), "z_min": st.floats(-2.0, -0.5),
-                 "z_max": st.floats(0.5, 2.0)}
+        # each field's values are valid as scalars; two-element arrays raised
+        # numpy's ambiguous truth value, one-element arrays built a grid
+        valid = {"n": st.sampled_from([256, 1024]), "half": st.floats(0.5, 2.0)}
         name = data.draw(st.sampled_from(sorted(valid)), label="field")
         values = data.draw(st.lists(valid[name], min_size=1, max_size=4), label="values")
         with pytest.raises(ValueError) as info:

@@ -1,15 +1,16 @@
+import math
 from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgedr.gridsim import (
+    HALF_MAX,
     Grid1D,
     SpinorField,
-    continuum_error_sq,
     evolve,
     init_state,
     measure_disturbance,
@@ -51,7 +52,7 @@ def repeated_split(field, p, steps):
 def grid_sum_error_sq(p, probe, n):
     """measure_error's squared sum on suggest_grid's n-point grid, without
     the screen-edge term."""
-    return measure_error(propagate(suggest_grid(p, probe, n=n), p, probe)) ** 2
+    return measure_error(propagate(p, probe, n)) ** 2
 
 
 def branch_mean_z(field, branch):
@@ -63,37 +64,48 @@ def branch_mean_z(field, branch):
 class TestGrid1D:
     def test_rejects_small_or_odd_n(self):
         with pytest.raises(ValueError):
-            Grid1D(128, -1.0, 1.0)
+            Grid1D(128, 1.0)
         with pytest.raises(ValueError):
-            Grid1D(300, -1.0, 1.0)
+            Grid1D(300, 1.0)
 
     @pytest.mark.parametrize("n", [1024.0, np.nan, 1e300])
     def test_rejects_float_n(self, n):
         with pytest.raises(ValueError, match=r"^n must be a power of two"):
-            Grid1D(n, -1.0, 1.0)
+            Grid1D(n, 1.0)
 
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            Grid1D(256, 1.0, 1.0)
-
-    @pytest.mark.parametrize("z_min, z_max, field", [
-        (np.nan, np.nan, "z_min"),
-        (-np.inf, np.inf, "z_min"),
-        (-1.0, np.inf, "z_max"),
-        (-1.0, np.nan, "z_max"),
-    ])
-    def test_rejects_non_finite_bounds(self, z_min, z_max, field):
-        # either would make dz nan or inf
-        with pytest.raises(ValueError, match=rf"^{field} must lie in"):
-            Grid1D(1024, z_min, z_max)
+    # nan, inf and 1e308 would make dz nan or inf, 0 and below leave no
+    # interval, and 1.1e-305 (just below 512 times the least normal float) a
+    # subnormal dz that rounds, so that z = 0 misses index n / 2
+    @pytest.mark.parametrize(
+        "half", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e308, 1.139237815555687e-305, 1e-310]
+    )
+    def test_rejects_bad_half(self, half):
+        with pytest.raises(ValueError, match=r"^half must lie in"):
+            Grid1D(1024, half)
 
     def test_spacing_and_axes(self):
-        g = Grid1D(256, -2.0, 2.0)
+        g = Grid1D(256, 2.0)
         assert g.dz == pytest.approx(4.0 / 256)
         assert g.z[0] == pytest.approx(-2.0)
         assert g.z[1] - g.z[0] == pytest.approx(g.dz)
         assert g.k.shape == (256,)
         assert g.k[0] == 0.0
+
+    # measure_error and continuum_error_sq read z = 0 at index n // 2
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2**k for k in range(8, 15)]),
+        st.floats(-300.0, math.log10(HALF_MAX)).map(lambda e: min(10.0**e, HALF_MAX)),
+    )
+    @example(256, HALF_MAX)
+    @example(16384, 1e-300)
+    def test_zero_at_index_n_half(self, n, half):
+        grid = Grid1D(n, half)
+        z, h = grid.z, n // 2
+        assert z[h] == 0.0
+        assert z[h - 1] < 0.0 < z[h + 1]
+        assert np.count_nonzero(z >= 0.0) == h
+        assert np.all(np.isfinite(grid.k))
 
 
 class TestInitState:
@@ -121,7 +133,7 @@ class TestInitState:
         assert mean_sigma_x(init_state(grid, probe)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unresolvable_width(self):
-        grid = Grid1D(256, -0.5, 0.5)
+        grid = Grid1D(256, 0.5)
         with pytest.raises(ValueError, match="unresolvable"):
             init_state(grid, GaussianProbe(10000.0))
 
@@ -165,7 +177,7 @@ class TestEvolve:
         assert abs(field.norm_sq() - 1.0) <= 1e-10
 
     def test_boundary_leak_detected(self):
-        grid = Grid1D(256, -4.0, 4.0)
+        grid = Grid1D(256, 4.0)
         flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
         field = SpinorField(grid, np.stack([flat, flat]) / np.sqrt(2))
         with pytest.raises(RuntimeError, match="leakage"):
@@ -174,24 +186,15 @@ class TestEvolve:
 
 class TestMeasure:
     def test_no_gradient_is_coin_flip(self):
-        p = unit_params(mu_b1=0.0)
-        probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        eps = measure_error(propagate(grid, p, probe))
+        eps = measure_error(propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0)))
         assert eps**2 == pytest.approx(2.0, abs=1e-3)
 
     def test_strong_gradient_resolves_spin(self):
-        p = unit_params(mu_b1=12.0)
-        probe = GaussianProbe(1.0)
-        grid = suggest_grid(p, probe, n=2048)
-        eps = measure_error(propagate(grid, p, probe))
+        eps = measure_error(propagate(unit_params(mu_b1=12.0), GaussianProbe(1.0), 2048))
         assert eps**2 < 1e-3
 
     def test_no_fields_no_disturbance(self):
-        p = unit_params(mu_b1=0.0, b0=0.0)
-        probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        eta = measure_disturbance(propagate(grid, p, probe))
+        eta = measure_disturbance(propagate(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0)))
         assert eta**2 == pytest.approx(0.0, abs=1e-10)
 
     def test_disturbance_tau_invariant(self):
@@ -199,17 +202,10 @@ class TestMeasure:
         probe = GaussianProbe(1.0, 0.5)
         p_far = unit_params(mu_b1=1.0, b0=0.5, tau=0.7)
         p_near = unit_params(mu_b1=1.0, b0=0.5, tau=0.0)
-        grid = suggest_grid(p_far, probe)
-        eta_far = measure_disturbance(propagate(grid, p_far, probe))
-        eta_near = measure_disturbance(propagate(grid, p_near, probe))
+        start = init_state(suggest_grid(p_far, probe), probe)
+        eta_far = measure_disturbance(evolve(start, p_far))
+        eta_near = measure_disturbance(evolve(start, p_near))
         assert abs(eta_far - eta_near) <= 1e-9
-
-    def test_rejects_undersized_domain(self):
-        p = unit_params(mu_b1=1.0)
-        probe = GaussianProbe(1.0)
-        grid = Grid1D(256, -1.0, 1.0)
-        with pytest.raises(ValueError, match="span"):
-            propagate(grid, p, probe)
 
 
 def grid_process(p, probe, grid):
@@ -241,9 +237,8 @@ class TestQrmsDefinitions:
     @pytest.mark.parametrize("index", [0, 6])
     def test_readouts_match_measuring_process(self, index):
         p, probe = default_cases()[index]
-        grid = suggest_grid(p, probe, n=512)
-        field = propagate(grid, p, probe)
-        mp = grid_process(p, probe, grid)
+        field = propagate(p, probe, 512)
+        mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
         assert abs(eps**2 - measure_error(field) ** 2) <= 1e-13
@@ -298,7 +293,7 @@ class TestValidation:
     def test_closed_forms_at_non_unit_constants(self, hbar, mass, index):
         p, probe = default_cases()[index]
         p = replace(p, hbar=hbar, mass=mass)
-        field = propagate(suggest_grid(p, probe), p, probe)
+        field = propagate(p, probe)
         eps_sq, eta_sq = measure_error(field) ** 2, measure_disturbance(field) ** 2
         assert eps_sq == pytest.approx(error_sq(p, probe), rel=VALIDATION_RTOL)
         assert eta_sq == pytest.approx(disturbance_sq(p, probe), rel=VALIDATION_RTOL)
@@ -370,23 +365,3 @@ class TestValidation:
         corrected = run_case(p, probe, n=1024).eps_sq_grid
         assert abs(corrected - extrapolated) <= 1e-7 * extrapolated
 
-
-class TestContinuumError:
-    @pytest.mark.parametrize("z_min, z_max", [(-3.3, 4.1), (0.0, 8.0), (-8.0, 0.0)])
-    def test_refuses_grid_without_interior_zero(self, z_min, z_max):
-        grid = Grid1D(256, z_min, z_max)
-        field = SpinorField(grid, np.zeros((2, grid.n), dtype=complex))
-        with pytest.raises(ValueError, match=r"Grid1D\(n=256.*no interior z = 0 point"):
-            continuum_error_sq(field)
-
-    def test_offset_grid_reads_the_line(self):
-        # z = 0 sixteen cells off the middle of the grid: nothing assumes a
-        # symmetric grid.  The packets' tails meet the kick's jump at the
-        # periodic edge sooner, which the tolerance allows (2.6e-13 measured)
-        p, probe = default_cases()[6]
-        centred = suggest_grid(p, probe)
-        shift = 16 * centred.dz
-        shifted = Grid1D(centred.n, centred.z_min - shift, centred.z_max - shift)
-        assert np.count_nonzero(shifted.z == 0.0) == 1
-        eps_sq = [continuum_error_sq(propagate(g, p, probe)) for g in (centred, shifted)]
-        assert eps_sq[1] == pytest.approx(eps_sq[0], rel=1e-12)

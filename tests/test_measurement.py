@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgedr.measurement
+from sgedr._arrays import MAX_ROWS
 from sgedr.measurement import (
     MeasuringProcess,
     lund_wiseman,
@@ -226,8 +227,19 @@ class TestLwSweep:
             assert lhs == pytest.approx(4.0, abs=1e-10)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[2, "):
             lw_sweep(1)
+
+    @pytest.mark.parametrize("n", [2.5, np.nan, MAX_ROWS + 1])
+    def test_rejects_bad_n(self, n, monkeypatch):
+        # the check runs before the angles are allocated: MAX_ROWS + 1
+        # angles would take hundreds of megabytes through the stacked q-rms
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("lw_sweep allocated before checking n")
+
+        monkeypatch.setattr(np, "linspace", no_alloc)
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[2, "):
+            lw_sweep(n)
 
     def test_one_qrms_call_each(self, monkeypatch):
         calls = {"error": 0, "disturbance": 0}

@@ -1,8 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from sgedr.experiment import HBAR, ExperimentConfig1922, run_chain
 from sgedr.probe import GaussianProbe, collimator_posterior, moments, sigma_t
@@ -14,10 +14,10 @@ def quadrature_moments(lam: complex, hbar: float):
     width = 8.0 / np.sqrt(2.0 * re)
 
     def dens(z):
-        return np.exp(-2.0 * re * z * z)
+        return mpmath.exp(-2.0 * re * z * z)
 
-    norm = quad(dens, -width, width)[0]
-    var_z = quad(lambda z: z * z * dens(z), -width, width)[0] / norm
+    norm = mpmath.quad(dens, [-width, width])
+    var_z = float(mpmath.quad(lambda z: z * z * dens(z), [-width, width]) / norm)
     # psi' = -2 lam z psi, so <P^2> = hbar^2 * 4|lam|^2 <Z^2>
     var_p = hbar**2 * 4.0 * abs(lam) ** 2 * var_z
     # {Z,P}/2 correlation: <{Z,P}> = 2 Re <Z P> with <ZP> = 2i hbar lam <Z^2>
