@@ -73,11 +73,16 @@ class TestGrid1D:
         with pytest.raises(ValueError, match=r"^n must be a power of two"):
             Grid1D(n, 1.0)
 
-    # nan, inf and 1e308 would make dz nan or inf, 0 and below leave no
-    # interval, and 1.1e-305 (just below 512 times the least normal float) a
-    # subnormal dz that rounds, so that z = 0 misses index n / 2
+    # nan of either sign, inf and 1e308 would make dz nan or inf, 0 and below
+    # leave no interval, and 1.1e-305 (just below 512 times the least normal
+    # float) a subnormal dz that rounds, so that z = 0 misses index n / 2
     @pytest.mark.parametrize(
-        "half", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e308, 1.139237815555687e-305, 1e-310]
+        "half",
+        [
+            pytest.param(np.nan, id="nan"),
+            pytest.param(-np.nan, id="-nan"),
+            np.inf, -np.inf, 0.0, -1.0, 1e308, 1.139237815555687e-305, 1e-310,
+        ],
     )
     def test_rejects_bad_half(self, half):
         with pytest.raises(ValueError, match=r"^half must lie in"):
