@@ -5,28 +5,44 @@ import math
 
 import numpy as np
 
-# the most rows one table or K grid may hold, checked before anything is
-# allocated: 10^12 rows would need terabytes, and numpy's MemoryError or
-# "Maximum allowed size exceeded" names no input
+# the most rows one table, K grid or oracle grid may hold, which check_count
+# compares before anything is allocated: 10^12 rows would need terabytes, and
+# numpy's MemoryError or "Maximum allowed size exceeded" names no input
 MAX_ROWS = 10**7
 
 
-def check_in(name: str, x, low: float = -math.inf, closed: bool = False) -> None:
+def check_in(
+    name: str, x, low: float = -math.inf, high: float = math.inf, closed: bool = False
+) -> None:
     """Raise ValueError naming the input unless every value of x lies in
-    (low, inf), or [low, inf) when closed; nan and inf never do."""
-    inside = ((low <= x) if closed else (low < x)) & (x < math.inf)
+    (low, high), or [low, high] when closed; an infinite end stays open, so
+    nan and inf never do."""
+    shut_low, shut_high = closed and low > -math.inf, closed and high < math.inf
+    inside = ((low <= x) if shut_low else (low < x)) & ((x <= high) if shut_high else (x < high))
     if not np.all(inside):
         bad = np.extract(~np.asarray(inside), x)[0]
-        bracket = "[" if closed else "("
-        raise ValueError(f"{name} must lie in {bracket}{low}, inf), got {bad}")
+        left, right = ("[" if shut_low else "("), ("]" if shut_high else ")")
+        raise ValueError(f"{name} must lie in {left}{low}, {high}{right}, got {bad}")
 
 
 def require_in(
-    obj, names: tuple[str, ...], low: float = -math.inf, closed: bool = False
+    obj, names: tuple[str, ...], low: float = -math.inf, high: float = math.inf,
+    closed: bool = False,
 ) -> None:
     """check_in on each named field of obj, in order."""
     for name in names:
-        check_in(name, getattr(obj, name), low, closed)
+        check_in(name, getattr(obj, name), low, high, closed)
+
+
+def check_count(name: str, n, low: int, high: int = MAX_ROWS) -> int:
+    """n as an int, or ValueError naming the input unless n is a whole number
+    in [low, high]: an int, a numpy integer or an integral float (a config
+    file's value), never a bool.  The bounds are compared before n meets
+    float(), which overflows past 1e308."""
+    number = isinstance(n, (int, float, np.integer, np.floating)) and not isinstance(n, bool)
+    if number and low <= n <= high and float(n).is_integer():
+        return int(n)
+    raise ValueError(f"{name} must be an integer in [{low}, {high}], got {n}")
 
 
 def require_scalar(obj) -> None:
@@ -45,15 +61,6 @@ def check_finite(name: str, x):
         bad = np.extract(~finite, x)[0]
         raise ValueError(f"{name} is not finite ({bad}): the inputs leave the float range")
     return x
-
-
-def check_sq(name: str, x, high: float = 4.0) -> None:
-    """Raise ValueError naming the input unless every value of x lies in
-    [0, high]; the default 4 bounds squared errors and disturbances."""
-    inside = (0.0 <= x) & (x <= high)
-    if not np.all(inside):
-        bad = np.extract(~np.asarray(inside), x)[0]
-        raise ValueError(f"{name} must lie in [0, {high:g}], got {bad}")
 
 
 def clamp_sq(x):

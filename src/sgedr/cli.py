@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from ._arrays import MAX_ROWS, check_finite
+from ._arrays import MAX_ROWS, check_count, check_finite
 from .experiment import (
     ExperimentConfig1922,
     format_table,
@@ -60,6 +60,16 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _flags(prefix: str = ""):
+    """Report a ValueError raised inside as bad usage: the flags are checked
+    by the code that owns each rule, which names the bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(prefix + str(exc)) from exc
 
 
 def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> None:
@@ -164,24 +174,16 @@ def _finite_range(spec: str) -> tuple[float, float]:
 @np.errstate(all="ignore")
 def _axis(flag: str, bounds: tuple[float, float], steps: int) -> np.ndarray:
     """steps points from lo to hi; linspace overflows, and warns, on a range
-    wider than the float range, which is reported as bad usage instead."""
+    wider than the float range, which raises ValueError naming the flag."""
     axis = np.linspace(*bounds, steps)
     if not np.isfinite(axis).all():
-        raise _UsageError(f"{flag} range {bounds[0]:g}:{bounds[1]:g} is wider than the float range")
+        raise ValueError(f"{flag} range {bounds[0]:g}:{bounds[1]:g} is wider than the float range")
     return axis
 
 
-def _check_steps(steps: int, low: int, high: int = MAX_ROWS) -> None:
-    """Bad usage unless low <= steps <= high, the most steps whose table fits MAX_ROWS."""
-    if steps < low:
-        raise _UsageError(f"--steps must be >= {low}")
-    if steps > high:
-        raise _UsageError(f"--steps must be <= {high}: a table holds at most {MAX_ROWS} rows")
-
-
 def cmd_lw(args) -> int:
-    n = args.steps
-    _check_steps(n, 2)
+    with _flags():
+        n = check_count("--steps", args.steps, 2)
     eps_sq, eta_sq = lw_sweep(n).T
     edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     header = ["theta", "eps", "eta", "eps_sq", "eta_sq", "tight_lhs", "heisenberg_lhs"]
@@ -194,25 +196,18 @@ def cmd_lw(args) -> int:
 
 
 def cmd_region(args) -> int:
-    steps = args.steps
-    # the rows are the product grid of four axes of --steps points each
-    _check_steps(steps, 1, math.isqrt(math.isqrt(MAX_ROWS)))
-    if min(args.lambda_re) <= 0.0:
-        raise _UsageError("Re(lambda) range must be positive")
-    if min(args.tau) < 0.0:
-        raise _UsageError("tau range must be nonnegative")
-
-    try:
-        base = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=1.0)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    lambdas = np.add.outer(
-        _axis("--lambda-re", args.lambda_re, steps),
-        1j * _axis("--lambda-im", args.lambda_im, steps),
-    ).ravel()
-    eps_sq, eta_sq = sweep_region(
-        base, lambdas, _axis("--b0", args.b0, steps), _axis("--tau", args.tau, steps)
-    ).T
+    with _flags():
+        # the rows are the product grid of four axes of --steps points each
+        steps = check_count("--steps", args.steps, 1, math.isqrt(math.isqrt(MAX_ROWS)))
+        # each range's least value is checked as the field it sweeps
+        GaussianProbe(min(args.lambda_re))
+        base = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=1.0, tau=min(args.tau))
+        lambdas = np.add.outer(
+            _axis("--lambda-re", args.lambda_re, steps),
+            1j * _axis("--lambda-im", args.lambda_im, steps),
+        ).ravel()
+        b0, tau = _axis("--b0", args.b0, steps), _axis("--tau", args.tau, steps)
+    eps_sq, eta_sq = sweep_region(base, lambdas, b0, tau).T
     edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
     columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, ~edr.heisenberg_satisfied)
@@ -230,11 +225,9 @@ def cmd_experiment(args) -> int:
     if args.config is not None:
         cfg = parse_config(args.config)
     k_flags = {"K_min": args.k_min, "K_max": args.k_max, "K_steps": args.k_steps}
-    try:
+    with _flags():
         # a flag overrides its key alone, checked as the file's keys are
         cfg = replace(cfg, **{k: v for k, v in k_flags.items() if v is not None})
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
     report = run_chain(cfg)
     print(format_table(report))
@@ -255,10 +248,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
+    with _flags("--grid-n: "):
         Grid1D(args.grid_n, 1.0)  # the grid's own size rule
-    except ValueError as exc:
-        raise _UsageError(f"--grid-n: {exc}") from exc
     results = run_validation(n=args.grid_n)
     all_ok = True
     for r in results:
@@ -276,23 +267,21 @@ def cmd_validate(args) -> int:
 # grid, whose overflow past the float range check_finite names below
 @np.errstate(all="ignore")
 def cmd_tau_opt(args) -> int:
-    _check_steps(args.steps, 1)
-    try:
+    with _flags():
+        steps = check_count("--steps", args.steps, 1)
         probe = GaussianProbe(args.lambda_re, args.lambda_im)
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     tau0 = optimal_tau(p, probe)
     if tau0 is None:
         print("no finite minimizer; error decreases toward the free-flight limit")
         print(f"limit eps^2 = {error_sq_limit(p, probe):.17g}")
-        tau_grid = np.geomspace(1e-3, 1e3, args.steps) * p.dt
+        tau_grid = np.geomspace(1e-3, 1e3, steps) * p.dt
     else:
         # optimal_tau is finite exactly when its denominator is negative
         print(f"condition holds: True; tau0 = {tau0:.17g}")
         print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
         # a tau0 of 0 spans the grid over ten magnet intervals instead
-        tau_grid = np.linspace(0.0, 10.0 * (tau0 or p.dt), args.steps)
+        tau_grid = np.linspace(0.0, 10.0 * (tau0 or p.dt), steps)
     eps_sq = error_sq(replace(p, tau=check_finite("tau_grid", tau_grid)), probe)
     _write_table(
         args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import MAX_ROWS, check_finite, check_in, require_in
+from ._arrays import check_count, check_finite, check_in, require_in, require_scalar
 from .probe import collimator_posterior, sigma_t
 from .sgmodel import SGParams, damping_exponent, disturbance_sq, erfc_arg, error_sq, g0
 from .spin import STATE_SY_PLUS, EDRReport, PauliObservable, evaluate_edrs
@@ -50,19 +50,15 @@ class ExperimentConfig1922:
     K_steps: float = 2
 
     def __post_init__(self) -> None:
+        # run_chain makes the array of K itself; every field is one value
+        require_scalar(self)
         # T > 0: the transit time L2 / v_y is infinite at T = 0
         require_in(self, ("B1", "B0"))
         require_in(self, ("T", "L1", "L2", "d1", "d2", "atomic_weight"), 0.0)
         require_in(self, ("L3",), 0.0, closed=True)
         # linspace keeps every K between the ends, and warns on a nan or inf end
-        for name in ("K_min", "K_max"):
-            k = getattr(self, name)
-            if not (K_BRACKET[0] <= k <= K_BRACKET[1]):
-                raise ValueError(f"{name} must lie in [{K_BRACKET[0]}, {K_BRACKET[1]}], got {k}")
-        if self.K_steps > MAX_ROWS:  # before float(), which overflows past 1e308
-            raise ValueError(f"K_steps must be <= {MAX_ROWS}, got {self.K_steps}")
-        if not (self.K_steps >= 1 and float(self.K_steps).is_integer()):
-            raise ValueError(f"K_steps must be a positive integer, got {self.K_steps}")
+        require_in(self, ("K_min", "K_max"), *K_BRACKET, closed=True)
+        check_count("K_steps", self.K_steps, 1)
 
 
 class KRow(NamedTuple):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import require_scalar
+from ._arrays import check_count, check_in, require_scalar
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
 
@@ -34,7 +34,8 @@ HALF_MAX = sys.float_info.max / 2.0
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform position grid of n points on [-half, half); n must be an
-    integer power of two, at least 256, so z = 0 is the point at n // 2."""
+    integer power of two, at least 256 and at most MAX_ROWS, so z = 0 is the
+    point at n // 2."""
 
     n: int
     half: float
@@ -44,11 +45,10 @@ class Grid1D:
         n = self.n
         if not isinstance(n, (int, np.integer)) or n < 256 or (n & (n - 1)) != 0:
             raise ValueError("n must be a power of two >= 256")
+        check_count("n", n, 256)
         # 2 half stays finite and dz = 2 half / n a normal float, so that
         # dz * n / 2 is half exactly, z[n // 2] is 0 and k stays finite
-        low = n * sys.float_info.min / 2.0
-        if not low <= self.half <= HALF_MAX:
-            raise ValueError(f"half must lie in [{low:.6g}, {HALF_MAX:.6g}], got {self.half}")
+        check_in("half", self.half, n * sys.float_info.min / 2.0, HALF_MAX, closed=True)
 
     @property
     def dz(self) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import MAX_ROWS, check_in, clamp_sq, unwrap
+from ._arrays import check_count, check_in, clamp_sq, unwrap
 from .spin import (
     IDENTITY_2, SIGMA_X, SIGMA_Z, STATE_SY_PLUS, PauliObservable, QubitState, _is_hermitian,
 )
@@ -137,9 +137,7 @@ def lw_sweep(n: int) -> np.ndarray:
     n must be an integer in [2, MAX_ROWS], checked before anything is
     allocated.
     """
-    if not isinstance(n, (int, np.integer)) or not 2 <= n <= MAX_ROWS:
-        raise ValueError(f"n must be an integer in [2, {MAX_ROWS}], got {n}")
-    mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, n))
+    mp = lund_wiseman(np.linspace(0.0, np.pi / 2.0, check_count("n", n, 2)))
     eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
     eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
     return clamp_sq(np.square(np.stack([eps, eta], axis=-1)))

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._arrays import check_finite, check_sq, clamp_sq, require_in, require_scalar, unwrap
+from ._arrays import check_finite, check_in, clamp_sq, require_in, require_scalar, unwrap
 from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
@@ -160,7 +160,7 @@ def region_bound(eps_sq):
     <= exp(-erfc_arg^2) at B0 = 0, with equality for Cov(A, B) = 0.
     """
     eps_sq = np.asarray(eps_sq, dtype=float)
-    check_sq("eps_sq", eps_sq)
+    check_in("eps_sq", eps_sq, 0, 4, closed=True)
     y = np.minimum(eps_sq, 4.0 - eps_sq) / 2.0
     u = _erfc_inverse(y)
     return unwrap(np.where(y > 0.0, np.exp(-u * u), 0.0))
@@ -178,9 +178,9 @@ def in_region(eps_sq, eta_sq):
     {0, 4}, which holds for any b > 0 even where math.erfc rounds to 0.
     """
     eta_sq = np.asarray(eta_sq, dtype=float)
-    check_sq("eta_sq", eta_sq)
+    check_in("eta_sq", eta_sq, 0, 4, closed=True)
     eps_sq = np.asarray(eps_sq, dtype=float)
-    check_sq("eps_sq", eps_sq)
+    check_in("eps_sq", eps_sq, 0, 4, closed=True)
     b = np.abs(2.0 - eta_sq) / 2.0 - REGION_TOL
     y = np.minimum(eps_sq, 4.0 - eps_sq) / 2.0
     # log(1) = 0 stands in where b <= 0, which is inside whatever erfc gives

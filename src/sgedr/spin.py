@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import check_sq, unwrap
+from ._arrays import check_in, unwrap
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -154,7 +154,7 @@ def d_quantity(
 
 def hat_transform(v):
     """v * sqrt(1 - v^2/4) on [0, 2]; peaks at 1 when v = sqrt(2).  Broadcasts."""
-    check_sq("argument", v, high=2.0)
+    check_in("argument", v, 0, 2, closed=True)
     return unwrap(v * np.sqrt(1.0 - v * v / 4.0))
 
 
@@ -177,8 +177,8 @@ def evaluate_edrs(
         m = obs.matrix
         if not np.max(np.abs(m @ m - IDENTITY_2)) <= HERMITICITY_TOL:
             raise ValueError(f"{name} is not +-1-valued: its square is not the identity within 1e-12")
-    check_sq("eps_sq", eps_sq)
-    check_sq("eta_sq", eta_sq)
+    check_in("eps_sq", eps_sq, 0, 4, closed=True)
+    check_in("eta_sq", eta_sq, 0, 4, closed=True)
     shapes = np.shape(eps_sq), np.shape(eta_sq)
     if shapes[0] != shapes[1]:
         raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}")

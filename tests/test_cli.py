@@ -104,9 +104,12 @@ class TestRegion:
         assert any(row["heisenberg_violated"] for row in data["rows"])
 
     def test_rejects_bad_ranges(self, capsys):
-        assert main(["region", "--lambda-re", "-1:2"]) == EXIT_USAGE
-        assert main(["region", "--tau", "-1:0"]) == EXIT_USAGE
-        capsys.readouterr()
+        # each range's least value is checked as the field it sweeps; the
+        # "=" keeps argparse from reading "-1:2" as an option
+        assert main(["region", "--lambda-re=-1:2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: lambda_re must lie in (0.0, inf), got -1.0\n"
+        assert main(["region", "--tau=-1:0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tau must lie in [0.0, inf), got -1.0\n"
 
     def test_rejects_bad_b1(self, capsys):
         assert main(["region", "--b1", "nan"]) == EXIT_USAGE
@@ -223,6 +226,20 @@ class TestValidate:
         captured = capsys.readouterr()
         assert flags[0] in captured.err and captured.out == ""
 
+    def test_rejects_grid_over_row_cap(self, capsys, monkeypatch):
+        # 2**40 points would need terabytes: the cap is checked before the
+        # oracle allocates anything
+        def no_run(*args, **kwargs):
+            raise AssertionError("validate ran the oracle before checking --grid-n")
+
+        monkeypatch.setattr("sgedr.cli.run_validation", no_run)
+        assert main(["validate", "--grid-n", "1099511627776"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --grid-n: n must be an integer in [256, 10000000], got 1099511627776\n"
+        )
+
 
 class TestTauOpt:
     def test_finite_minimizer(self, tmp_path, capsys):
@@ -316,15 +333,21 @@ class TestTopLevel:
     def test_row_cap_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
-        field = "K_steps" if argv[0] == "experiment" else "--steps"
-        assert captured.err.startswith(f"error: {field} must be <= ") and captured.out == ""
-        assert str(MAX_ROWS) in captured.err
+        # region writes steps**4 rows, so its cap is isqrt(isqrt(MAX_ROWS)) = 56
+        field, low, high = {
+            "lw": ("--steps", 2, MAX_ROWS), "tau-opt": ("--steps", 1, MAX_ROWS),
+            "region": ("--steps", 1, 56), "experiment": ("K_steps", 1, MAX_ROWS),
+        }[argv[0]]
+        assert captured.out == ""
+        want = f"error: {field} must be an integer in [{low}, {high}], got {argv[2]}\n"
+        assert captured.err == want
 
     def test_row_cap_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("K_steps = 1e20\n")
         assert main(["experiment", "--config", str(cfg)]) == EXIT_VALIDATION
-        assert f"error: K_steps must be <= {MAX_ROWS}, got 1e+20" in capsys.readouterr().err
+        want = f"error: K_steps must be an integer in [1, {MAX_ROWS}], got 1e+20"
+        assert want in capsys.readouterr().err
 
 
 def run_python(code, args, cwd):
@@ -502,7 +525,7 @@ def write_table_text(fmt, tables, fields, to_stdout):
         }
 
 
-# Every numeric flag of lw, region, tau-opt and experiment, drawn with nan,
+# Every numeric flag of lw, region, tau-opt, experiment and validate, drawn with nan,
 # the infinities, zeros, negative values and the float extremes, and often
 # near the defaults, so that runs also get past argument checking.  Size
 # flags stay small so each example runs in milliseconds; a size flag given a
@@ -531,6 +554,8 @@ COMMAND_FLAGS = {
         "--dt": flag_float, "--steps": flag_size,
     },
     "experiment": {"--k-min": flag_k, "--k-max": flag_k, "--k-steps": flag_size},
+    # flag_size draws no power of two >= 256, so the oracle never runs
+    "validate": {"--grid-n": flag_size},
 }
 
 
@@ -541,7 +566,7 @@ def argvs(draw):
     chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True), label="flags")
     # --flag=value, because a value may start with '-'
     argv = [command] + [f"{flag}={draw(flags[flag], label=flag)}" for flag in chosen]
-    if command != "experiment":
+    if command not in ("experiment", "validate"):
         argv.append(f"--format={draw(st.sampled_from(['csv', 'json']), label='format')}")
     return argv
 
@@ -558,6 +583,7 @@ class TestArgvProperty:
     @example(["experiment", "--k-steps=1000000000000"])
     @example(["lw", "--steps=1000000000000"])
     @example(["tau-opt", "--steps=1000000000000"])
+    @example(["validate", "--grid-n=1099511627776"])
     # optimal_tau raised OverflowError from Python's float ** at dt^2
     @example(["tau-opt", "--lambda-re=1e-300", "--lambda-im=1e-300", "--dt=1e299"])
     def test_exit_code_without_traceback(self, argv):

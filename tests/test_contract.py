@@ -236,6 +236,8 @@ bad_grid_n = (
     st.integers(max_value=255)
     | st.integers(257, 2**40).filter(lambda n: n & (n - 1))
     | st.floats()
+    # powers of two over the row cap, and one that float() cannot hold
+    | st.sampled_from([2**24, 2**40, 2**1100])
 )
 
 not_whole = st.floats(1.0, 1e6).filter(lambda x: not x.is_integer())
@@ -265,7 +267,7 @@ CONSTRUCTORS = {
         dict(T=not_positive, B1=non_finite, L1=not_positive, L2=not_positive, L3=negative,
              d1=not_positive, d2=not_positive, atomic_weight=not_positive, B0=non_finite,
              K_min=outside_k, K_max=outside_k,
-             K_steps=non_finite | below(1.0) | not_whole | too_many_rows),
+             K_steps=non_finite | below(1.0) | not_whole | too_many_rows | st.just(True)),
     ),
 }
 

@@ -135,8 +135,17 @@ class TestRunChain:
     def test_rejects_k_outside_bracket(self):
         with pytest.raises(ValueError, match=r"^K_min must lie in \[0\.6, 1\.0\], got 0\.5$"):
             ExperimentConfig1922(K_min=0.5)
-        with pytest.raises(ValueError, match="^K_steps must be a positive integer"):
-            ExperimentConfig1922(K_steps=0)
+        for bad in (0, True):
+            with pytest.raises(ValueError) as info:
+                ExperimentConfig1922(K_steps=bad)
+            assert str(info.value) == f"K_steps must be an integer in [1, 10000000], got {bad}"
+
+    @pytest.mark.parametrize("field", ["K_min", "T"])
+    def test_rejects_array_field(self, field):
+        # the bracket check passes every value of an array; run_chain would
+        # then fail with a TypeError that names no input
+        with pytest.raises(ValueError, match=rf"^{field} must be a single value, got an array"):
+            ExperimentConfig1922(**{field: np.array([0.6, 0.7])})
 
     # the second setup has free flight, partial damping and a nonzero phase
     @pytest.mark.parametrize("cfg", [CFG, ExperimentConfig1922(L3=3.5e-2, B1=-1e-3, B0=1e-9)])

@@ -73,6 +73,13 @@ class TestGrid1D:
         with pytest.raises(ValueError, match=r"^n must be a power of two"):
             Grid1D(n, 1.0)
 
+    # powers of two over the row cap: 2**24 points would take hundreds of
+    # megabytes per field, and 2**1100 overflows float()
+    @pytest.mark.parametrize("n", [2**24, 2**1100], ids=["2**24", "2**1100"])
+    def test_rejects_n_over_row_cap(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer in \[256, 10000000\], got "):
+            Grid1D(n, 1.0)
+
     # nan of either sign, inf and 1e308 would make dz nan or inf, 0 and below
     # leave no interval, and 1.1e-305 (just below 512 times the least normal
     # float) a subnormal dz that rounds, so that z = 0 misses index n / 2
