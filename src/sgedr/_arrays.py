@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -9,6 +10,7 @@ import numpy as np
 # compares before anything is allocated: 10^12 rows would need terabytes, and
 # numpy's MemoryError or "Maximum allowed size exceeded" names no input
 MAX_ROWS = 10**7
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_in(
@@ -16,9 +18,14 @@ def check_in(
 ) -> None:
     """Raise ValueError naming the input unless every value of x lies in
     (low, high), or [low, high] when closed; an infinite end stays open, so
-    nan and inf never do."""
+    nan, inf and an int past the float range never do."""
     shut_low, shut_high = closed and low > -math.inf, closed and high < math.inf
-    inside = ((low <= x) if shut_low else (low < x)) & ((x <= high) if shut_high else (x < high))
+    # an infinite end is compared as the largest float, taken in: Python
+    # finds 10**400 < inf, but float(10**400) overflows
+    lo, hi = max(low, -_FLOAT_MAX), min(high, _FLOAT_MAX)
+    inside = ((lo <= x) if closed or lo != low else (lo < x)) & (
+        (x <= hi) if closed or hi != high else (x < hi)
+    )
     if not np.all(inside):
         bad = np.extract(~np.asarray(inside), x)[0]
         left, right = ("[" if shut_low else "("), ("]" if shut_high else ")")

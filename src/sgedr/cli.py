@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import math
 import sys
 from dataclasses import replace
@@ -87,6 +86,9 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
     indenting encoder never runs.
     """
     if fmt == "json":
+        # json is imported where JSON is written: a CSV command never loads it
+        import json
+
         head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
         with _open_out(path) as fh:
             fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
@@ -144,8 +146,12 @@ def _spelled(c: np.ndarray, fmt: str, before: str, after: str) -> np.ndarray:
         keys = c.view(np.int64)
         if fmt == "csv":
             spell = "%.17g".__mod__
+        elif np.isfinite(c).all():
+            spell = repr
         else:
-            spell = repr if np.isfinite(c).all() else json.dumps
+            import json
+
+            spell = json.dumps
     distinct, inverse = np.unique(keys, return_inverse=True)
     values = distinct.view(c.dtype).tolist()
     return np.array([before + spell(v) + after for v in values], dtype=object)[inverse]

@@ -7,7 +7,6 @@ factor K in [0.6, 1].
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -216,6 +215,8 @@ def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]
 
 def report_to_json(report: ChainReport) -> str:
     """The full report and its Heisenberg verdict as indented JSON."""
+    import json
+
     d = report._asdict()
     d["rows"] = [row._asdict() for row in report.rows]
     d["edr_at_min"] = report.edr_at_min._asdict()

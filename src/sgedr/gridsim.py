@@ -74,13 +74,17 @@ class SpinorField(NamedTuple):
     psi: np.ndarray
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dz)
+        # squared in place: one temporary of half the field's size, not two
+        dens = np.abs(self.psi)
+        dens *= dens
+        return float(np.sum(dens) * self.grid.dz)
 
     def edge_probability(self) -> float:
         """Probability in the outermost cells on each side."""
         c = _EDGE_CELLS
-        dens = np.sum(np.abs(self.psi) ** 2, axis=0)
-        return float((np.sum(dens[:c]) + np.sum(dens[-c:])) * self.grid.dz)
+        # only the 2c edge columns are squared, not the whole field
+        dens = np.sum(np.abs(self.psi[:, np.r_[:c, -c:0]]) ** 2, axis=0)
+        return float((np.sum(dens[:c]) + np.sum(dens[c:])) * self.grid.dz)
 
 
 def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
@@ -106,15 +110,17 @@ def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
             f"probe width {width:.3g} unresolvable: need "
             f"{4.0 * grid.dz:.3g} <= width <= {span / 16.0:.3g}"
         )
-    xi = np.exp(-probe.lam * grid.z**2)
-    xi = xi / np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
-    branch = xi * (1.0 / np.sqrt(2.0))
-    return SpinorField(grid, np.stack([branch, branch]))
+    psi = np.empty((2, grid.n), dtype=complex)
+    xi = np.exp(-probe.lam * grid.z**2, out=psi[0])
+    xi /= np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
+    xi *= 1.0 / np.sqrt(2.0)
+    psi[1] = xi
+    return SpinorField(grid, psi)
 
 
 def evolve(field: SpinorField, p: SGParams) -> SpinorField:
     """Forward evolution: the magnet interval as one symmetric split, then
-    the free flight.
+    the free flight, of a copy of field, which is left as it is.
 
     One split is exact.  In each sigma_z branch the magnet potential
     V = +-mu (B0 + B1 z) is linear in z, so [V, T] is linear in P,
@@ -129,31 +135,45 @@ def evolve(field: SpinorField, p: SGParams) -> SpinorField:
     and edge checks run on every propagation, which is always forward and
     always of a smooth packet.
     """
-    grid = field.grid
-    k_sq = grid.k**2
+    return _evolve(SpinorField(field.grid, field.psi.copy()), p)
 
-    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
+
+def _evolve(field: SpinorField, p: SGParams) -> SpinorField:
+    """evolve, overwriting field.psi: each step runs in the one (2, n)
+    buffer, so no second field is ever held."""
+    grid, psi = field
+    norm_before = field.norm_sq()
+
     # row 0 sees the potential +mu (B0 + B1 z); row 1 sees its negative,
     # whose kick is the conjugate
-    kick = np.exp(-1j * half_phase)
-    kick = np.stack([kick, kick.conj()])
-
-    psi = np.fft.fft(field.psi * kick)
-    psi *= np.exp(-1j * p.hbar * k_sq * p.dt / (2.0 * p.mass))
-    psi = np.fft.ifft(psi)
-    psi *= kick
+    kick = -1j * (p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar))
+    np.exp(kick, out=kick)
+    psi[0] *= kick
+    psi[1] *= kick.conj()
+    _flight(psi, grid, p.dt, p)
+    psi[0] *= kick
+    psi[1] *= kick.conj()
     if p.tau > 0.0:
-        psi = np.fft.fft(psi)
-        psi *= np.exp(-1j * p.hbar * k_sq * p.tau / (2.0 * p.mass))
-        psi = np.fft.ifft(psi)
+        _flight(psi, grid, p.tau, p)
 
-    out = SpinorField(grid, psi)
-    if abs(out.norm_sq() - field.norm_sq()) > NORM_TOL:
-        raise RuntimeError(f"norm drift {out.norm_sq() - field.norm_sq():.3e}")
-    leak = out.edge_probability()
+    drift = field.norm_sq() - norm_before
+    if abs(drift) > NORM_TOL:
+        raise RuntimeError(f"norm drift {drift:.3e}")
+    leak = field.edge_probability()
     if leak > LEAK_TOL:
         raise RuntimeError(f"boundary leakage {leak:.3e} exceeds {LEAK_TOL}")
-    return out
+    return field
+
+
+def _flight(psi: np.ndarray, grid: Grid1D, t: float, p: SGParams) -> None:
+    """Free evolution of psi over t, in place: one FFT pair."""
+    np.fft.fft(psi, out=psi)
+    # exp(-1j hbar k^2 t / (2 m)), formed left to right in place
+    phase = (-1j * p.hbar) * grid.k**2
+    phase *= t
+    phase /= 2.0 * p.mass
+    psi *= np.exp(phase, out=phase)
+    np.fft.ifft(psi, out=psi)
 
 
 def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
@@ -163,9 +183,10 @@ def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
 
     The propagator is diagonal in sigma_z, so these two amplitudes are all
     the q-rms squares need, whatever the spin state, and both the error and
-    the disturbance are read from the one field.
+    the disturbance are read from the one field.  The start field is built
+    here, so it is evolved in place.
     """
-    return evolve(init_state(suggest_grid(p, probe, n), probe), p)
+    return _evolve(init_state(suggest_grid(p, probe, n), probe), p)
 
 
 def measure_error(field: SpinorField) -> float:

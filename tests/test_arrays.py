@@ -1,5 +1,6 @@
 """The shared input rules: check_in's ranges and check_count's sizes."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +43,27 @@ class TestCheckIn:
     def test_huge_int_is_named(self):
         with pytest.raises(ValueError, match=r"^x must lie in \[0, 4\], got 1000"):
             check_in("x", 10**400, 0, 4, closed=True)
+
+    # Python finds 10**400 < inf, but float() cannot hold it: an infinite end
+    # takes in the largest float and nothing past it
+    @pytest.mark.parametrize("sign, low, closed, ends", [
+        (1, 0.0, False, "(0.0, inf)"),
+        (1, 0.0, True, "[0.0, inf)"),
+        (1, -math.inf, False, "(-inf, inf)"),
+        (-1, -math.inf, False, "(-inf, inf)"),
+        (-1, -math.inf, True, "(-inf, inf)"),
+    ])
+    def test_int_past_float_range_at_infinite_end(self, sign, low, closed, ends):
+        x = sign * 10**400
+        with pytest.raises(ValueError) as info:
+            check_in("x", x, low, closed=closed)
+        assert str(info.value) == f"x must lie in {ends}, got {x}"
+
+    def test_largest_floats_lie_inside_infinite_ends(self):
+        big = sys.float_info.max
+        for closed in (False, True):
+            check_in("x", np.array([-big, big]), closed=closed)
+            check_in("x", big, 0.0, closed=closed)
 
 
 class TestCheckCount:

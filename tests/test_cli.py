@@ -323,6 +323,18 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_import_loads_the_traced_modules_and_no_json(self):
+        # json is imported where JSON is written, so a CSV command never pays
+        # for it; the import alone still loads every module that
+        # bench/tracing.py wraps
+        code = "import sys, sgedr.cli; print(*sys.modules)"
+        done = run_python(code, [], os.getcwd())
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        traced = ("experiment", "gridsim", "measurement", "probe", "sgmodel", "spin", "validation")
+        assert {f"sgedr.{m}" for m in traced} <= loaded
+        assert "json" not in loaded
+
     # sizes whose arrays could never be allocated (10^12 points or more)
     @pytest.mark.parametrize("argv", [
         ["lw", "--steps", "1000000000000"],

@@ -289,6 +289,17 @@ class TestInvalidInputNamed:
             cls(**{**valid, name: value})
         assert str(info.value).split()[0] == name
 
+    @pytest.mark.parametrize("cls", list(CONSTRUCTORS))
+    def test_int_past_float_range_is_named(self, cls):
+        # Python finds 10**400 < inf, but float() cannot hold it: each float
+        # field names it rather than raise OverflowError later
+        valid, _ = CONSTRUCTORS[cls]
+        for name in (name for name, value in valid.items() if isinstance(value, float)):
+            for x in (10**400, -10**400):
+                with pytest.raises(ValueError) as info:
+                    cls(**{**valid, name: x})
+                assert str(info.value).split()[0] == name
+
 
 def test_every_exported_dataclass_validates():
     # a record that checks nothing is a NamedTuple: a dataclass means that

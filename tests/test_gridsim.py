@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
 
@@ -11,6 +12,7 @@ from sgedr.gridsim import (
     HALF_MAX,
     Grid1D,
     SpinorField,
+    continuum_error_sq,
     evolve,
     init_state,
     measure_disturbance,
@@ -188,6 +190,37 @@ class TestEvolve:
         field = evolve(init_state(grid, probe), p)
         assert abs(field.norm_sq() - 1.0) <= 1e-10
 
+    def test_leaves_its_input_unchanged(self):
+        p, probe = default_cases()[6]
+        start = init_state(suggest_grid(p, probe), probe)
+        before = start.psi.copy()
+        evolve(start, p)
+        assert np.array_equal(start.psi.view(np.float64), before.view(np.float64))
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_propagate_is_evolve_of_the_start_field(self, index):
+        # propagate evolves the start field it builds in place; the field is
+        # the copying evolve's, bit for bit
+        p, probe = default_cases()[index]
+        field = propagate(p, probe, 1024)
+        copied = evolve(init_state(suggest_grid(p, probe, 1024), probe), p)
+        assert np.array_equal(field.psi.view(np.float64), copied.psi.view(np.float64))
+
+    def test_one_case_holds_at_most_three_fields(self):
+        # the split runs in the start field's own (2, n) buffer: propagating
+        # one case and reading eps^2 and eta^2 from it holds at most three
+        # fields of traced numpy memory at once (a second field and its
+        # temporaries took it to 4.5)
+        p, probe = default_cases()[7]
+        tracemalloc.start()
+        try:
+            field = propagate(p, probe, 16384)
+            continuum_error_sq(field), measure_disturbance(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * field.psi.nbytes
+
     def test_boundary_leak_detected(self):
         grid = Grid1D(256, 4.0)
         flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
@@ -331,9 +364,9 @@ class TestValidation:
         calls = []
 
         def counted(fn):
-            def wrapper(a):
+            def wrapper(a, **kwargs):
                 calls.append(fn.__name__)
-                return fn(a)
+                return fn(a, **kwargs)
             return wrapper
 
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
