@@ -39,7 +39,6 @@ from .gridsim import (
     Grid1D,
     SpinorField,
     continuum_error_sq,
-    evolve,
     init_state,
     measure_disturbance,
     measure_error,

@@ -138,15 +138,15 @@ def run_chain(cfg: ExperimentConfig1922) -> ChainReport:
     )
     rows = tuple(KRow(*row) for row in zip(*(col.tolist() for col in columns)))
 
-    eps_min, eps_max = float(eps_sq.min()), float(eps_sq.max())
-    eta = rows[0].eta_sq
+    # each end of the eps^2 interval with the eta^2 of its own K
+    low, high = rows[np.argmin(eps_sq)], rows[np.argmax(eps_sq)]
     sz, sx = PauliObservable.z(), PauliObservable.x()
-    edr_min = evaluate_edrs(eps_min, eta, STATE_SY_PLUS, sz, sx)
-    edr_max = evaluate_edrs(eps_max, eta, STATE_SY_PLUS, sz, sx)
+    edr_min = evaluate_edrs(low.eps_sq, low.eta_sq, STATE_SY_PLUS, sz, sx)
+    edr_max = evaluate_edrs(high.eps_sq, high.eta_sq, STATE_SY_PLUS, sz, sx)
     return ChainReport(
         m=m, v_y=v_y, dt=dt, tau=tau, delta_p=delta_p, delta_z=delta_z, g0=g0(params),
-        rows=rows, eps_sq_min=eps_min, eps_sq_max=eps_max, eta_sq=eta,
-        error_prob_bound=eps_max / 4.0, edr_at_min=edr_min, edr_at_max=edr_max,
+        rows=rows, eps_sq_min=low.eps_sq, eps_sq_max=high.eps_sq, eta_sq=high.eta_sq,
+        error_prob_bound=high.eps_sq / 4.0, edr_at_min=edr_min, edr_at_max=edr_max,
     )
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._arrays import check_count, check_in, require_scalar
+from ._arrays import check_count, check_finite, check_in, require_scalar
 from .probe import GaussianProbe, sigma_t
 from .sgmodel import SGParams, g0
 
@@ -96,13 +96,19 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
     # exact spread sigma_t plus the deflection bounds the support; 8 sigma
     # of margin keeps the 1e-10 edge check comfortable
     spread = max(sigma_t(probe, t, p.hbar, p.mass) for t in (0.0, p.dt + p.tau))
-    return Grid1D(n, abs(g0(p)) + 8.0 * spread)
+    grid = Grid1D(n, abs(g0(p)) + 8.0 * spread)
+    # the kick plus 8 sigma_k must lie below pi / dz, or the branches alias
+    k = abs(p.mu * p.B1) * p.dt / p.hbar + 8.0 * abs(probe.lam) / np.sqrt(probe.lambda_re)
+    if not (k <= np.pi / grid.dz):
+        raise ValueError(f"probe wavenumber {k:.3g} unresolvable: need <= {np.pi / grid.dz:.3g}")
+    return grid
 
 
 def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     """The branch pair (xi, xi) / sqrt(2) of the sampled Gaussian probe xi,
     before the magnet: what measure_error and measure_disturbance read once
     evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+."""
+    require_scalar(probe)
     width = np.sqrt(probe.var_z)
     span = 2.0 * grid.half
     if not (4.0 * grid.dz <= width <= span / 16.0):
@@ -118,9 +124,14 @@ def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     return SpinorField(grid, psi)
 
 
-def evolve(field: SpinorField, p: SGParams) -> SpinorField:
-    """Forward evolution: the magnet interval as one symmetric split, then
-    the free flight, of a copy of field, which is left as it is.
+def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
+    """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated through the
+    magnet, in one symmetric split, and the free flight in both branches,
+    in the one (2, n) buffer of its start field on suggest_grid's grid.
+
+    The propagator is diagonal in sigma_z, so these two amplitudes are all
+    the q-rms squares need, whatever the spin state, and both the error and
+    the disturbance are read from the one field.
 
     One split is exact.  In each sigma_z branch the magnet potential
     V = +-mu (B0 + B1 z) is linear in z, so [V, T] is linear in P,
@@ -128,25 +139,18 @@ def evolve(field: SpinorField, p: SGParams) -> SpinorField:
     The BCH series of e^{-iV dt/2} e^{-iT dt} e^{-iV dt/2} (hbar = 1)
     therefore ends at a global phase proportional to (mu B1)^2 dt^3 / m,
     the same in both branches, which cancels in every q-rms norm (Feit,
-    Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).
-
-    The argument holds for z on the line.  On the periodic grid z wraps
-    around at the edges, so the packets must stay clear of them: the norm
-    and edge checks run on every propagation, which is always forward and
-    always of a smooth packet.
+    Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  It holds for z on
+    the line; on the periodic grid z wraps around at the edges, so the
+    norm and edge checks run on every propagation.
     """
-    return _evolve(SpinorField(field.grid, field.psi.copy()), p)
-
-
-def _evolve(field: SpinorField, p: SGParams) -> SpinorField:
-    """evolve, overwriting field.psi: each step runs in the one (2, n)
-    buffer, so no second field is ever held."""
+    field = init_state(suggest_grid(p, probe, n), probe)
     grid, psi = field
-    norm_before = field.norm_sq()
-
-    # row 0 sees the potential +mu (B0 + B1 z); row 1 sees its negative,
-    # whose kick is the conjugate
-    kick = -1j * (p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar))
+    # row 0 sees +mu (B0 + B1 z), row 1 its negative and the conjugate kick.
+    # B0's phase counts mod 2 pi: reduced, a large B0 cannot round the B1 z
+    # ramp into noise, and a B0 whose phase is under 2 pi is left as it is
+    with np.errstate(all="ignore"):
+        b0 = np.fmod(p.B0, 4.0 * np.pi * p.hbar / np.abs(p.mu * p.dt))
+        kick = check_finite("kick", -1j * (p.mu * (b0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)))
     np.exp(kick, out=kick)
     psi[0] *= kick
     psi[1] *= kick.conj()
@@ -155,12 +159,12 @@ def _evolve(field: SpinorField, p: SGParams) -> SpinorField:
     psi[1] *= kick.conj()
     if p.tau > 0.0:
         _flight(psi, grid, p.tau, p)
-
-    drift = field.norm_sq() - norm_before
-    if abs(drift) > NORM_TOL:
+    # init_state gives every start field norm 1; a nan fails both checks
+    drift = field.norm_sq() - 1.0
+    if not (abs(drift) <= NORM_TOL):
         raise RuntimeError(f"norm drift {drift:.3e}")
     leak = field.edge_probability()
-    if leak > LEAK_TOL:
+    if not (leak <= LEAK_TOL):
         raise RuntimeError(f"boundary leakage {leak:.3e} exceeds {LEAK_TOL}")
     return field
 
@@ -176,38 +180,33 @@ def _flight(psi: np.ndarray, grid: Grid1D, t: float, p: SGParams) -> None:
     np.fft.ifft(psi, out=psi)
 
 
-def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
-    """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated through the
-    magnet and the free flight in both branches, one exact split, on
-    suggest_grid's n-point grid.
-
-    The propagator is diagonal in sigma_z, so these two amplitudes are all
-    the q-rms squares need, whatever the spin state, and both the error and
-    the disturbance are read from the one field.  The start field is built
-    here, so it is evolved in place.
-    """
-    return _evolve(init_state(suggest_grid(p, probe, n), probe), p)
-
-
 def measure_error(field: SpinorField) -> float:
     """q-rms error of the sign-of-position meter against sigma_z, read from
     the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
-    The meter reads -1 at z >= 0, the grid's upper half from the z = 0
-    point at n // 2, and +1 below, so
-    eps^2 = 4 (rho_upup P_up(z >= 0) + rho_downdown P_down(z < 0)):
-    four times the probability of landing on the wrong side of the screen.
-    The two are equal on the line, so no spin state is taken.  This is the
-    q-rms of the grid process itself.  It differs from the line's by the
-    screen-edge term that continuum_error_sq adds: second order in dz, as
-    the equal branch weights cancel the first-order part.
+    The meter follows the deflection: it reads +1 on the side the up branch
+    is pushed to, z < 0 for mu B1 > 0 (z = 0, at index n // 2, counts as
+    z >= 0), and -1 on the other; it takes the orientation with the smaller
+    wrong-side probability, so eps^2 = 4 (rho_upup P_up(wrong side) +
+    rho_downdown P_down(wrong side)).  The two are equal on the line, so no
+    spin state is taken.  This is the q-rms of the grid process itself.  It
+    differs from the line's by the screen-edge term that continuum_error_sq
+    adds: second order in dz, as the equal branch weights cancel the
+    first-order part.
     """
+    return _oriented_error(field)[0]
+
+
+def _oriented_error(field: SpinorField) -> tuple[float, float]:
+    """measure_error and its meter's orientation: 1.0 if -1 at z >= 0, else -1.0."""
     h = field.grid.n // 2
-    up, down = field.psi
-    wrong_up = np.sum(np.abs(up[h:]) ** 2)
-    wrong_down = np.sum(np.abs(down[:h]) ** 2)
+    (up_below, up_above), (down_below, down_above) = (
+        (np.sum(np.abs(row[:h]) ** 2), np.sum(np.abs(row[h:]) ** 2)) for row in field.psi
+    )
+    wrong, mirror = up_above + down_below, up_below + down_above
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
-    return float(np.sqrt(4.0 * (wrong_up + wrong_down) * field.grid.dz))
+    eps = float(np.sqrt(4.0 * min(wrong, mirror) * field.grid.dz))
+    return eps, (1.0 if wrong <= mirror else -1.0)
 
 
 def continuum_error_sq(field: SpinorField) -> float:
@@ -218,17 +217,19 @@ def continuum_error_sq(field: SpinorField) -> float:
     With f = |up|^2 and g = |down|^2, the integrals of f over z >= 0 and of
     g over z < 0 exceed dz times the grid's sums by (dz/2)(g(0) - f(0)) +
     (dz^2/12)(f'(0) - g'(0)) + O(dz^4), which this adds, times 4 as
-    measure_error weighs them.  The derivatives are central differences at
-    the z = 0 grid point, exact to O(dz^2).  The dz term is zero to rounding
-    for the even Gaussian probe, whose branches mirror each other in z; it
-    is kept, so no symmetry is assumed.
+    measure_error weighs them; the mirror meter swaps f and g, and so the
+    sign.  The derivatives are central differences at the z = 0 grid
+    point, exact to O(dz^2).  The dz term is zero to rounding for the even
+    Gaussian probe, whose branches mirror each other in z; it is kept, so
+    no symmetry is assumed.
     """
     grid = field.grid
     h = grid.n // 2
     f, g = np.abs(field.psi[:, h - 1 : h + 2]) ** 2
     dz = grid.dz
     edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
-    return measure_error(field) ** 2 + float(edge)
+    eps, orientation = _oriented_error(field)
+    return eps**2 + orientation * float(edge)
 
 
 def measure_disturbance(field: SpinorField) -> float:

@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 import sgedr
 from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
-from sgedr.gridsim import HALF_MAX, Grid1D, propagate, suggest_grid
+from sgedr.gridsim import (
+    HALF_MAX, Grid1D, continuum_error_sq, init_state, measure_disturbance, measure_error,
+    propagate, suggest_grid,
+)
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
@@ -113,6 +116,44 @@ class TestClosedForms:
             return
         assert pts.shape == (len(lambdas) * len(b0_values) * len(taus), 2)
         assert in_range(pts[:, 0], 2.0) and in_range(pts[:, 1], 4.0)
+
+
+# the grid oracle's inputs: order-unity fields, rescaled, over 10^+-30; past
+# that, sigma_t's cancellation can still let a packet reach the grid's edges
+oracle_positive = log_uniform(-30.0, 30.0)
+oracle_signed = st.one_of(st.just(0.0), oracle_positive, oracle_positive.map(lambda x: -x))
+oracle_params = st.builds(
+    SGParams,
+    mu=oracle_signed, B0=oracle_signed, B1=oracle_signed, mass=oracle_positive,
+    hbar=oracle_positive, dt=oracle_positive, tau=st.one_of(st.just(0.0), oracle_positive),
+)
+oracle_probes = st.builds(GaussianProbe, lambda_re=oracle_positive, lambda_im=oracle_signed)
+UNIT = SGParams(mu=1.0, B0=0.0, B1=1.0, mass=1.0, hbar=1.0, dt=1.0)
+
+
+class TestPropagate:
+    # each example failed before the oracle oriented its meter, checked its
+    # grid's wavenumbers, reduced B0's phase and named an overflowing kick
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_params, oracle_probes)
+    # mu B1 < 0: the anti-aligned meter read eps^2 = 3.64
+    @example(dataclasses.replace(UNIT, B1=-3.0), GaussianProbe(1.0))
+    # a kick of 1000 past the n = 256 grid's pi / dz = 89 aliased
+    @example(dataclasses.replace(UNIT, hbar=1e-3), GaussianProbe(1.0))
+    # B0 + B1 z rounded to a staircase in z, whose noise leaked to the edges
+    @example(dataclasses.replace(UNIT, B0=1e13), GaussianProbe(1.0))
+    # the kick's phase overflowed to a nan field, which passed both checks
+    @example(dataclasses.replace(UNIT, mu=2.0, B0=1e308, B1=0.0), GaussianProbe(1.0))
+    # B1 z overflows on a wide grid: the kick is named
+    @example(dataclasses.replace(UNIT, mu=1e-300, B1=1e300, hbar=1e10), GaussianProbe(1e-18))
+    def test_in_range_or_rejected(self, p, probe):
+        try:
+            field = propagate(p, probe, 256)
+        except ValueError:
+            return
+        for eps_sq in (measure_error(field) ** 2, continuum_error_sq(field)):
+            assert in_range(eps_sq, 2.0 + ULP_SLACK), eps_sq
+        assert in_range(measure_disturbance(field) ** 2, 4.0 + ULP_SLACK)
 
 
 def random_unitary(rng, n):
@@ -334,6 +375,18 @@ class TestArrayFieldNamed:
         args[cls] = cls(**{**CONSTRUCTORS[cls][0], name: np.array(values)})
         with pytest.raises(ValueError) as info:
             f(args[SGParams], args[GaussianProbe])
+        assert str(info.value).split()[0] == name
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_init_state_names_an_array_field(self, data):
+        # init_state takes the probe alone; two-element arrays raised numpy's
+        # ambiguous truth value, one-element arrays a TypeError
+        name = data.draw(st.sampled_from(sorted(CONSTRUCTORS[GaussianProbe][0])), label="field")
+        values = data.draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4), label="values")
+        probe = GaussianProbe(**{**CONSTRUCTORS[GaussianProbe][0], name: np.array(values)})
+        with pytest.raises(ValueError) as info:
+            init_state(Grid1D(1024, 8.0), probe)
         assert str(info.value).split()[0] == name
 
     @settings(max_examples=50, deadline=None)

@@ -170,6 +170,19 @@ class TestRunChain:
                 eps_sq=error_sq(params, probe), eta_sq=disturbance_sq(params, probe),
             )
 
+    def test_each_end_takes_its_own_eta_sq(self):
+        # partial damping: eta^2 runs from 0.034 at K = 0.6 to 0.092 at K = 1,
+        # so pairing the eps^2 maximum with the K_min row's eta^2 gave
+        # sqrt(eps^2(K=1) eta^2(K=0.6)) = 0.259, a product no K produces
+        report = run_chain(ExperimentConfig1922(B1=-1e-3, K_steps=3))
+        low, high = report.rows[0], report.rows[-1]
+        assert low.eps_sq < report.rows[1].eps_sq < high.eps_sq
+        assert low.eta_sq < 0.5 * high.eta_sq
+        for edr, row in ((report.edr_at_min, low), (report.edr_at_max, high)):
+            assert edr.heisenberg_lhs == pytest.approx(np.sqrt(row.eps_sq * row.eta_sq), rel=1e-12)
+        assert report.eta_sq == high.eta_sq
+        assert heisenberg_verdict(report)[0] == pytest.approx(0.4282, abs=1e-4)
+
     def test_longer_flight_reduces_error_here(self):
         # tau becomes the L3/v_y free flight; the beams separate further
         far = run_chain(ExperimentConfig1922(L3=3.5e-2))

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgedr import gridsim
 from sgedr.gridsim import (
     HALF_MAX,
     Grid1D,
     SpinorField,
     continuum_error_sq,
-    evolve,
     init_state,
     measure_disturbance,
     measure_error,
@@ -34,9 +34,10 @@ def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
 
 
 def repeated_split(field, p, steps):
-    """Reference for evolve: the magnet interval as `steps` symmetric splits,
-    each branch propagated on its own, then the free flight.  evolve takes
-    one split; for the linear magnet field this repeats it exactly."""
+    """Reference for propagate: the magnet interval as `steps` symmetric
+    splits, each branch propagated on its own, then the free flight.
+    propagate takes one split; for the linear magnet field this repeats it
+    exactly."""
     grid = field.grid
     h = p.dt / steps
     kinetic = np.exp(-1j * p.hbar * grid.k**2 * h / (2.0 * p.mass))
@@ -152,8 +153,13 @@ class TestInitState:
             init_state(grid, GaussianProbe(10000.0))
 
 
+def start_field(p, probe, n=1024):
+    """The start field propagate builds and evolves, for the reference."""
+    return init_state(suggest_grid(p, probe, n), probe)
+
+
 class TestEvolve:
-    # each closed form is checked on evolve's one split and on the
+    # each closed form is checked on propagate's one split and on the
     # reference's many
 
     def test_free_spreading_matches_sigma_t(self):
@@ -161,50 +167,41 @@ class TestEvolve:
         probe = GaussianProbe(1.0, 0.8)
         for tau in (0.0, 1.5):
             p = unit_params(mu_b1=0.0, tau=tau)
-            start = init_state(suggest_grid(p, probe, n=2048), probe)
             expected = sigma_t(probe, p.dt + tau, p.hbar, p.mass) ** 2
-            for field in (evolve(start, p), repeated_split(start, p, 32)):
+            reference = repeated_split(start_field(p, probe, 2048), p, 32)
+            for field in (propagate(p, probe, 2048), reference):
                 assert mean_z_sq(field) == pytest.approx(expected, rel=1e-8)
 
     def test_larmor_precession(self):
         # uniform field only: splitting is exact, <sigma_x> = cos(2 B0 dt)
         probe = GaussianProbe(1.0)
         p = unit_params(mu_b1=0.0, b0=0.4)
-        start = init_state(suggest_grid(unit_params(), probe), probe)
-        for field in (evolve(start, p), repeated_split(start, p, 32)):
+        for field in (propagate(p, probe), repeated_split(start_field(p, probe), p, 32)):
             assert mean_sigma_x(field) == pytest.approx(np.cos(0.8), abs=1e-8)
 
     def test_branch_deflection(self):
         # mu B1 > 0 pushes the up branch toward negative z by g0
         p = unit_params(mu_b1=1.0)
         probe = GaussianProbe(1.0)
-        start = init_state(suggest_grid(p, probe, n=2048), probe)
-        for field in (evolve(start, p), repeated_split(start, p, 256)):
+        reference = repeated_split(start_field(p, probe, 2048), p, 256)
+        for field in (propagate(p, probe, 2048), reference):
             assert branch_mean_z(field, field.psi[0]) == pytest.approx(-0.5, abs=1e-6)
             assert branch_mean_z(field, field.psi[1]) == pytest.approx(0.5, abs=1e-6)
 
+    def test_rejects_an_unresolvable_kick(self):
+        # at hbar = 1e-3 the kick mu B1 dt / hbar = 1000 lies past the
+        # n = 1024 grid's pi / dz = 357, where the field aliased to
+        # eps^2 = 2.665 against the closed form's 0.6346
+        probe = GaussianProbe(1.0)
+        with pytest.raises(ValueError, match=r"^probe wavenumber 1\.01e\+03 unresolvable"):
+            propagate(replace(unit_params(), hbar=1e-3), probe, 1024)
+        p = replace(unit_params(), hbar=1e-2)
+        eps_sq = continuum_error_sq(propagate(p, probe, 1024))
+        assert eps_sq == pytest.approx(error_sq(p, probe), rel=1e-8)
+
     def test_norm_preserved(self):
-        p = unit_params(mu_b1=3.0, b0=0.5, tau=1.0)
-        probe = GaussianProbe(1.0, 0.5)
-        grid = suggest_grid(p, probe)
-        field = evolve(init_state(grid, probe), p)
+        field = propagate(unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5))
         assert abs(field.norm_sq() - 1.0) <= 1e-10
-
-    def test_leaves_its_input_unchanged(self):
-        p, probe = default_cases()[6]
-        start = init_state(suggest_grid(p, probe), probe)
-        before = start.psi.copy()
-        evolve(start, p)
-        assert np.array_equal(start.psi.view(np.float64), before.view(np.float64))
-
-    @pytest.mark.parametrize("index", range(8))
-    def test_propagate_is_evolve_of_the_start_field(self, index):
-        # propagate evolves the start field it builds in place; the field is
-        # the copying evolve's, bit for bit
-        p, probe = default_cases()[index]
-        field = propagate(p, probe, 1024)
-        copied = evolve(init_state(suggest_grid(p, probe, 1024), probe), p)
-        assert np.array_equal(field.psi.view(np.float64), copied.psi.view(np.float64))
 
     def test_one_case_holds_at_most_three_fields(self):
         # the split runs in the start field's own (2, n) buffer: propagating
@@ -221,12 +218,14 @@ class TestEvolve:
             tracemalloc.stop()
         assert peak <= 3 * field.psi.nbytes
 
-    def test_boundary_leak_detected(self):
-        grid = Grid1D(256, 4.0)
-        flat = np.full(grid.n, 1.0 / np.sqrt(8.0), dtype=complex)
-        field = SpinorField(grid, np.stack([flat, flat]) / np.sqrt(2))
+    def test_boundary_leak_detected(self, monkeypatch):
+        # a flat start field of norm 1, which no free flight moves off the edges
+        def flat(grid, probe):
+            return SpinorField(grid, np.full((2, grid.n), 1.0 / np.sqrt(4.0 * grid.half), complex))
+
+        monkeypatch.setattr(gridsim, "init_state", flat)
         with pytest.raises(RuntimeError, match="leakage"):
-            evolve(field, unit_params(mu_b1=0.0))
+            propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0), 256)
 
 
 class TestMeasure:
@@ -242,23 +241,33 @@ class TestMeasure:
         eta = measure_disturbance(propagate(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0)))
         assert eta**2 == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("mu_b1", [1.0, 3.0])
+    def test_error_even_in_mu_b1(self, mu_b1):
+        # the meter follows the deflection: flipping mu B1 swaps the branches
+        # and the meter's sides, and reads the same eps^2 bit for bit (the
+        # anti-aligned meter read 4 - eps^2 for mu B1 < 0)
+        probe = GaussianProbe(1.0)
+        plus, minus = (propagate(unit_params(mu_b1=sign * mu_b1), probe) for sign in (1.0, -1.0))
+        assert measure_error(minus) == measure_error(plus)
+        assert continuum_error_sq(minus) == continuum_error_sq(plus)
+
     def test_disturbance_tau_invariant(self):
         # the free flight is common to both branches, so eta is read after it
         probe = GaussianProbe(1.0, 0.5)
         p_far = unit_params(mu_b1=1.0, b0=0.5, tau=0.7)
         p_near = unit_params(mu_b1=1.0, b0=0.5, tau=0.0)
-        start = init_state(suggest_grid(p_far, probe), probe)
-        eta_far = measure_disturbance(evolve(start, p_far))
-        eta_near = measure_disturbance(evolve(start, p_near))
+        eta_far = measure_disturbance(propagate(p_far, probe))
+        eta_near = measure_disturbance(propagate(p_near, probe))
         assert abs(eta_far - eta_near) <= 1e-9
 
 
 def grid_process(p, probe, grid):
     """The Stern-Gerlach process on the grid as a MeasuringProcess: the
     block-diagonal unitary of the exact split step and the free flight, the
-    sampled probe normalised in l2, and the sign meter, -1 at z >= 0 and +1
-    below.  Each block's columns are the propagated basis vectors, built by
-    FFTs of the identity."""
+    sampled probe normalised in l2, and the sign meter oriented with the
+    deflection: -1 at z >= 0 and +1 below for mu B1 >= 0, the mirror for
+    mu B1 < 0.  Each block's columns are the propagated basis vectors, built
+    by FFTs of the identity."""
     n = grid.n
     half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
     kinetic = np.exp(-1j * p.hbar * grid.k**2 * p.dt / (2.0 * p.mass))[:, None]
@@ -270,7 +279,7 @@ def grid_process(p, probe, grid):
         cols = kick * np.fft.ifft(kinetic * np.fft.fft(np.diag(kick[:, 0]), axis=0), axis=0)
         u[block, block] = np.fft.ifft(flight * np.fft.fft(cols, axis=0), axis=0)
     xi = np.exp(-probe.lam * grid.z**2)
-    meter = np.diag(np.where(grid.z >= 0.0, -1.0, 1.0))
+    meter = np.diag(np.where(grid.z >= 0.0, -1.0, 1.0) * (-1.0 if p.mu * p.B1 < 0.0 else 1.0))
     return MeasuringProcess(xi / np.linalg.norm(xi), u, meter)
 
 
@@ -300,11 +309,12 @@ class TestQrmsDefinitions:
         st.floats(-1.0, 1.0),
         st.floats(0.0, 1.0),
     )
+    # mu B1 < 0: the oracle's meter and the reference's take the mirror
+    @example(1.0, 0.0, -3.0, 0.0, 0.0)
     def test_readouts_match_over_the_domain(self, lam_re, lam_im, mu_b1, b0, tau):
         p, probe = unit_params(mu_b1, b0, tau), GaussianProbe(lam_re, lam_im)
-        grid = suggest_grid(p, probe, n=512)
-        field = evolve(init_state(grid, probe), p)
-        mp = grid_process(p, probe, grid)
+        field = propagate(p, probe, 512)
+        mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
         assert abs(eps**2 - measure_error(field) ** 2) <= 1e-13
@@ -344,12 +354,11 @@ class TestValidation:
         assert eta_sq == pytest.approx(disturbance_sq(p, probe), rel=VALIDATION_RTOL)
 
     def test_one_step_matches_many(self):
-        # one split is exact for the linear magnet field (see evolve), so
+        # one split is exact for the linear magnet field (see propagate), so
         # 64 splits read the same error and disturbance
         for p, probe in default_cases():
-            start = init_state(suggest_grid(p, probe), probe)
-            one = evolve(start, p)
-            many = repeated_split(start, p, 64)
+            one = propagate(p, probe)
+            many = repeated_split(start_field(p, probe), p, 64)
             assert abs(
                 measure_error(one) ** 2 - measure_error(many) ** 2
             ) <= 1e-10
