@@ -38,7 +38,6 @@ from .sgmodel import (
 from .gridsim import (
     Grid1D,
     SpinorField,
-    continuum_error_sq,
     init_state,
     measure_disturbance,
     measure_error,

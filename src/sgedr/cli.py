@@ -169,11 +169,13 @@ def _open_out(path: str):
 
 
 def _finite_range(spec: str) -> tuple[float, float]:
-    """argparse type of a range 'lo:hi'; a ValueError here is reported as bad usage."""
-    lo, _, hi = spec.partition(":")
-    bounds = float(lo), float(hi)
-    if not all(map(math.isfinite, bounds)):
-        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {spec!r}")
+    """argparse type of a range 'lo:hi' of two finite floats."""
+    try:
+        bounds = tuple(map(float, spec.split(":")))
+    except ValueError:
+        bounds = ()
+    if len(bounds) != 2 or not all(map(math.isfinite, bounds)):
+        raise argparse.ArgumentTypeError(f"range must be lo:hi, two finite numbers; got {spec!r}")
     return bounds
 
 

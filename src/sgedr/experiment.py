@@ -261,8 +261,8 @@ def parse_config(path: str) -> ExperimentConfig1922:
     """Read a key = value config file; unknown keys are an error.
 
     The keys are ExperimentConfig1922's fields: T, B1, L1, L2, L3, d1, d2,
-    atomic_weight, B0, K_min, K_max and K_steps.  Missing keys fall back to
-    the 1922 defaults.
+    atomic_weight, B0, K_min, K_max and K_steps, each given at most once.
+    Missing keys fall back to the 1922 defaults.
     """
     cfg_keys = {f.name for f in fields(ExperimentConfig1922)}
     values: dict[str, float] = {}
@@ -281,5 +281,7 @@ def parse_config(path: str) -> ExperimentConfig1922:
                 raise ValueError(f"{path}:{lineno}: bad number {val.strip()!r}") from exc
             if key not in cfg_keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = num
     return ExperimentConfig1922(**values)

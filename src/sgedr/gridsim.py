@@ -5,12 +5,11 @@ disturbance: `propagate` evolves the probe in the two spin branches, held
 as one (2, n) array on a symmetric 1D position grid with z = 0 at index
 n // 2, under the magnet Hamiltonian, then free flight, in one exact
 split step, each FFT covering both branches;
-`measure_error` and `measure_disturbance` read the root-mean-square
-definitions directly from that one field, and neither depends on the spin
-state, so neither takes one; `continuum_error_sq` adds the screen-edge term
-that takes the error to the line's.  Intended for
-order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
-rescaling, not directly.
+`measure_error` and `measure_disturbance` read eps^2 and eta^2, the squared
+root-mean-square error and disturbance, from that one field, eps^2 with the
+screen-edge term that takes it to the line's; neither depends on the spin
+state, so neither takes one.  Intended for order-unity (hbar = m = 1)
+parameters; feed SI-scale inputs through a rescaling, not directly.
 """
 from __future__ import annotations
 
@@ -181,63 +180,45 @@ def _flight(psi: np.ndarray, grid: Grid1D, t: float, p: SGParams) -> None:
 
 
 def measure_error(field: SpinorField) -> float:
-    """q-rms error of the sign-of-position meter against sigma_z, read from
-    the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
+    """eps^2 of the sign-of-position meter against sigma_z on the line, read
+    to O(dz^4) from the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     The meter follows the deflection: it reads +1 on the side the up branch
     is pushed to, z < 0 for mu B1 > 0 (z = 0, at index n // 2, counts as
     z >= 0), and -1 on the other; it takes the orientation with the smaller
     wrong-side probability, so eps^2 = 4 (rho_upup P_up(wrong side) +
     rho_downdown P_down(wrong side)).  The two are equal on the line, so no
-    spin state is taken.  This is the q-rms of the grid process itself.  It
-    differs from the line's by the screen-edge term that continuum_error_sq
-    adds: second order in dz, as the equal branch weights cancel the
-    first-order part.
+    spin state is taken.  The grid's sums alone are the q-rms of the grid
+    process itself, second order in dz from the line's, as the equal branch
+    weights cancel the first-order part.
+
+    The Euler-Maclaurin edge terms at the meter's jump take it to the
+    line's (Abramowitz & Stegun 23.1.30).  With f = |up|^2 and g =
+    |down|^2, the integrals of f over z >= 0 and of g over z < 0 exceed dz
+    times the grid's sums by (dz/2)(g(0) - f(0)) + (dz^2/12)(f'(0) - g'(0))
+    + O(dz^4), which this adds, times 4; the mirror meter swaps f and g,
+    and so the sign.  The derivatives are central differences at the z = 0
+    grid point, exact to O(dz^2).  The dz term is zero to rounding for the
+    even Gaussian probe, whose branches mirror each other in z; it is kept,
+    so no symmetry is assumed.
     """
-    return _oriented_error(field)[0]
-
-
-def _oriented_error(field: SpinorField) -> tuple[float, float]:
-    """measure_error and its meter's orientation: 1.0 if -1 at z >= 0, else -1.0."""
-    h = field.grid.n // 2
+    h, dz = field.grid.n // 2, field.grid.dz
     (up_below, up_above), (down_below, down_above) = (
         (np.sum(np.abs(row[:h]) ** 2), np.sum(np.abs(row[h:]) ** 2)) for row in field.psi
     )
     wrong, mirror = up_above + down_below, up_below + down_above
-    # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
-    eps = float(np.sqrt(4.0 * min(wrong, mirror) * field.grid.dz))
-    return eps, (1.0 if wrong <= mirror else -1.0)
-
-
-def continuum_error_sq(field: SpinorField) -> float:
-    """eps^2 of the sign meter on the line, read from the grid field to
-    O(dz^4): measure_error's sum with its Euler-Maclaurin edge terms at the
-    meter's jump (Abramowitz & Stegun 23.1.30).
-
-    With f = |up|^2 and g = |down|^2, the integrals of f over z >= 0 and of
-    g over z < 0 exceed dz times the grid's sums by (dz/2)(g(0) - f(0)) +
-    (dz^2/12)(f'(0) - g'(0)) + O(dz^4), which this adds, times 4 as
-    measure_error weighs them; the mirror meter swaps f and g, and so the
-    sign.  The derivatives are central differences at the z = 0 grid
-    point, exact to O(dz^2).  The dz term is zero to rounding for the even
-    Gaussian probe, whose branches mirror each other in z; it is kept, so
-    no symmetry is assumed.
-    """
-    grid = field.grid
-    h = grid.n // 2
     f, g = np.abs(field.psi[:, h - 1 : h + 2]) ** 2
-    dz = grid.dz
     edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
-    eps, orientation = _oriented_error(field)
-    return eps**2 + orientation * float(edge)
+    # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
+    return float(4.0 * min(wrong, mirror) * dz + (edge if wrong <= mirror else -edge))
 
 
 def measure_disturbance(field: SpinorField) -> float:
-    """q-rms disturbance of sigma_x across the magnet transit, read from the
-    propagated branch pair (U_up xi, U_down xi) / sqrt(2).
+    """eta^2 of sigma_x across the magnet transit, the q-rms disturbance
+    squared, read from the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     eta^2 = ||U_up xi - U_down xi||^2 over the magnet alone.  The free flight
     multiplies both branches by the same unitary, so it leaves the norm of
     their difference unchanged; no spin state enters.
     """
-    return float(np.sqrt(2.0 * np.sum(np.abs(field.psi[0] - field.psi[1]) ** 2) * field.grid.dz))
+    return float(2.0 * np.sum(np.abs(field.psi[0] - field.psi[1]) ** 2) * field.grid.dz)

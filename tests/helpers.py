@@ -1,6 +1,7 @@
 """Quantities only the tests compute: spinor-field moments on the grid, the
-beam-flux speed density and the Robertson uncertainty product.  The physics
-checks compare them with the closed forms; no command runs them."""
+grid process's own eps^2, the beam-flux speed density and the Robertson
+uncertainty product.  The physics checks compare them with the closed
+forms; no command runs them."""
 import numpy as np
 
 from sgedr._arrays import check_in
@@ -25,6 +26,17 @@ def mean_p_sq(field: SpinorField, hbar: float) -> float:
 def mean_sigma_x(field: SpinorField) -> float:
     up, down = field.psi
     return float(2.0 * np.sum((up.conj() * down).real) * field.grid.dz)
+
+
+def grid_error_sq(field: SpinorField) -> float:
+    """eps^2 of the oriented sign meter as the grid process itself reads it:
+    gridsim.measure_error's wrong-side sums without its screen-edge term,
+    so second order in dz from the line's."""
+    h = field.grid.n // 2
+    up, down = np.abs(field.psi) ** 2
+    wrong, mirror = np.sum(up[h:]) + np.sum(down[:h]), np.sum(up[:h]) + np.sum(down[h:])
+    # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
+    return float(4.0 * min(wrong, mirror) * field.grid.dz)
 
 
 def flux_pdf(v: float, T: float, m: float) -> float:

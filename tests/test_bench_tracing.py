@@ -87,3 +87,7 @@ def test_traced_replay_fires_every_span_and_leaf(capsys):
     assert codes == [code for _, code in REPLAY]
     assert {span[0] for span in tracer.spans} == {name for _, _, name, _ in tracing.SPANS}
     assert {name for _, _, name in tracing.LEAVES} <= set(tracer.leaves[-1])
+    # validate's 8 default cases each read eps^2 and eta^2 in a gridsim.measure
+    # span, and no other replayed command reads either; a readout renamed
+    # away from SPANS would drop out of that layer figure silently
+    assert [span[0] for span in tracer.spans].count("gridsim.measure") == 16

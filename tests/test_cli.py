@@ -116,10 +116,15 @@ class TestRegion:
         captured = capsys.readouterr()
         assert "B1 must lie in" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("spec", ["foo", "1", "1:", "nan:2", "1:2:3"])
+    # all but nan:2 were reported as "invalid _finite_range value", naming a
+    # private function instead of the lo:hi form
+    @pytest.mark.parametrize("spec", ["foo", "1", "1:", "nan:2", "1:2:3", "a:b"])
     def test_rejects_malformed_range(self, spec, capsys):
         assert main(["region", "--lambda-re", spec]) == EXIT_USAGE
-        assert "lambda-re" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        form = "range must be lo:hi, two finite numbers"
+        assert err == f"error: argument --lambda-re: {form}; got {spec!r}\n"
+        assert "_finite_range" not in err
 
 
 class TestExperiment:

@@ -21,8 +21,7 @@ import sgedr
 from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
 from sgedr.gridsim import (
-    HALF_MAX, Grid1D, continuum_error_sq, init_state, measure_disturbance, measure_error,
-    propagate, suggest_grid,
+    HALF_MAX, Grid1D, init_state, measure_disturbance, measure_error, propagate, suggest_grid,
 )
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
@@ -30,6 +29,8 @@ from sgedr.sgmodel import (
     SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
 )
 from sgedr.spin import SIGMA_Y, PauliObservable, QubitState
+
+from helpers import grid_error_sq
 
 # rounding slack on the upper end of a q-rms range
 ULP_SLACK = 1e-12
@@ -151,9 +152,9 @@ class TestPropagate:
             field = propagate(p, probe, 256)
         except ValueError:
             return
-        for eps_sq in (measure_error(field) ** 2, continuum_error_sq(field)):
+        for eps_sq in (grid_error_sq(field), measure_error(field)):
             assert in_range(eps_sq, 2.0 + ULP_SLACK), eps_sq
-        assert in_range(measure_disturbance(field) ** 2, 4.0 + ULP_SLACK)
+        assert in_range(measure_disturbance(field), 4.0 + ULP_SLACK)
 
 
 def random_unitary(rng, n):

@@ -300,6 +300,13 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bad number"):
             parse_config(self.write(tmp_path, "T = warm\n"))
 
+    def test_rejects_duplicate_key(self, tmp_path):
+        # the second T silently won: the chain ran at T = 900
+        path = self.write(tmp_path, "T = 1500\nT = 900\n")
+        with pytest.raises(ValueError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:2: duplicate key 'T'"
+
     def test_rejects_missing_equals(self, tmp_path):
         with pytest.raises(ValueError, match="key = value"):
             parse_config(self.write(tmp_path, "just words\n"))

@@ -13,7 +13,6 @@ from sgedr.gridsim import (
     HALF_MAX,
     Grid1D,
     SpinorField,
-    continuum_error_sq,
     init_state,
     measure_disturbance,
     measure_error,
@@ -26,7 +25,7 @@ from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
 from sgedr.spin import STATE_SY_PLUS, PauliObservable
 from sgedr.validation import VALIDATION_RTOL, default_cases, run_case, run_validation
 
-from helpers import mean_p_sq, mean_sigma_x, mean_z_sq
+from helpers import grid_error_sq, mean_p_sq, mean_sigma_x, mean_z_sq
 
 
 def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
@@ -53,9 +52,9 @@ def repeated_split(field, p, steps):
 
 
 def grid_sum_error_sq(p, probe, n):
-    """measure_error's squared sum on suggest_grid's n-point grid, without
-    the screen-edge term."""
-    return measure_error(propagate(p, probe, n)) ** 2
+    """The grid process's eps^2 on suggest_grid's n-point grid, without the
+    screen-edge term."""
+    return grid_error_sq(propagate(p, probe, n))
 
 
 def branch_mean_z(field, branch):
@@ -106,7 +105,7 @@ class TestGrid1D:
         assert g.k.shape == (256,)
         assert g.k[0] == 0.0
 
-    # measure_error and continuum_error_sq read z = 0 at index n // 2
+    # measure_error and grid_error_sq read z = 0 at index n // 2
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from([2**k for k in range(8, 15)]),
@@ -196,7 +195,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match=r"^probe wavenumber 1\.01e\+03 unresolvable"):
             propagate(replace(unit_params(), hbar=1e-3), probe, 1024)
         p = replace(unit_params(), hbar=1e-2)
-        eps_sq = continuum_error_sq(propagate(p, probe, 1024))
+        eps_sq = measure_error(propagate(p, probe, 1024))
         assert eps_sq == pytest.approx(error_sq(p, probe), rel=1e-8)
 
     def test_norm_preserved(self):
@@ -212,7 +211,7 @@ class TestEvolve:
         tracemalloc.start()
         try:
             field = propagate(p, probe, 16384)
-            continuum_error_sq(field), measure_disturbance(field)
+            measure_error(field), measure_disturbance(field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,16 +229,16 @@ class TestEvolve:
 
 class TestMeasure:
     def test_no_gradient_is_coin_flip(self):
-        eps = measure_error(propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0)))
-        assert eps**2 == pytest.approx(2.0, abs=1e-3)
+        eps_sq = measure_error(propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0)))
+        assert eps_sq == pytest.approx(2.0, abs=1e-3)
 
     def test_strong_gradient_resolves_spin(self):
-        eps = measure_error(propagate(unit_params(mu_b1=12.0), GaussianProbe(1.0), 2048))
-        assert eps**2 < 1e-3
+        eps_sq = measure_error(propagate(unit_params(mu_b1=12.0), GaussianProbe(1.0), 2048))
+        assert eps_sq < 1e-3
 
     def test_no_fields_no_disturbance(self):
-        eta = measure_disturbance(propagate(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0)))
-        assert eta**2 == pytest.approx(0.0, abs=1e-10)
+        eta_sq = measure_disturbance(propagate(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0)))
+        assert eta_sq == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("mu_b1", [1.0, 3.0])
     def test_error_even_in_mu_b1(self, mu_b1):
@@ -248,17 +247,17 @@ class TestMeasure:
         # anti-aligned meter read 4 - eps^2 for mu B1 < 0)
         probe = GaussianProbe(1.0)
         plus, minus = (propagate(unit_params(mu_b1=sign * mu_b1), probe) for sign in (1.0, -1.0))
+        assert grid_error_sq(minus) == grid_error_sq(plus)
         assert measure_error(minus) == measure_error(plus)
-        assert continuum_error_sq(minus) == continuum_error_sq(plus)
 
     def test_disturbance_tau_invariant(self):
         # the free flight is common to both branches, so eta is read after it
         probe = GaussianProbe(1.0, 0.5)
         p_far = unit_params(mu_b1=1.0, b0=0.5, tau=0.7)
         p_near = unit_params(mu_b1=1.0, b0=0.5, tau=0.0)
-        eta_far = measure_disturbance(propagate(p_far, probe))
-        eta_near = measure_disturbance(propagate(p_near, probe))
-        assert abs(eta_far - eta_near) <= 1e-9
+        eta_sq_far = measure_disturbance(propagate(p_far, probe))
+        eta_sq_near = measure_disturbance(propagate(p_near, probe))
+        assert abs(eta_sq_far - eta_sq_near) <= 1e-9
 
 
 def grid_process(p, probe, grid):
@@ -295,8 +294,8 @@ class TestQrmsDefinitions:
         mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
-        assert abs(eps**2 - measure_error(field) ** 2) <= 1e-13
-        assert abs(eta**2 - measure_disturbance(field) ** 2) <= 1e-13
+        assert abs(eps**2 - grid_error_sq(field)) <= 1e-13
+        assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
     # inside the oracle's domain at n = 512: over this box the probe width
     # stays at least 1.16 times the 4 dz that init_state requires.  Each
@@ -317,8 +316,8 @@ class TestQrmsDefinitions:
         mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
-        assert abs(eps**2 - measure_error(field) ** 2) <= 1e-13
-        assert abs(eta**2 - measure_disturbance(field) ** 2) <= 1e-13
+        assert abs(eps**2 - grid_error_sq(field)) <= 1e-13
+        assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
 
 class TestValidation:
@@ -341,6 +340,17 @@ class TestValidation:
     def test_full_set_passes(self):
         assert all(r.passed for r in run_validation(n=1024))
 
+    def test_zero_model_reads_exact_agreement_or_inf(self):
+        # no field at all: eta^2 is 0.0 from the closed form and the grid
+        # alike, which raised ZeroDivisionError instead of reading agreement
+        res = run_case(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0))
+        assert (res.eta_sq_model, res.eta_sq_grid) == (0.0, 0.0)
+        assert res.eta_rel == 0.0 and res.passed
+        off = res._replace(eta_sq_grid=1e-300)
+        assert off.eta_rel == math.inf and not off.passed
+        off = res._replace(eps_sq_model=0.0)
+        assert off.eps_rel == math.inf and not off.passed
+
     # the default cases all have hbar = m = 1; these check that the grid and
     # the closed forms take both constants from SGParams alike
     @pytest.mark.parametrize("hbar, mass", [(2.0, 3.0), (0.5, 0.25), (3.0, 1.0)])
@@ -349,7 +359,7 @@ class TestValidation:
         p, probe = default_cases()[index]
         p = replace(p, hbar=hbar, mass=mass)
         field = propagate(p, probe)
-        eps_sq, eta_sq = measure_error(field) ** 2, measure_disturbance(field) ** 2
+        eps_sq, eta_sq = measure_error(field), measure_disturbance(field)
         assert eps_sq == pytest.approx(error_sq(p, probe), rel=VALIDATION_RTOL)
         assert eta_sq == pytest.approx(disturbance_sq(p, probe), rel=VALIDATION_RTOL)
 
@@ -359,10 +369,8 @@ class TestValidation:
         for p, probe in default_cases():
             one = propagate(p, probe)
             many = repeated_split(start_field(p, probe), p, 64)
-            assert abs(
-                measure_error(one) ** 2 - measure_error(many) ** 2
-            ) <= 1e-10
-            assert abs(measure_disturbance(one) ** 2 - measure_disturbance(many) ** 2) <= 1e-10
+            assert abs(measure_error(one) - measure_error(many)) <= 1e-10
+            assert abs(measure_disturbance(one) - measure_disturbance(many)) <= 1e-10
 
     def test_fft_call_budget(self, monkeypatch):
         # one propagation per case, read for both the error and the
