@@ -280,17 +280,24 @@ def cmd_tau_opt(args) -> int:
         probe = GaussianProbe(args.lambda_re, args.lambda_im)
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
     tau0 = optimal_tau(p, probe)
+    # every value is computed before the first line is printed, so inputs
+    # that take a value past the float range print nothing to stdout
     if tau0 is None:
-        print("no finite minimizer; error decreases toward the free-flight limit")
-        print(f"limit eps^2 = {error_sq_limit(p, probe):.17g}")
+        summary = (
+            "no finite minimizer; error decreases toward the free-flight limit\n"
+            f"limit eps^2 = {error_sq_limit(p, probe):.17g}"
+        )
         tau_grid = np.geomspace(1e-3, 1e3, steps) * p.dt
     else:
         # optimal_tau is finite exactly when its denominator is negative
-        print(f"condition holds: True; tau0 = {tau0:.17g}")
-        print(f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}")
+        summary = (
+            f"condition holds: True; tau0 = {tau0:.17g}\n"
+            f"eps^2(tau0) = {error_sq(replace(p, tau=tau0), probe):.17g}"
+        )
         # a tau0 of 0 spans the grid over ten magnet intervals instead
         tau_grid = np.linspace(0.0, 10.0 * (tau0 or p.dt), steps)
     eps_sq = error_sq(replace(p, tau=check_finite("tau_grid", tau_grid)), probe)
+    print(summary)
     _write_table(
         args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},
         tau0=tau0,

@@ -296,6 +296,17 @@ class TestTauOpt:
         captured = capsys.readouterr()
         assert f"{field} must lie in" in captured.err and captured.out == ""
 
+    def test_failure_prints_nothing(self, tmp_path, capsys):
+        # the free-flight limit is finite, but the tau grid's errors leave
+        # the float range: the run fails before any line reaches stdout
+        out = tmp_path / "tau.csv"
+        argv = ["tau-opt", "--b1", "1e308", "--dt", "1e10", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "erfc_arg is not finite" in captured.err
+        assert not out.exists()
+
     def test_monotone_tail_without_minimizer(self, tmp_path, capsys):
         out = tmp_path / "tau.json"
         code = main([

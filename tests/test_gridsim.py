@@ -206,7 +206,8 @@ class TestEvolve:
         # the split runs in the start field's own (2, n) buffer: propagating
         # one case and reading eps^2 and eta^2 from it holds at most three
         # fields of traced numpy memory at once (a second field and its
-        # temporaries took it to 4.5)
+        # temporaries took it to 4.5); pocketfft's own buffers are allocated
+        # outside numpy's allocator, so tracemalloc does not count them
         p, probe = default_cases()[7]
         tracemalloc.start()
         try:
@@ -374,22 +375,31 @@ class TestValidation:
 
     def test_fft_call_budget(self, monkeypatch):
         # one propagation per case, read for both the error and the
-        # disturbance: one FFT pair over the (2, n) spinor for the magnet,
-        # which covers both branches, and, when tau > 0, one more for the
-        # free flight; 24 calls over the validation set, whose cases split
-        # evenly between tau = 0 and > 0
-        calls = []
+        # disturbance: one FFT pair per branch for the magnet and, when
+        # tau > 0, one more for the free flight; 48 row transforms over the
+        # validation set, whose cases split evenly between tau = 0 and > 0.
+        # Each transform takes one branch row in place in the field's own
+        # buffer: pocketfft's working memory, which tracemalloc cannot see,
+        # grows with what one call transforms
+        fields, rows = [], []
+
+        def recorded(grid, probe):
+            fields.append(init_state(grid, probe))
+            return fields[-1]
 
         def counted(fn):
             def wrapper(a, **kwargs):
-                calls.append(fn.__name__)
+                assert a.ndim == 1 and np.shares_memory(a, fields[-1].psi)
+                assert kwargs.get("out") is a
+                rows.append(fn.__name__)
                 return fn(a, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(gridsim, "init_state", recorded)
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         run_validation(n=1024)
-        assert 0 < len(calls) <= 24
+        assert 0 < len(rows) <= 48
 
     def test_self_convergence_under_refinement(self):
         p, probe = unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5)
