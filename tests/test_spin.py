@@ -1,10 +1,16 @@
+import ast
+import inspect
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sgedr.measurement import lw_sweep
+from sgedr import spin
 from sgedr.sgmodel import SGParams, sweep_region
 from sgedr.spin import (
     IDENTITY_2,
@@ -14,6 +20,7 @@ from sgedr.spin import (
     STATE_SY_PLUS,
     PauliObservable,
     QubitState,
+    _mul,
     d_quantity,
     evaluate_edrs,
     expectation,
@@ -67,6 +74,46 @@ pm1_observables = st.builds(
     lambda n: PauliObservable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z),
     st.builds(scaled, directions, st.just(1.0)),
 )
+
+
+# |entries| up to 1e150, so that no product leaves the float range
+finite_2x2 = arrays(
+    complex, (2, 2),
+    elements=st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestProduct:
+    @given(finite_2x2, finite_2x2)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_matmul(self, a, b):
+        # each entry is two complex products and three real sums, each
+        # rounded once: within 8 eps of the sum of the products' magnitudes,
+        # plus a few subnormals for products that underflow
+        bound = 8 * np.finfo(float).eps * (np.abs(a) @ np.abs(b)) + 1e-320
+        assert np.all(np.abs(_mul(a, b) - np.matmul(a, b)) <= bound)
+
+    def test_exact_on_the_cli_inputs(self):
+        # the Paulis, sigma_y+ and the products that evaluate_edrs forms from
+        # them have entries 0, +-1/2, +-1, +-2 and +-4 (times 1 or i): every
+        # product is exact, so it equals BLAS's bit for bit.  Only the sign
+        # of a zero can differ, and + 0 clears it
+        comm = _mul(SIGMA_Z, SIGMA_X) - _mul(SIGMA_X, SIGMA_Z)
+        rho = STATE_SY_PLUS.rho
+        inputs = [IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, rho, comm, comm.conj().T]
+        inputs += [_mul(comm.conj().T, rho), _mul(_mul(comm.conj().T, rho), comm)]
+        for a, b in itertools.product(inputs, repeat=2):
+            assert (_mul(a, b) + 0).tobytes() == (a @ b + 0).tobytes()
+
+    def test_spin_sends_no_product_to_blas(self):
+        tree = ast.parse(inspect.getsource(spin))
+        matmuls = [n for n in ast.walk(tree) if isinstance(n, ast.MatMult)]
+        calls = [
+            n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None))
+            in {"dot", "vdot", "inner", "matmul"}
+        ]
+        assert matmuls == [] and calls == []
 
 
 class TestQubitState:
