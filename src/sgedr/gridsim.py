@@ -1,17 +1,17 @@
 """Split-operator spinor wave-packet simulator.
 
 Independent numerical check of the closed-form Stern-Gerlach error and
-disturbance: `propagate` evolves the probe in the up (sigma_z = +1) spin
-branch alone, as one (n,) row on a symmetric 1D position grid with z = 0 at
-index n // 2, under the magnet Hamiltonian, then free flight, in one exact
-split step, transformed in place.  The down branch is that row reflected in
-z, times one phase, so every readout takes it from the up row instead of
-evolving it (see propagate).  `measure_error` and `measure_disturbance`
-read eps^2 and eta^2, the squared root-mean-square error and disturbance,
-from that one field, eps^2 with the screen-edge term that takes it to the
-line's; neither depends on the spin state, so neither takes one.  Intended
-for order-unity (hbar = m = 1) parameters; feed SI-scale inputs through a
-rescaling, not directly.
+disturbance: `propagate` evolves the probe in the two spin branches, held
+as one (2, n) array on a symmetric 1D position grid with z = 0 at index
+n // 2, under the magnet Hamiltonian, then free flight, in one exact
+split step, each branch transformed in place in its own row (one call per
+row needs about half the working memory of one call on both, or less),
+beside one complex kick row and a half row for each kinetic factor;
+`measure_error` and `measure_disturbance` read eps^2 and eta^2, the squared
+root-mean-square error and disturbance, from that one field, eps^2 with the
+screen-edge term that takes it to the line's; neither depends on the spin
+state, so neither takes one.  Intended for order-unity (hbar = m = 1)
+parameters; feed SI-scale inputs through a rescaling, not directly.
 """
 from __future__ import annotations
 
@@ -57,52 +57,39 @@ class Grid1D:
 
     @property
     def z(self) -> np.ndarray:
-        return -self.half + self.dz * np.arange(self.n)
+        # -half + dz i, bit for bit, formed in place
+        z = np.arange(self.n, dtype=float)
+        z *= self.dz
+        z -= self.half
+        return z
 
     @property
     def k(self) -> np.ndarray:
-        # 2 pi fftfreq(n, dz), bit for bit, formed in place: fftfreq's integer
-        # rows took 3.5 times the result's memory in temporaries
-        k = np.arange(self.n, dtype=float)
-        k[self.n // 2 :] -= self.n
-        k *= 1.0 / (self.n * self.dz)
-        k *= 2.0 * np.pi
-        return k
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
 
 
 class SpinorField(NamedTuple):
-    """The branch pair (U_up xi, U_down xi) / sqrt(2), held as its up row
-    (sigma_z = +1) and the phase that gives the down row (sigma_z = -1) by
-    reflection in z: psi_down[i] = phase * up[(n - i) mod n], which maps
-    z to -z and keeps the cells 0 and n // 2 (see propagate).
+    """The branch pair (U_up xi, U_down xi) / sqrt(2) as one (2, n) array:
+    row 0 is sigma_z = +1 (up), row 1 is sigma_z = -1 (down).
 
     No spin state is held: neither q-rms readout depends on one.
     """
 
     grid: Grid1D
-    up: np.ndarray
-    phase: complex
+    psi: np.ndarray
 
     def norm_sq(self) -> float:
-        # the reflection keeps the norm: twice the up row's, squared in place
-        dens = np.abs(self.up)
+        # squared in place: one temporary of half the field's size, not two
+        dens = np.abs(self.psi)
         dens *= dens
-        return float(2.0 * np.sum(dens) * self.grid.dz)
+        return float(np.sum(dens) * self.grid.dz)
 
     def edge_probability(self) -> float:
         """Probability in the outermost cells on each side."""
         c = _EDGE_CELLS
-        # cells n - c to c of the up row, edge to edge: the up row's edge
-        # cells are the first 2c of them, the down row's, reflected, the last
-        dens = np.abs(self.up[np.r_[-c : c + 1]]) ** 2
-        return float((np.sum(dens[:-1]) + np.sum(dens[1:])) * self.grid.dz)
-
-
-def _down(field: SpinorField) -> np.ndarray:
-    """The down row, phase * up[(n - i) mod n], as a new array."""
-    down = np.roll(field.up[::-1], 1)
-    down *= field.phase
-    return down
+        # only the 2c edge columns are squared, not the whole field
+        dens = np.sum(np.abs(self.psi[:, np.r_[:c, -c:0]]) ** 2, axis=0)
+        return float((np.sum(dens[:c]) + np.sum(dens[c:])) * self.grid.dz)
 
 
 def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
@@ -125,8 +112,7 @@ def suggest_grid(p: SGParams, probe: GaussianProbe, n: int = 1024) -> Grid1D:
 def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     """The branch pair (xi, xi) / sqrt(2) of the sampled Gaussian probe xi,
     before the magnet: what measure_error and measure_disturbance read once
-    evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+; the
-    down row is the up row reflected, with phase 1, as xi is even in z."""
+    evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+."""
     require_scalar(probe)
     width = np.sqrt(probe.var_z)
     span = 2.0 * grid.half
@@ -135,20 +121,24 @@ def init_state(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
             f"probe width {width:.3g} unresolvable: need "
             f"{4.0 * grid.dz:.3g} <= width <= {span / 16.0:.3g}"
         )
+    psi = np.empty((2, grid.n), dtype=complex)
+    # exp(-lam z^2), its exponent formed part by part in place
+    xi = psi[0]
     z_sq = grid.z
     z_sq *= z_sq
-    xi = -probe.lam * z_sq
+    np.multiply(z_sq, -probe.lam.real, out=xi.real)
+    np.multiply(z_sq, -probe.lam.imag, out=xi.imag)
     np.exp(xi, out=xi)
     xi /= np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
     xi *= 1.0 / np.sqrt(2.0)
-    return SpinorField(grid, xi, 1.0 + 0.0j)
+    psi[1] = xi
+    return SpinorField(grid, psi)
 
 
 def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
     """(U_up xi, U_down xi) / sqrt(2): the probe xi propagated through the
-    magnet, in one symmetric split, and the free flight, in the one (n,) up
-    row of its start field on suggest_grid's grid.  The down branch is read
-    from it by reflection.
+    magnet, in one symmetric split, and the free flight in both branches,
+    in the one (2, n) buffer of its start field on suggest_grid's grid.
 
     The propagator is diagonal in sigma_z, so these two amplitudes are all
     the q-rms squares need, whatever the spin state, and both the error and
@@ -163,35 +153,30 @@ def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
     Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  It holds for z on
     the line; on the periodic grid z wraps around at the edges, so the
     norm and edge checks run on every propagation.
-
-    The reflection R, index i to (n - i) mod n, is z to -z on the grid.
-    The start field is even, R commutes with the DFT and k^2 is even, so R
-    commutes with the kinetic step; the down potential is the up potential
-    reflected, apart from B0, whose two half kicks leave the one phase
-    e^{2i mu b0 dt / hbar}.  So psi_down = phase * R psi_up to rounding,
-    with one exception: the wrap point, index 0 (z = -half), maps to
-    itself, and there the reflected down branch takes the kick of +half,
-    not of -half.  The field is that of the two-row split with the down
-    potential at that one cell taken from the other side, a difference
-    bounded by the edge amplitude: e^-16 of the peak at the 8 sigma margin.
     """
-    grid, up, _ = init_state(suggest_grid(p, probe, n), probe)
-    # B0's phase counts mod 2 pi: reduced, a large B0 cannot round the B1 z
-    # ramp into noise, and a B0 whose phase is under 2 pi is left as it is
+    field = init_state(suggest_grid(p, probe, n), probe)
+    grid, psi = field
+    # the half kick -mu (b0 + B1 z) dt / (2 hbar), its exponent formed left
+    # to right in place in the imaginary part of its one complex row.  B0's
+    # phase counts mod 2 pi: reduced, a large B0 cannot round the B1 z ramp
+    # into noise, and a B0 whose phase is under 2 pi is left as it is
+    kick = np.zeros_like(psi[0])
     with np.errstate(all="ignore"):
         b0 = np.fmod(p.B0, 4.0 * np.pi * p.hbar / np.abs(p.mu * p.dt))
-        # the up row's half kick is e^{-i arg}; the down row's phase e^{i theta}
-        arg = check_finite("kick", p.mu * (b0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar))
-        theta = check_finite("kick", 2.0 * p.mu * b0 * p.dt / p.hbar)
-    # one complex scratch row: the half kick, recomputed after the flight
-    # has held its kinetic factor there
-    scratch = np.empty_like(up)
-    up *= np.exp(np.multiply(arg, -1j, out=scratch), out=scratch)
-    _flight(up, grid, p.dt, p, scratch)
-    up *= np.exp(np.multiply(arg, -1j, out=scratch), out=scratch)
+        exponent = np.multiply(grid.z, -p.B1, out=kick.imag)
+        exponent -= b0
+        exponent *= p.mu
+        exponent *= p.dt
+        exponent /= 2.0 * p.hbar
+    check_finite("kick", exponent)
+    np.exp(kick, out=kick)
+    _kick(psi, kick)
+    _flight(psi, grid, p.dt, p)
+    _kick(psi, kick)
     if p.tau > 0.0:
-        _flight(up, grid, p.tau, p, scratch)
-    field = SpinorField(grid, up, complex(np.exp(1j * theta)))
+        _flight(psi, grid, p.tau, p)
+    # freed before the norm and edge checks square the field
+    del kick, exponent
     # init_state gives every start field norm 1; a nan fails both checks
     drift = field.norm_sq() - 1.0
     if not (abs(drift) <= NORM_TOL):
@@ -202,21 +187,42 @@ def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
     return field
 
 
-def _flight(row: np.ndarray, grid: Grid1D, t: float, p: SGParams, scratch: np.ndarray) -> None:
-    """Free evolution of the row over t, transformed in place, with its
-    kinetic factor formed in the scratch row.  One FFT call takes one row:
-    pocketfft's working memory grows with what one call transforms (with
-    both branches evolved, validate --grid-n 1048576 peaked at 134 MB with
-    one call per row, 183 MB with one call on both)."""
-    np.fft.fft(row, out=row)
-    # exp(-1j hbar k^2 t / (2 m)), formed left to right in place
-    k_sq = grid.k
-    k_sq *= k_sq
-    phase = np.multiply(k_sq, -1j * p.hbar, out=scratch)
+def _kick(psi: np.ndarray, kick: np.ndarray) -> None:
+    """Row 0, which sees +mu (B0 + B1 z), times the half kick and row 1, which
+    sees its negative, times the conjugate: the kick row is conjugated in
+    place and back, so no conjugate row is made."""
+    psi[0] *= kick
+    psi[1] *= np.conjugate(kick, out=kick)
+    np.conjugate(kick, out=kick)
+
+
+def _flight(psi: np.ndarray, grid: Grid1D, t: float, p: SGParams) -> None:
+    """Free evolution of psi over t, in place, each branch transformed in
+    its own row: pocketfft's working memory grows with what one call
+    transforms (one call on both rows took validate --grid-n 1048576 from
+    134 MB to 183 MB).
+
+    The kinetic factor exp(-1j hbar k^2 t / (2 m)) depends on k^2 alone, and
+    k[n - i] = -k[i] in FFT order, so it is formed in half a row, for
+    k = 2 pi i / (n dz) with i = 0..n/2, and read backwards for the rest:
+    half the exp.  Each step rounds as in Grid1D.k and in the complex
+    expression, so the factor keeps their bits (Grid1D.k holds -pi / dz at
+    n/2, whose square is the same)."""
+    for row in psi:
+        np.fft.fft(row, out=row)
+    h = grid.n // 2
+    phase = np.arange(h + 1, dtype=complex)
+    phase *= 1.0 / (grid.n * grid.dz)
+    phase *= 2.0 * np.pi
+    phase *= phase
+    phase *= -1j * p.hbar
     phase *= t
     phase /= 2.0 * p.mass
-    row *= np.exp(phase, out=phase)
-    np.fft.ifft(row, out=row)
+    np.exp(phase, out=phase)
+    psi[:, : h + 1] *= phase
+    psi[:, h + 1 :] *= phase[h - 1 : 0 : -1]
+    for row in psi:
+        np.fft.ifft(row, out=row)
 
 
 def measure_error(field: SpinorField) -> float:
@@ -238,29 +244,17 @@ def measure_error(field: SpinorField) -> float:
     times the grid's sums by (dz/2)(g(0) - f(0)) + (dz^2/12)(f'(0) - g'(0))
     + O(dz^4), which this adds, times 4; the mirror meter swaps f and g,
     and so the sign.  The derivatives are central differences at the z = 0
-    grid point, exact to O(dz^2).
-
-    The field holds the down branch as the up branch reflected in z, times
-    a phase, so g(z) = f(-z): |down[i]|^2 = |up[(n - i) mod n]|^2.  The
-    reflection is exact on the grid, to the rounding of z (see propagate):
-    the start field is even, the kinetic step commutes with it, and the
-    down potential is the up potential reflected but for B0, which adds
-    the phase alone.  Its one exception is the wrap point, index 0, where
-    the down branch takes the kick of +half, not -half: an error bounded by
-    the edge amplitude, e^-16 of the peak at suggest_grid's 8 sigma margin.
-    So the dz term is zero, the dz^2 term is (dz^2/6) f'(0), and the down
-    branch's sums over either side are the up row's over the other, but for
-    the cells 0 and n // 2, which the reflection keeps.
+    grid point, exact to O(dz^2).  The dz term is zero to rounding for the
+    even Gaussian probe, whose branches mirror each other in z; it is kept,
+    so no symmetry is assumed.
     """
     h, dz = field.grid.n // 2, field.grid.dz
-    f = np.abs(field.up)
-    f *= f
-    below, above = np.sum(f[:h]), np.sum(f[h:])
-    # down's z < 0 sum is up's z >= 0 sum with cell 0 for cell n // 2
-    kept = f[0] - f[h]
-    wrong, mirror = 2.0 * above + kept, 2.0 * below - kept
-    # 4 (dz^2/6) f'(0), with f'(0) = (f[h + 1] - f[h - 1]) / (2 dz)
-    edge = (dz / 3.0) * (f[h + 1] - f[h - 1])
+    (up_below, up_above), (down_below, down_above) = (
+        (np.sum(np.abs(row[:h]) ** 2), np.sum(np.abs(row[h:]) ** 2)) for row in field.psi
+    )
+    wrong, mirror = up_above + down_below, up_below + down_above
+    f, g = np.abs(field.psi[:, h - 1 : h + 2]) ** 2
+    edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
     return float(4.0 * min(wrong, mirror) * dz + (edge if wrong <= mirror else -edge))
 
@@ -273,8 +267,4 @@ def measure_disturbance(field: SpinorField) -> float:
     multiplies both branches by the same unitary, so it leaves the norm of
     their difference unchanged; no spin state enters.
     """
-    diff = _down(field)
-    diff -= field.up
-    dens = np.abs(diff)
-    dens *= dens
-    return float(2.0 * np.sum(dens) * field.grid.dz)
+    return float(2.0 * np.sum(np.abs(field.psi[0] - field.psi[1]) ** 2) * field.grid.dz)

@@ -18,12 +18,13 @@ from .sgmodel import SGParams, disturbance_sq, error_sq
 # (512/n)^4 + EPS_REL_FLOOR and its eta^2 error within ETA_REL_FLOOR: the
 # oracle's measured error with at least 20x margin.  Over the default cases
 # the worst eps^2 error falls as n^-4, 3.74e-7 (512/n)^4 from n = 512 to
-# 32768, to a plateau of 4.07-4.26e-14 from 65536 to 2^20; eta^2 agrees to
-# 1.8e-15 at every n.  So an eps^2 off by 1e-4 fails at every n.  The
-# plateau is no rounding floor but suggest_grid's 8 sigma span: the tails
-# beyond it, 2 erfc(4 sqrt 2) = 2.49e-15 of eps^2, wrap round the periodic
-# grid onto the meter's wrong side, and over the smallest default eps^2,
-# 0.0581, that is 4.28e-14.
+# 32768, to a plateau of 4.13-4.30e-14 from 65536 to 2^20; eta^2 agrees to
+# 1.4e-15 at every n.  So an eps^2 off by 1e-4 fails at every n.  The
+# plateau is no rounding floor but suggest_grid's 8 sigma span: each
+# branch's tail beyond it, 2 erfc(4 sqrt 2) = 2.49e-15 of eps^2, wraps
+# round the periodic grid onto the meter's wrong side (every case's
+# absolute error levels out at 2.4-3.3e-15), and over the smallest default
+# eps^2, 0.0581, that is 4.28e-14.
 EPS_REL_AT_512 = 1e-5
 EPS_REL_FLOOR = 1e-12
 ETA_REL_FLOOR = 1e-13

@@ -1,87 +1,42 @@
 """Quantities only the tests compute: spinor-field moments on the grid, the
-grid process's own eps^2, the two-row readouts the one-row field is checked
-against, the beam-flux speed density and the Robertson uncertainty product.
-The physics checks compare them with the closed forms; no command runs
-them."""
-from typing import NamedTuple
-
+grid process's own eps^2, the beam-flux speed density and the Robertson
+uncertainty product.  The physics checks compare them with the closed
+forms; no command runs them."""
 import numpy as np
 
 from sgedr._arrays import check_in
 from sgedr.experiment import K_B
-from sgedr.gridsim import Grid1D, SpinorField
+from sgedr.gridsim import SpinorField
 from sgedr.spin import HERMITICITY_TOL, PauliObservable, QubitState, std_dev
 
 
-class BranchPair(NamedTuple):
-    """Both sigma_z branches as one (2, n) array, row 0 up and row 1 down:
-    a one-row field's by reflection (branch_pair), or a two-row reference's
-    own, each row evolved on its own."""
-
-    grid: Grid1D
-    psi: np.ndarray
+def mean_z_sq(field: SpinorField) -> float:
+    density = np.sum(np.abs(field.psi) ** 2, axis=0)
+    return float(np.sum(field.grid.z**2 * density) * field.grid.dz / field.norm_sq())
 
 
-def branch_pair(field: SpinorField) -> BranchPair:
-    """The field's up row and its down row built by reflection in z:
-    psi_down[i] = phase * up[(n - i) mod n]."""
-    down = field.phase * np.roll(field.up[::-1], 1)
-    return BranchPair(field.grid, np.stack((field.up, down)))
-
-
-def pair_norm_sq(pair: BranchPair) -> float:
-    return float(np.sum(np.abs(pair.psi) ** 2) * pair.grid.dz)
-
-
-def mean_z_sq(pair: BranchPair) -> float:
-    density = np.sum(np.abs(pair.psi) ** 2, axis=0)
-    return float(np.sum(pair.grid.z**2 * density) * pair.grid.dz / pair_norm_sq(pair))
-
-
-def mean_p_sq(pair: BranchPair, hbar: float) -> float:
+def mean_p_sq(field: SpinorField, hbar: float) -> float:
     """<P^2> via the spectral derivative."""
-    n = pair.grid.n
-    amp = np.fft.fft(pair.psi) / n
-    total = float(np.sum((hbar * pair.grid.k) ** 2 * np.abs(amp) ** 2)) * n * pair.grid.dz
-    return total / pair_norm_sq(pair)
+    n = field.grid.n
+    amp = np.fft.fft(field.psi) / n
+    total = float(np.sum((hbar * field.grid.k) ** 2 * np.abs(amp) ** 2)) * n * field.grid.dz
+    return total / field.norm_sq()
 
 
-def mean_sigma_x(pair: BranchPair) -> float:
-    up, down = pair.psi
-    return float(2.0 * np.sum((up.conj() * down).real) * pair.grid.dz)
+def mean_sigma_x(field: SpinorField) -> float:
+    up, down = field.psi
+    return float(2.0 * np.sum((up.conj() * down).real) * field.grid.dz)
 
 
-def _wrong_sides(pair: BranchPair) -> tuple[float, float]:
-    """The wrong-side sums of |amplitude|^2 of the meter that follows the
-    deflection and of its mirror (see gridsim.measure_error)."""
-    h = pair.grid.n // 2
-    up, down = np.abs(pair.psi) ** 2
-    return np.sum(up[h:]) + np.sum(down[:h]), np.sum(up[:h]) + np.sum(down[h:])
-
-
-def grid_error_sq(pair: BranchPair) -> float:
+def grid_error_sq(field: SpinorField) -> float:
     """eps^2 of the oriented sign meter as the grid process itself reads it:
     gridsim.measure_error's wrong-side sums without its screen-edge term,
     so second order in dz from the line's."""
-    wrong, mirror = _wrong_sides(pair)
+    h = field.grid.n // 2
+    up, down = np.abs(field.psi) ** 2
+    wrong, mirror = np.sum(up[h:]) + np.sum(down[:h]), np.sum(up[:h]) + np.sum(down[h:])
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
-    return float(4.0 * min(wrong, mirror) * pair.grid.dz)
-
-
-def pair_error_sq(pair: BranchPair) -> float:
-    """gridsim.measure_error read from both rows, with no symmetry assumed:
-    the dz edge term (dz/2)(g(0) - f(0)) is kept, and each row's sums and
-    central differences are its own."""
-    h, dz = pair.grid.n // 2, pair.grid.dz
-    wrong, mirror = _wrong_sides(pair)
-    f, g = np.abs(pair.psi[:, h - 1 : h + 2]) ** 2
-    edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
-    return float(4.0 * min(wrong, mirror) * dz + (edge if wrong <= mirror else -edge))
-
-
-def pair_disturbance_sq(pair: BranchPair) -> float:
-    """gridsim.measure_disturbance read from both rows: 2 sum |up - down|^2 dz."""
-    return float(2.0 * np.sum(np.abs(pair.psi[0] - pair.psi[1]) ** 2) * pair.grid.dz)
+    return float(4.0 * min(wrong, mirror) * field.grid.dz)
 
 
 def flux_pdf(v: float, T: float, m: float) -> float:

@@ -30,7 +30,7 @@ from sgedr.sgmodel import (
 )
 from sgedr.spin import SIGMA_Y, PauliObservable, QubitState
 
-from helpers import branch_pair, grid_error_sq
+from helpers import grid_error_sq
 
 # rounding slack on the upper end of a q-rms range
 ULP_SLACK = 1e-12
@@ -152,7 +152,7 @@ class TestPropagate:
             field = propagate(p, probe, 256)
         except ValueError:
             return
-        for eps_sq in (grid_error_sq(branch_pair(field)), measure_error(field)):
+        for eps_sq in (grid_error_sq(field), measure_error(field)):
             assert in_range(eps_sq, 2.0 + ULP_SLACK), eps_sq
         assert in_range(measure_disturbance(field), 4.0 + ULP_SLACK)
 

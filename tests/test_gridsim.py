@@ -5,7 +5,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgedr import gridsim
@@ -25,60 +25,65 @@ from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
 from sgedr.spin import STATE_SY_PLUS, PauliObservable
 from sgedr.validation import ETA_REL_FLOOR, default_cases, run_case, run_validation
 
-from helpers import (
-    BranchPair,
-    branch_pair,
-    grid_error_sq,
-    mean_p_sq,
-    mean_sigma_x,
-    mean_z_sq,
-    pair_disturbance_sq,
-    pair_error_sq,
-)
+from helpers import grid_error_sq, mean_p_sq, mean_sigma_x, mean_z_sq
 
 
 def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
     return SGParams(mu=1.0, B0=b0, B1=mu_b1, mass=1.0, hbar=1.0, dt=dt, tau=tau)
 
 
-def repeated_split(start, p, steps, wrap_as_reflected=False):
-    """Reference for propagate, the two-row route: the magnet interval as
-    `steps` symmetric splits, then the free flight, each branch propagated
-    on its own from the start field's amplitude, with no reflection.
+def repeated_split(field, p, steps):
+    """Reference for propagate: the magnet interval as `steps` symmetric
+    splits, each branch propagated on its own, then the free flight.
     propagate takes one split; for the linear magnet field this repeats it
-    exactly.  With wrap_as_reflected, the down branch's potential at the
-    wrap point, index 0, takes its value at +half instead of -half, as the
-    one-row field's reflection gives it (see propagate)."""
-    grid = start.grid
+    exactly."""
+    grid = field.grid
     h = p.dt / steps
     kinetic = np.exp(-1j * p.hbar * grid.k**2 * h / (2.0 * p.mass))
     flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
-    # propagate's reduction of B0: each branch's global phase moves by 4 pi
-    b0 = np.fmod(p.B0, 4.0 * np.pi * p.hbar / np.abs(p.mu * p.dt))
     rows = []
     # the up branch (sigma_z = +1) sees the potential +mu (B0 + B1 z)
-    for sign in (1.0, -1.0):
-        z = grid.z
-        if sign < 0.0 and wrap_as_reflected:
-            z[0] = grid.half
-        half_kick = np.exp(-1j * sign * p.mu * (b0 + p.B1 * z) * h / (2.0 * p.hbar))
-        branch = start.up
+    for sign, branch in zip((1.0, -1.0), field.psi):
+        half_kick = np.exp(-1j * sign * p.mu * (p.B0 + p.B1 * grid.z) * h / (2.0 * p.hbar))
         for _ in range(steps):
             branch = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * branch))
         rows.append(np.fft.ifft(flight * np.fft.fft(branch)))
-    return BranchPair(grid, np.stack(rows))
+    return SpinorField(grid, np.stack(rows))
+
+
+def plain_split(p, probe, n):
+    """propagate's field from whole-row expressions: z, the start field, the
+    kick, its conjugate and each full kinetic factor as temporaries of
+    their own.  propagate forms them in place, in fewer rows, and must keep
+    these bits."""
+    grid = suggest_grid(p, probe, n)
+    z = -grid.half + grid.dz * np.arange(n)
+    xi = np.exp(-probe.lam * z**2)
+    xi /= np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
+    xi *= 1.0 / np.sqrt(2.0)
+    b0 = np.fmod(p.B0, 4.0 * np.pi * p.hbar / np.abs(p.mu * p.dt))
+    kick = np.exp(-1j * (p.mu * (b0 + p.B1 * z) * p.dt / (2.0 * p.hbar)))
+
+    def flight(row, t):
+        return np.fft.ifft(np.fft.fft(row) * np.exp((-1j * p.hbar) * grid.k**2 * t / (2.0 * p.mass)))
+
+    rows = []
+    for row_kick in (kick, kick.conj()):
+        row = flight(xi * row_kick, p.dt) * row_kick
+        rows.append(flight(row, p.tau) if p.tau > 0.0 else row)
+    return np.stack(rows)
 
 
 def grid_sum_error_sq(p, probe, n):
     """The grid process's eps^2 on suggest_grid's n-point grid, without the
     screen-edge term."""
-    return grid_error_sq(branch_pair(propagate(p, probe, n)))
+    return grid_error_sq(propagate(p, probe, n))
 
 
-def branch_mean_z(pair, row):
-    dens = np.abs(pair.psi[row]) ** 2
-    weight = np.sum(dens) * pair.grid.dz
-    return float(np.sum(pair.grid.z * dens) * pair.grid.dz / weight)
+def branch_mean_z(field, branch):
+    dens = np.abs(branch) ** 2
+    weight = np.sum(dens) * field.grid.dz
+    return float(np.sum(field.grid.z * dens) * field.grid.dz / weight)
 
 
 class TestGrid1D:
@@ -146,23 +151,23 @@ class TestInitState:
         grid = suggest_grid(unit_params(), probe)
         field = init_state(grid, probe)
         assert field.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        up_norm = np.sum(np.abs(field.up) ** 2) * grid.dz
+        up_norm = np.sum(np.abs(field.psi[0]) ** 2) * grid.dz
         assert up_norm == pytest.approx(0.5, abs=1e-12)
 
     def test_sampled_moments_match_closed_forms(self):
         for lam_im in (0.0, 0.5, -2.0):
             probe = GaussianProbe(1.0, lam_im)
             grid = suggest_grid(unit_params(), probe, n=2048)
-            pair = branch_pair(init_state(grid, probe))
+            field = init_state(grid, probe)
             var_z, var_p, _ = moments(probe, 1.0)
-            assert mean_z_sq(pair) == pytest.approx(var_z, rel=1e-6)
-            assert mean_p_sq(pair, 1.0) == pytest.approx(var_p, rel=1e-6)
+            assert mean_z_sq(field) == pytest.approx(var_z, rel=1e-6)
+            assert mean_p_sq(field, 1.0) == pytest.approx(var_p, rel=1e-6)
 
     def test_mean_sigma_x(self):
         # the branch pair (xi, xi) / sqrt(2) is the sigma_x = +1 product state
         probe = GaussianProbe(1.0)
         grid = suggest_grid(unit_params(), probe)
-        assert mean_sigma_x(branch_pair(init_state(grid, probe))) == pytest.approx(1.0, abs=1e-12)
+        assert mean_sigma_x(init_state(grid, probe)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unresolvable_width(self):
         grid = Grid1D(256, 0.5)
@@ -186,25 +191,24 @@ class TestEvolve:
             p = unit_params(mu_b1=0.0, tau=tau)
             expected = sigma_t(probe, p.dt + tau, p.hbar, p.mass) ** 2
             reference = repeated_split(start_field(p, probe, 2048), p, 32)
-            for pair in (branch_pair(propagate(p, probe, 2048)), reference):
-                assert mean_z_sq(pair) == pytest.approx(expected, rel=1e-8)
+            for field in (propagate(p, probe, 2048), reference):
+                assert mean_z_sq(field) == pytest.approx(expected, rel=1e-8)
 
     def test_larmor_precession(self):
         # uniform field only: splitting is exact, <sigma_x> = cos(2 B0 dt)
         probe = GaussianProbe(1.0)
         p = unit_params(mu_b1=0.0, b0=0.4)
-        reference = repeated_split(start_field(p, probe), p, 32)
-        for pair in (branch_pair(propagate(p, probe)), reference):
-            assert mean_sigma_x(pair) == pytest.approx(np.cos(0.8), abs=1e-8)
+        for field in (propagate(p, probe), repeated_split(start_field(p, probe), p, 32)):
+            assert mean_sigma_x(field) == pytest.approx(np.cos(0.8), abs=1e-8)
 
     def test_branch_deflection(self):
         # mu B1 > 0 pushes the up branch toward negative z by g0
         p = unit_params(mu_b1=1.0)
         probe = GaussianProbe(1.0)
         reference = repeated_split(start_field(p, probe, 2048), p, 256)
-        for pair in (branch_pair(propagate(p, probe, 2048)), reference):
-            assert branch_mean_z(pair, 0) == pytest.approx(-0.5, abs=1e-6)
-            assert branch_mean_z(pair, 1) == pytest.approx(0.5, abs=1e-6)
+        for field in (propagate(p, probe, 2048), reference):
+            assert branch_mean_z(field, field.psi[0]) == pytest.approx(-0.5, abs=1e-6)
+            assert branch_mean_z(field, field.psi[1]) == pytest.approx(0.5, abs=1e-6)
 
     def test_rejects_an_unresolvable_kick(self):
         # at hbar = 1e-3 the kick mu B1 dt / hbar = 1000 lies past the
@@ -221,14 +225,22 @@ class TestEvolve:
         field = propagate(unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5))
         assert abs(field.norm_sq() - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_keeps_the_bits_of_whole_row_expressions(self, index):
+        # the default cases, and each with hbar, m != 1 and mu B1 flipped
+        p, probe = default_cases()[index]
+        for q in (p, replace(p, hbar=0.7, mass=3.0, B1=-p.B1)):
+            assert propagate(q, probe, 1024).psi.tobytes() == plain_split(q, probe, 1024).tobytes()
+
     def test_one_case_peak_bytes_per_grid_point(self):
-        # propagating one case at n = 16384 and reading eps^2 and eta^2 from
-        # it peaks at 56.1 bytes of traced numpy memory per grid point: the
-        # up row and the scratch row (16 each), the kick's argument and k^2
-        # (8 each) and numpy's 8192-value complex cast buffer (8).  The
-        # two-row field peaked at 80.1 (1,282 KiB).  pocketfft's own
-        # buffers are allocated outside numpy's allocator, so tracemalloc
-        # does not count them
+        # the split runs in the start field's own (2, n) buffer: propagating
+        # one case at n = 16384 and reading eps^2 and eta^2 from it peaks at
+        # 56.1 bytes of traced numpy memory per grid point, the field (32)
+        # and 24 more: the kick row (16) with z or a half-row kinetic factor
+        # (8), or eta^2's difference row and its modulus.  Whole-row kicks
+        # and factors took it to 80.1, a second field to 144.  pocketfft's
+        # own buffers are allocated outside numpy's allocator, so
+        # tracemalloc does not count them
         n = 16384
         p, probe = default_cases()[7]
         tracemalloc.start()
@@ -243,108 +255,11 @@ class TestEvolve:
     def test_boundary_leak_detected(self, monkeypatch):
         # a flat start field of norm 1, which no free flight moves off the edges
         def flat(grid, probe):
-            return SpinorField(grid, np.full(grid.n, 1.0 / np.sqrt(4.0 * grid.half), complex), 1.0)
+            return SpinorField(grid, np.full((2, grid.n), 1.0 / np.sqrt(4.0 * grid.half), complex))
 
         monkeypatch.setattr(gridsim, "init_state", flat)
         with pytest.raises(RuntimeError, match="leakage"):
             propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0), 256)
-
-
-def two_row_deviation(field, reference):
-    """How far the one-row field reads from a two-row reference: |d eps^2|,
-    |d eta^2|, and the largest difference of either branch row, the down
-    row built by reflection, against the reference's largest amplitude."""
-    rows = branch_pair(field).psi
-    return (
-        abs(measure_error(field) - pair_error_sq(reference)),
-        abs(measure_disturbance(field) - pair_disturbance_sq(reference)),
-        np.max(np.abs(rows - reference.psi)) / np.max(np.abs(reference.psi)),
-    )
-
-
-# |d eps^2| and |d eta^2| in absolute terms, as both lie in [0, 4] and a
-# small eps^2 is a sum of larger terms, and the rows' difference against the
-# peak: the worst measured were 4, 11 and 77 eps over 636 fields drawn as in
-# TestReflection (3, 3 and 8 eps over the default cases at n = 512 to 16384)
-READ_TOL, ROW_TOL = 16 * np.finfo(float).eps, 128 * np.finfo(float).eps
-
-
-class TestReflection:
-    """The one-row field against the two-row route, repeated_split in one
-    split, whose down row is evolved on its own: the same field to rounding
-    once the down potential at the wrap point is the reflected one."""
-
-    @pytest.mark.parametrize("index", range(8))
-    def test_default_case_matches_two_rows(self, index):
-        # on the default cases the wrap point's amplitude is too small to
-        # move eps^2 or eta^2 even against the true two-row route (with
-        # tau = 0 the down row itself differs there by up to twice its
-        # amplitude, 4.7e-8); against the reflected wrap the rows agree too
-        p, probe = default_cases()[index]
-        field, start = propagate(p, probe), start_field(p, probe)
-        d_eps, d_eta, _ = two_row_deviation(field, repeated_split(start, p, 1))
-        assert d_eps <= READ_TOL and d_eta <= READ_TOL
-        reflected = repeated_split(start, p, 1, wrap_as_reflected=True)
-        d_eps, d_eta, d_row = two_row_deviation(field, reflected)
-        assert d_eps <= READ_TOL and d_eta <= READ_TOL and d_row <= ROW_TOL
-
-    # region's default domain, with B0 also drawn far past its period 4 pi
-    # hbar / |mu dt| and so reduced, on a grid that resolves the draw.
-    # Against the reflected wrap the routes agree to rounding.  Against the
-    # true wrap point the down rows differ only by its two kicks, each
-    # changing the one cell's amplitude by at most twice its modulus, and
-    # the flights between are unitary: by 2 (|xi[0]| + |psi_down(dt)[0]|)
-    # sqrt(dz) in norm, plus rounding, which moves eps^2 and eta^2 by at
-    # most 8 times that (Cauchy-Schwarz, both rows of norm 1/sqrt(2)).
-    # Over 825 draws the rows reached 0.99994 of their bound, and eps^2
-    # moved by at most 1.5e-10, under 1% of its bound
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.floats(0.25, 4.0),
-        st.floats(-2.0, 2.0),
-        st.floats(0.5, 4.0),
-        st.booleans(),
-        st.floats(0.0, 2.0) | st.floats(10.0, 1e12),
-        st.floats(0.0, 2.0),
-        st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
-        st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
-    )
-    # mu B1 < 0, a B0 of about 8e4 periods, a chirped probe, tau > 0 and
-    # hbar, m != 1 at once
-    @example(1.0, 0.5, 3.0, True, 1e6 + 0.5, 1.0, 0.5, 2.0)
-    def test_matches_two_rows_over_the_domain(
-        self, lam_re, lam_im, mu_b1, flip, b0, tau, hbar, mass
-    ):
-        mu_b1 = -mu_b1 if flip else mu_b1
-        p = SGParams(mu=1.0, B0=b0, B1=mu_b1, mass=mass, hbar=hbar, dt=1.0, tau=tau)
-        probe = GaussianProbe(lam_re, lam_im)
-        try:
-            field = propagate(p, probe, 2048)
-        except ValueError:
-            reject()  # the wavenumber or width rule: no field to compare
-        start = start_field(p, probe, 2048)
-        reflected = repeated_split(start, p, 1, wrap_as_reflected=True)
-        d_eps, d_eta, d_row = two_row_deviation(field, reflected)
-        assert d_eps <= READ_TOL and d_eta <= READ_TOL and d_row <= ROW_TOL
-        reference = repeated_split(start, p, 1)
-        at_dt = repeated_split(start, replace(p, tau=0.0), 1)
-        peak, dz = np.max(np.abs(reference.psi)), field.grid.dz
-        bound = 2.0 * (abs(start.up[0]) + abs(at_dt.psi[1, 0])) * np.sqrt(dz)
-        bound += ROW_TOL * peak * np.sqrt(2.0 * field.grid.half)
-        down = branch_pair(field).psi[1]
-        assert np.sqrt(np.sum(np.abs(down - reference.psi[1]) ** 2) * dz) <= bound
-        d_eps, d_eta, _ = two_row_deviation(field, reference)
-        assert d_eps <= 8.0 * bound + READ_TOL and d_eta <= 8.0 * bound + READ_TOL
-
-    @pytest.mark.parametrize("index", [5, 6, 7])
-    def test_comparison_sees_a_dropped_b0_phase(self, index):
-        # the default cases with B0 != 0: a down row read without the B0
-        # phase fails the comparison above by orders of magnitude
-        p, probe = default_cases()[index]
-        field = propagate(p, probe)._replace(phase=1.0)
-        reference = repeated_split(start_field(p, probe), p, 1, wrap_as_reflected=True)
-        d_eps, d_eta, d_row = two_row_deviation(field, reference)
-        assert d_eta > 1e-6 and d_row > 0.5
 
 
 class TestMeasure:
@@ -363,19 +278,12 @@ class TestMeasure:
     @pytest.mark.parametrize("mu_b1", [1.0, 3.0])
     def test_error_even_in_mu_b1(self, mu_b1):
         # the meter follows the deflection: flipping mu B1 swaps the branches
-        # and the meter's sides, and reads the same eps^2 (the anti-aligned
-        # meter read 4 - eps^2 for mu B1 < 0).  Flipped, the up row is the
-        # old down row, which the field holds only as the up row reflected,
-        # so the two signs sum in different orders: they agree to 8 ulp at
-        # most (default cases, n = 512 to 4096, |mu B1| = 0.7, 1 and 3),
-        # not bit for bit as the two-row field did
+        # and the meter's sides, and reads the same eps^2 bit for bit (the
+        # anti-aligned meter read 4 - eps^2 for mu B1 < 0)
         probe = GaussianProbe(1.0)
         plus, minus = (propagate(unit_params(mu_b1=sign * mu_b1), probe) for sign in (1.0, -1.0))
-        eps = np.finfo(float).eps
-        assert grid_error_sq(branch_pair(minus)) == pytest.approx(
-            grid_error_sq(branch_pair(plus)), rel=16 * eps, abs=0.0
-        )
-        assert measure_error(minus) == pytest.approx(measure_error(plus), rel=16 * eps, abs=0.0)
+        assert grid_error_sq(minus) == grid_error_sq(plus)
+        assert measure_error(minus) == measure_error(plus)
 
     def test_disturbance_tau_invariant(self):
         # the free flight is common to both branches, so eta is read after it
@@ -393,19 +301,14 @@ def grid_process(p, probe, grid):
     sampled probe normalised in l2, and the sign meter oriented with the
     deflection: -1 at z >= 0 and +1 below for mu B1 >= 0, the mirror for
     mu B1 < 0.  Each block's columns are the propagated basis vectors, built
-    by FFTs of the identity.  The down block's potential at the wrap point,
-    index 0, is its value at +half, as the oracle's reflection gives it (see
-    TestReflection for the process with the true wrap point)."""
+    by FFTs of the identity."""
     n = grid.n
+    half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
     kinetic = np.exp(-1j * p.hbar * grid.k**2 * p.dt / (2.0 * p.mass))[:, None]
     flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))[:, None]
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     # the up block (sigma_z = +1) sees the potential +mu (B0 + B1 z)
     for block, sign in ((slice(0, n), -1j), (slice(n, 2 * n), 1j)):
-        z = grid.z
-        if sign == 1j:
-            z[0] = grid.half
-        half_phase = p.mu * (p.B0 + p.B1 * z) * p.dt / (2.0 * p.hbar)
         kick = np.exp(sign * half_phase)[:, None]
         cols = kick * np.fft.ifft(kinetic * np.fft.fft(np.diag(kick[:, 0]), axis=0), axis=0)
         u[block, block] = np.fft.ifft(flight * np.fft.fft(cols, axis=0), axis=0)
@@ -426,7 +329,7 @@ class TestQrmsDefinitions:
         mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
-        assert abs(eps**2 - grid_error_sq(branch_pair(field))) <= 1e-13
+        assert abs(eps**2 - grid_error_sq(field)) <= 1e-13
         assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
     # inside the oracle's domain at n = 512: over this box the probe width
@@ -442,16 +345,13 @@ class TestQrmsDefinitions:
     )
     # mu B1 < 0: the oracle's meter and the reference's take the mirror
     @example(1.0, 0.0, -3.0, 0.0, 0.0)
-    # a short flight: with the true wrap point in the down block, eps^2
-    # differed from the oracle's by 1.4e-12
-    @example(1.0, 0.0, 1.0, 0.0, 0.125)
     def test_readouts_match_over_the_domain(self, lam_re, lam_im, mu_b1, b0, tau):
         p, probe = unit_params(mu_b1, b0, tau), GaussianProbe(lam_re, lam_im)
         field = propagate(p, probe, 512)
         mp = grid_process(p, probe, field.grid)
         eps = qrms_error(mp, STATE_SY_PLUS, PauliObservable.z())
         eta = qrms_disturbance(mp, STATE_SY_PLUS, PauliObservable.x())
-        assert abs(eps**2 - grid_error_sq(branch_pair(field))) <= 1e-13
+        assert abs(eps**2 - grid_error_sq(field)) <= 1e-13
         assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
 
@@ -476,14 +376,11 @@ class TestValidation:
         assert all(r.passed for r in run_validation(n=1024))
 
     def test_zero_model_reads_exact_agreement_or_inf(self):
-        # no field at all: eta^2 is 0.0 from the closed form, which raised
-        # ZeroDivisionError instead of reading agreement.  The grid reads
-        # 3.1e-31: its down row is the up row reflected, and the FFTs keep
-        # the up row even only to rounding (the two-row field read 0.0)
+        # no field at all: eta^2 is 0.0 from the closed form and the grid
+        # alike, which raised ZeroDivisionError instead of reading agreement
         res = run_case(unit_params(mu_b1=0.0, b0=0.0), GaussianProbe(1.0))
-        assert res.eta_sq_model == 0.0 and 0.0 <= res.eta_sq_grid <= 1e-30
-        agree = res._replace(eta_sq_grid=0.0)
-        assert agree.eta_rel == 0.0 and agree.passed
+        assert (res.eta_sq_model, res.eta_sq_grid) == (0.0, 0.0)
+        assert res.eta_rel == 0.0 and res.passed
         off = res._replace(eta_sq_grid=1e-300)
         assert off.eta_rel == math.inf and not off.passed
         off = res._replace(eps_sq_model=0.0)
@@ -509,18 +406,17 @@ class TestValidation:
         for p, probe in default_cases():
             one = propagate(p, probe)
             many = repeated_split(start_field(p, probe), p, 64)
-            assert abs(measure_error(one) - pair_error_sq(many)) <= 1e-10
-            assert abs(measure_disturbance(one) - pair_disturbance_sq(many)) <= 1e-10
+            assert abs(measure_error(one) - measure_error(many)) <= 1e-10
+            assert abs(measure_disturbance(one) - measure_disturbance(many)) <= 1e-10
 
     def test_fft_call_budget(self, monkeypatch):
         # one propagation per case, read for both the error and the
-        # disturbance: one FFT pair on the up row for the magnet and, when
-        # tau > 0, one more for the free flight; 24 row transforms over the
-        # validation set, whose cases split evenly between tau = 0 and > 0
-        # (48 when both branches were evolved).  Each transform takes the
-        # one row in place in the field's own buffer: pocketfft's working
-        # memory, which tracemalloc cannot see, grows with what one call
-        # transforms
+        # disturbance: one FFT pair per branch for the magnet and, when
+        # tau > 0, one more for the free flight; 48 row transforms over the
+        # validation set, whose cases split evenly between tau = 0 and > 0.
+        # Each transform takes one branch row in place in the field's own
+        # buffer: pocketfft's working memory, which tracemalloc cannot see,
+        # grows with what one call transforms
         fields, rows = [], []
 
         def recorded(grid, probe):
@@ -529,7 +425,7 @@ class TestValidation:
 
         def counted(fn):
             def wrapper(a, **kwargs):
-                assert a.ndim == 1 and np.shares_memory(a, fields[-1].up)
+                assert a.ndim == 1 and np.shares_memory(a, fields[-1].psi)
                 assert kwargs.get("out") is a
                 rows.append(fn.__name__)
                 return fn(a, **kwargs)
@@ -539,7 +435,7 @@ class TestValidation:
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         run_validation(n=1024)
-        assert 0 < len(rows) <= 24
+        assert 0 < len(rows) <= 48
 
     def test_self_convergence_under_refinement(self):
         p, probe = unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5)
