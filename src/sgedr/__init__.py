@@ -38,11 +38,9 @@ from .sgmodel import (
 from .gridsim import (
     Grid1D,
     SpinorField,
-    init_state,
     measure_disturbance,
     measure_error,
     propagate,
-    suggest_grid,
 )
 from .experiment import (
     ChainReport,

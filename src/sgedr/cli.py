@@ -78,7 +78,9 @@ def _write_table(
     """Write a command's tables, each a name mapped to (header, columns).
 
     Every output is opened before anything is written (see _open_outputs),
-    then the summary, if any, is printed to stdout, then the tables follow.
+    then the summary, if any, is printed, then the tables follow.  The
+    summary goes to stdout, or to stderr when the tables do ('-'), so that
+    stdout holds the tables alone.
     JSON is one payload: schema, command, the extra fields, then each table
     as a list of row objects under its name, byte for byte what
     json.dumps(payload, indent=2) writes.  CSV writes the "rows" table to
@@ -95,7 +97,7 @@ def _write_table(
     with contextlib.ExitStack() as stack:
         handles = _open_outputs(stack, paths)
         if summary is not None:
-            print(summary)
+            print(summary, file=sys.stderr if path == "-" else sys.stdout)
         if fmt == "json":
             # json is imported where JSON is written: a CSV command never loads it
             import json

@@ -20,7 +20,7 @@ from .sgmodel import SGParams, disturbance_sq, error_sq
 # the worst eps^2 error falls as n^-4, 3.74e-7 (512/n)^4 from n = 512 to
 # 32768, to a plateau of 4.13-4.30e-14 from 65536 to 2^20; eta^2 agrees to
 # 1.4e-15 at every n.  So an eps^2 off by 1e-4 fails at every n.  The
-# plateau is no rounding floor but suggest_grid's 8 sigma span: each
+# plateau is no rounding floor but _grid's 8 sigma span: each
 # branch's tail beyond it, 2 erfc(4 sqrt 2) = 2.49e-15 of eps^2, wraps
 # round the periodic grid onto the meter's wrong side (every case's
 # absolute error levels out at 2.4-3.3e-15), and over the smallest default

@@ -1,13 +1,26 @@
-"""Quantities only the tests compute: spinor-field moments on the grid, the
-grid process's own eps^2, the beam-flux speed density and the Robertson
-uncertainty product.  The physics checks compare them with the closed
-forms; no command runs them."""
+"""Quantities only the tests compute: the grid references' wavenumbers and
+kinetic factor, spinor-field moments on the grid, the grid process's own
+eps^2, the beam-flux speed density and the Robertson uncertainty product.
+The physics checks compare them with the closed forms; no command runs
+them."""
 import numpy as np
 
 from sgedr._arrays import check_in
 from sgedr.experiment import K_B
-from sgedr.gridsim import SpinorField
+from sgedr.gridsim import Grid1D, SpinorField
+from sgedr.sgmodel import SGParams
 from sgedr.spin import HERMITICITY_TOL, PauliObservable, QubitState, std_dev
+
+
+def wavenumbers(grid: Grid1D) -> np.ndarray:
+    """The grid's wavenumbers in FFT order, 2 pi fftfreq(n, dz)."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dz)
+
+
+def kinetic(grid: Grid1D, p: SGParams, t: float) -> np.ndarray:
+    """The free propagator over t in k space, exp(-i hbar k^2 t / (2 m)), as
+    one whole-row expression."""
+    return np.exp(-1j * p.hbar * wavenumbers(grid) ** 2 * t / (2.0 * p.mass))
 
 
 def mean_z_sq(field: SpinorField) -> float:
@@ -19,7 +32,8 @@ def mean_p_sq(field: SpinorField, hbar: float) -> float:
     """<P^2> via the spectral derivative."""
     n = field.grid.n
     amp = np.fft.fft(field.psi) / n
-    total = float(np.sum((hbar * field.grid.k) ** 2 * np.abs(amp) ** 2)) * n * field.grid.dz
+    k = wavenumbers(field.grid)
+    total = float(np.sum((hbar * k) ** 2 * np.abs(amp) ** 2)) * n * field.grid.dz
     return total / field.norm_sq()
 
 

@@ -149,6 +149,17 @@ class TestExperiment:
         assert "reference cross-checks FAILED" in captured.err
         assert "1.25*delta_z" in captured.err
 
+    def test_defaults_exit_0_when_every_reference_check_passes(self, capsys, monkeypatch):
+        checks = sgedr.cli.reference_checks
+        monkeypatch.setattr(
+            "sgedr.cli.reference_checks",
+            lambda report: [(*check[:3], True) for check in checks(report)],
+        )
+        assert main(["experiment"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\n\nall reference cross-checks passed\n")
+        assert captured.err == ""
+
     def test_custom_config_skips_reference_checks(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("T = 1600\n")
@@ -279,6 +290,23 @@ class TestTauOpt:
         header, rows = read_csv(out)
         assert header == ["tau", "eps_sq"]
         assert len(rows) == 200
+
+    def test_json_to_stdout_is_the_payload_alone(self, capsys):
+        # with the table on stdout, the summary goes to stderr
+        assert main(["tau-opt", "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert data["command"] == "tau-opt" and len(data["rows"]) == 200
+        tau_line, eps_line = captured.err.splitlines()
+        assert tau_line == "condition holds: True; tau0 = %.17g" % data["tau0"]
+        assert eps_line.startswith("eps^2(tau0) = ")
+
+    def test_csv_to_stdout_starts_with_the_schema_header(self, capsys):
+        assert main(["tau-opt", "--lambda-im", "0"]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:2] == ["# sgedr tau-opt schema v1", "tau,eps_sq"] and len(lines) == 202
+        assert captured.err.startswith("no finite minimizer; error decreases toward")
 
     def test_json_payload(self, tmp_path, capsys):
         out = tmp_path / "tau.json"

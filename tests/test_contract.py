@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 import sgedr
 from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KRow, run_chain
-from sgedr.gridsim import (
-    HALF_MAX, Grid1D, init_state, measure_disturbance, measure_error, propagate, suggest_grid,
-)
+from sgedr.gridsim import HALF_MAX, Grid1D, measure_disturbance, measure_error, propagate
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
@@ -357,7 +355,6 @@ def test_every_exported_dataclass_validates():
 
 # the functions that size or optimise one packet, each called as f(p, probe)
 ONE_PROCESS = {
-    "suggest_grid": suggest_grid,
     "propagate": propagate,
     "optimal_tau": optimal_tau,
 }
@@ -376,18 +373,6 @@ class TestArrayFieldNamed:
         args[cls] = cls(**{**CONSTRUCTORS[cls][0], name: np.array(values)})
         with pytest.raises(ValueError) as info:
             f(args[SGParams], args[GaussianProbe])
-        assert str(info.value).split()[0] == name
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_init_state_names_an_array_field(self, data):
-        # init_state takes the probe alone; two-element arrays raised numpy's
-        # ambiguous truth value, one-element arrays a TypeError
-        name = data.draw(st.sampled_from(sorted(CONSTRUCTORS[GaussianProbe][0])), label="field")
-        values = data.draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4), label="values")
-        probe = GaussianProbe(**{**CONSTRUCTORS[GaussianProbe][0], name: np.array(values)})
-        with pytest.raises(ValueError) as info:
-            init_state(Grid1D(1024, 8.0), probe)
         assert str(info.value).split()[0] == name
 
     @settings(max_examples=50, deadline=None)

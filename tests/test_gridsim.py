@@ -13,11 +13,9 @@ from sgedr.gridsim import (
     HALF_MAX,
     Grid1D,
     SpinorField,
-    init_state,
     measure_disturbance,
     measure_error,
     propagate,
-    suggest_grid,
 )
 from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe, moments, sigma_t
@@ -25,7 +23,7 @@ from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
 from sgedr.spin import STATE_SY_PLUS, PauliObservable
 from sgedr.validation import ETA_REL_FLOOR, default_cases, run_case, run_validation
 
-from helpers import grid_error_sq, mean_p_sq, mean_sigma_x, mean_z_sq
+from helpers import grid_error_sq, kinetic, mean_p_sq, mean_sigma_x, mean_z_sq
 
 
 def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
@@ -39,14 +37,13 @@ def repeated_split(field, p, steps):
     exactly."""
     grid = field.grid
     h = p.dt / steps
-    kinetic = np.exp(-1j * p.hbar * grid.k**2 * h / (2.0 * p.mass))
-    flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))
+    step, flight = kinetic(grid, p, h), kinetic(grid, p, p.tau)
     rows = []
     # the up branch (sigma_z = +1) sees the potential +mu (B0 + B1 z)
     for sign, branch in zip((1.0, -1.0), field.psi):
         half_kick = np.exp(-1j * sign * p.mu * (p.B0 + p.B1 * grid.z) * h / (2.0 * p.hbar))
         for _ in range(steps):
-            branch = half_kick * np.fft.ifft(kinetic * np.fft.fft(half_kick * branch))
+            branch = half_kick * np.fft.ifft(step * np.fft.fft(half_kick * branch))
         rows.append(np.fft.ifft(flight * np.fft.fft(branch)))
     return SpinorField(grid, np.stack(rows))
 
@@ -56,7 +53,7 @@ def plain_split(p, probe, n):
     kick, its conjugate and each full kinetic factor as temporaries of
     their own.  propagate forms them in place, in fewer rows, and must keep
     these bits."""
-    grid = suggest_grid(p, probe, n)
+    grid = gridsim._grid(p, probe, n)
     z = -grid.half + grid.dz * np.arange(n)
     xi = np.exp(-probe.lam * z**2)
     xi /= np.sqrt(np.sum(np.abs(xi) ** 2) * grid.dz)
@@ -65,7 +62,7 @@ def plain_split(p, probe, n):
     kick = np.exp(-1j * (p.mu * (b0 + p.B1 * z) * p.dt / (2.0 * p.hbar)))
 
     def flight(row, t):
-        return np.fft.ifft(np.fft.fft(row) * np.exp((-1j * p.hbar) * grid.k**2 * t / (2.0 * p.mass)))
+        return np.fft.ifft(np.fft.fft(row) * kinetic(grid, p, t))
 
     rows = []
     for row_kick in (kick, kick.conj()):
@@ -75,7 +72,7 @@ def plain_split(p, probe, n):
 
 
 def grid_sum_error_sq(p, probe, n):
-    """The grid process's eps^2 on suggest_grid's n-point grid, without the
+    """The grid process's eps^2 on propagate's n-point grid, without the
     screen-edge term."""
     return grid_error_sq(propagate(p, probe, n))
 
@@ -125,10 +122,9 @@ class TestGrid1D:
         assert g.dz == pytest.approx(4.0 / 256)
         assert g.z[0] == pytest.approx(-2.0)
         assert g.z[1] - g.z[0] == pytest.approx(g.dz)
-        assert g.k.shape == (256,)
-        assert g.k[0] == 0.0
 
-    # measure_error and grid_error_sq read z = 0 at index n // 2
+    # measure_error and grid_error_sq read z = 0 at index n // 2, and
+    # propagate's kinetic factor reaches the wavenumber pi / dz
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from([2**k for k in range(8, 15)]),
@@ -142,23 +138,21 @@ class TestGrid1D:
         assert z[h] == 0.0
         assert z[h - 1] < 0.0 < z[h + 1]
         assert np.count_nonzero(z >= 0.0) == h
-        assert np.all(np.isfinite(grid.k))
+        assert math.isfinite(np.pi / grid.dz)
 
 
 class TestInitState:
     def test_normalized_equal_branches(self):
         probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        field = init_state(grid, probe)
+        field = start_field(unit_params(), probe)
         assert field.norm_sq() == pytest.approx(1.0, abs=1e-12)
-        up_norm = np.sum(np.abs(field.psi[0]) ** 2) * grid.dz
+        up_norm = np.sum(np.abs(field.psi[0]) ** 2) * field.grid.dz
         assert up_norm == pytest.approx(0.5, abs=1e-12)
 
     def test_sampled_moments_match_closed_forms(self):
         for lam_im in (0.0, 0.5, -2.0):
             probe = GaussianProbe(1.0, lam_im)
-            grid = suggest_grid(unit_params(), probe, n=2048)
-            field = init_state(grid, probe)
+            field = start_field(unit_params(), probe, 2048)
             var_z, var_p, _ = moments(probe, 1.0)
             assert mean_z_sq(field) == pytest.approx(var_z, rel=1e-6)
             assert mean_p_sq(field, 1.0) == pytest.approx(var_p, rel=1e-6)
@@ -166,18 +160,17 @@ class TestInitState:
     def test_mean_sigma_x(self):
         # the branch pair (xi, xi) / sqrt(2) is the sigma_x = +1 product state
         probe = GaussianProbe(1.0)
-        grid = suggest_grid(unit_params(), probe)
-        assert mean_sigma_x(init_state(grid, probe)) == pytest.approx(1.0, abs=1e-12)
+        assert mean_sigma_x(start_field(unit_params(), probe)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unresolvable_width(self):
         grid = Grid1D(256, 0.5)
-        with pytest.raises(ValueError, match="unresolvable"):
-            init_state(grid, GaussianProbe(10000.0))
+        with pytest.raises(ValueError, match=r"^probe width 0\.005 unresolvable: need >= 0\.0156$"):
+            gridsim._start_field(grid, GaussianProbe(10000.0))
 
 
 def start_field(p, probe, n=1024):
     """The start field propagate builds and evolves, for the reference."""
-    return init_state(suggest_grid(p, probe, n), probe)
+    return gridsim._start_field(gridsim._grid(p, probe, n), probe)
 
 
 class TestEvolve:
@@ -257,9 +250,22 @@ class TestEvolve:
         def flat(grid, probe):
             return SpinorField(grid, np.full((2, grid.n), 1.0 / np.sqrt(4.0 * grid.half), complex))
 
-        monkeypatch.setattr(gridsim, "init_state", flat)
+        monkeypatch.setattr(gridsim, "_start_field", flat)
         with pytest.raises(RuntimeError, match="leakage"):
             propagate(unit_params(mu_b1=0.0), GaussianProbe(1.0), 256)
+
+    def test_norm_drift_detected(self, monkeypatch):
+        # a start field of norm 1.001^2, which no unitary step brings back to 1
+        start = gridsim._start_field
+
+        def scaled(grid, probe):
+            field = start(grid, probe)
+            field.psi[:] *= 1.001
+            return field
+
+        monkeypatch.setattr(gridsim, "_start_field", scaled)
+        with pytest.raises(RuntimeError, match=r"^norm drift 2\.001e-03$"):
+            propagate(unit_params(), GaussianProbe(1.0))
 
 
 class TestMeasure:
@@ -304,13 +310,12 @@ def grid_process(p, probe, grid):
     by FFTs of the identity."""
     n = grid.n
     half_phase = p.mu * (p.B0 + p.B1 * grid.z) * p.dt / (2.0 * p.hbar)
-    kinetic = np.exp(-1j * p.hbar * grid.k**2 * p.dt / (2.0 * p.mass))[:, None]
-    flight = np.exp(-1j * p.hbar * grid.k**2 * p.tau / (2.0 * p.mass))[:, None]
+    step, flight = kinetic(grid, p, p.dt)[:, None], kinetic(grid, p, p.tau)[:, None]
     u = np.zeros((2 * n, 2 * n), dtype=complex)
     # the up block (sigma_z = +1) sees the potential +mu (B0 + B1 z)
     for block, sign in ((slice(0, n), -1j), (slice(n, 2 * n), 1j)):
         kick = np.exp(sign * half_phase)[:, None]
-        cols = kick * np.fft.ifft(kinetic * np.fft.fft(np.diag(kick[:, 0]), axis=0), axis=0)
+        cols = kick * np.fft.ifft(step * np.fft.fft(np.diag(kick[:, 0]), axis=0), axis=0)
         u[block, block] = np.fft.ifft(flight * np.fft.fft(cols, axis=0), axis=0)
     xi = np.exp(-probe.lam * grid.z**2)
     meter = np.diag(np.where(grid.z >= 0.0, -1.0, 1.0) * (-1.0 if p.mu * p.B1 < 0.0 else 1.0))
@@ -333,7 +338,7 @@ class TestQrmsDefinitions:
         assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
     # inside the oracle's domain at n = 512: over this box the probe width
-    # stays at least 1.16 times the 4 dz that init_state requires.  Each
+    # stays at least 1.16 times the 4 dz that _start_field requires.  Each
     # example builds a 1024 x 1024 unitary, about 0.8 s.
     @settings(max_examples=5, deadline=timedelta(seconds=20))
     @given(
@@ -417,10 +422,10 @@ class TestValidation:
         # Each transform takes one branch row in place in the field's own
         # buffer: pocketfft's working memory, which tracemalloc cannot see,
         # grows with what one call transforms
-        fields, rows = [], []
+        fields, rows, start = [], [], gridsim._start_field
 
         def recorded(grid, probe):
-            fields.append(init_state(grid, probe))
+            fields.append(start(grid, probe))
             return fields[-1]
 
         def counted(fn):
@@ -431,7 +436,7 @@ class TestValidation:
                 return fn(a, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(gridsim, "init_state", recorded)
+        monkeypatch.setattr(gridsim, "_start_field", recorded)
         monkeypatch.setattr(np.fft, "fft", counted(np.fft.fft))
         monkeypatch.setattr(np.fft, "ifft", counted(np.fft.ifft))
         run_validation(n=1024)

@@ -144,10 +144,22 @@ class TestQubitState:
     def test_sy_plus_is_exact(self):
         assert np.array_equal(STATE_SY_PLUS.rho, [[0.5, -0.5j], [0.5j, 0.5]])
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be 2x2, got \(3, 3\)$"):
+            QubitState(np.eye(3) / 3)
+
 
 class TestPauliObservable:
     def test_custom_hermitian_ok(self):
         PauliObservable((SIGMA_X + SIGMA_Z) / np.sqrt(2))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^observable must be 2x2$"):
+            PauliObservable(np.eye(3))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match=r"^observable is not Hermitian within 1e-12$"):
+            PauliObservable([[0, 1], [2, 0]])
 
 
 class TestExpectation:
@@ -161,6 +173,13 @@ class TestExpectation:
         state = QubitState((IDENTITY_2 + 0.3 * SIGMA_X) / 2)
         assert expectation(state, SX) == pytest.approx(0.3, abs=1e-12)
 
+    def test_rejects_imaginary_residue(self):
+        # each input is Hermitian within 1e-12, but the state's 1e-13 residue
+        # meets entries of 1e20
+        state = QubitState([[0.5, 0.25 + 1e-13j], [0.25, 0.5]])
+        with pytest.raises(ValueError, match=r"^expectation has imaginary residue 1\.000e\+07$"):
+            expectation(state, PauliObservable([[0, 1e20], [1e20, 0]]))
+
 
 class TestStdDev:
     def test_sy_eigenstate(self):
@@ -172,6 +191,15 @@ class TestStdDev:
     def test_partially_polarized(self):
         state = QubitState((IDENTITY_2 + 0.6 * SIGMA_Z) / 2)
         assert std_dev(state, SZ) == pytest.approx(0.8, abs=1e-12)
+
+    # c I has no spread, but <A^2> - <A>^2 rounds by about c^2 ulp, either
+    # way: read as corrupted input, it raised from c of about 60 upward
+    @settings(max_examples=200, deadline=None)
+    @given(ball_vectors, st.floats(0.0, 12.0).map(lambda e: 10.0**e))
+    @example((0.0, 0.0, 0.4), 1e12)
+    def test_multiple_of_identity_has_no_spread(self, v, c):
+        spread = std_dev(bloch(*v), PauliObservable(c * IDENTITY_2))
+        assert 0.0 <= spread <= 1e-6 * c
 
 
 def d_quantity_oracle(rho, comm):
