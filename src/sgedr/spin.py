@@ -129,9 +129,11 @@ class EDRReport(NamedTuple):
 
 
 def expectation(state: QubitState, obs: PauliObservable) -> float:
-    """Tr(rho . obs); imaginary residue above 1e-12 is an error."""
+    """Tr(rho . obs); an imaginary residue above 1e-12 times the trace's
+    terms sum_ij |rho_ij obs_ji| is an error, so the verdict does not
+    depend on the units of obs."""
     val = complex(np.trace(_mul(state.rho, obs.matrix)))
-    if abs(val.imag) > HERMITICITY_TOL:
+    if abs(val.imag) > HERMITICITY_TOL * np.sum(np.abs(state.rho * obs.matrix.T)):
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -229,13 +229,15 @@ class TestEvolve:
         # the split runs in the start field's own (2, n) buffer: propagating
         # one case at n = 16384 and reading eps^2 and eta^2 from it peaks at
         # 56.1 bytes of traced numpy memory per grid point, the field (32)
-        # and 24 more: the kick row (16) with z or a half-row kinetic factor
-        # (8), or eta^2's difference row and its modulus.  Whole-row kicks
+        # and 24 more, never at a transform: a half kick (16) formed beside
+        # z (8), or eta^2's difference row and its modulus.  Whole-row kicks
         # and factors took it to 80.1, a second field to 144.  pocketfft's
         # own buffers are allocated outside numpy's allocator, so
-        # tracemalloc does not count them
+        # tracemalloc does not count them.  numpy imports np.fft on first
+        # use, about 8 bytes a point more, so it is imported before tracing
         n = 16384
         p, probe = default_cases()[7]
+        np.fft.fft(np.zeros(256, dtype=complex))
         tracemalloc.start()
         try:
             field = propagate(p, probe, n)
@@ -244,6 +246,31 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak <= 60 * n
+
+    def test_each_transform_runs_beside_the_field_alone(self, monkeypatch):
+        # at every FFT call of the 8 default cases at n = 16384, the traced
+        # numpy memory is the (2, n) field (32 bytes a point) and no row
+        # beside it: 32.6 at most.  A kick row kept across the magnet
+        # flight and the half-row kinetic factor kept through the inverse
+        # transforms read 56.6, the factor alone 40.6.  pocketfft's scratch
+        # comes on top of what is alive here
+        n, at_call = 16384, []
+
+        def traced(fn):
+            def wrapper(a, **kwargs):
+                at_call.append(tracemalloc.get_traced_memory()[0])
+                return fn(a, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", traced(np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", traced(np.fft.ifft))
+        tracemalloc.start()
+        try:
+            for p, probe in default_cases():
+                propagate(p, probe, n)
+        finally:
+            tracemalloc.stop()
+        assert len(at_call) == 48 and max(at_call) <= 34 * n
 
     def test_boundary_leak_detected(self, monkeypatch):
         # a flat start field of norm 1, which no free flight moves off the edges

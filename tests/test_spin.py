@@ -174,11 +174,49 @@ class TestExpectation:
         assert expectation(state, SX) == pytest.approx(0.3, abs=1e-12)
 
     def test_rejects_imaginary_residue(self):
-        # each input is Hermitian within 1e-12, but the state's 1e-13 residue
-        # meets entries of 1e20
+        # each input is Hermitian within 1e-12, but the residue 8e-13 exceeds
+        # 1e-12 times the trace's terms, |rho_01| + |rho_10| = 0.5
+        state = QubitState([[0.5, 0.25 + 8e-13j], [0.25, 0.5]])
+        with pytest.raises(ValueError, match=r"^expectation has imaginary residue 8\.000e-13$"):
+            expectation(state, SX)
+
+    def test_residue_is_judged_in_the_observable_units(self):
+        # the state's 1e-13 residue meets entries of 1e20: a residue of 1e7
+        # against terms of 5e19, which an absolute 1e-12 rejected
         state = QubitState([[0.5, 0.25 + 1e-13j], [0.25, 0.5]])
-        with pytest.raises(ValueError, match=r"^expectation has imaginary residue 1\.000e\+07$"):
-            expectation(state, PauliObservable([[0, 1e20], [1e20, 0]]))
+        assert expectation(state, PauliObservable([[0, 1e20], [1e20, 0]])) == 5e19
+
+    # a power of two scales every term and the residue exactly, so the
+    # verdict cannot flip on rounding at the tolerance's edge; entries of A
+    # are 0 or at least 1e-3 in size, so no scaled term falls to a
+    # subnormal, where the scaling is not exact
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # |z| <= 0.8 keeps rho positive beside rho_01 = 0.25
+        st.floats(-0.8, 0.8),
+        st.floats(0.0, 1e-12),
+        arrays(
+            np.float64,
+            4,
+            elements=st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        ),
+        st.integers(-60, 60),
+    )
+    @example(0.0, 8e-13, np.array([0.0, 1.0, 0.0, 0.0]), 60)
+    @example(0.0, 1e-13, np.array([0.0, 1.0, 0.0, 0.0]), 60)
+    def test_verdict_does_not_depend_on_units(self, z, residue, entries, k):
+        state = QubitState([[0.5 * (1 + z), 0.25 + residue * 1j], [0.25, 0.5 * (1 - z)]])
+        a, d, re, im = entries
+        matrix = np.array([[a, re + 1j * im], [re - 1j * im, d]])
+
+        def verdict(obs):
+            try:
+                expectation(state, obs)
+            except ValueError:
+                return False
+            return True
+
+        assert verdict(PauliObservable(matrix)) == verdict(PauliObservable(matrix * 2.0**k))
 
 
 class TestStdDev:
