@@ -5,9 +5,10 @@ disturbance: `propagate` evolves the probe in the two spin branches, held
 as one (2, n) array on a symmetric 1D position grid with z = 0 at index
 n // 2, under the magnet Hamiltonian, then free flight, in one exact
 split step, each branch transformed in place in its own row (one call per
-row needs about half the working memory of one call on both, or less),
-with the field alone in memory at every transform: each half kick and each
-half-row kinetic factor is formed, applied and freed between transforms;
+row needs about half the working memory of one call on both, or less).
+`_grid` owns both resolution rules and `propagate` both health checks;
+`_half_kick` forms, applies and frees each half kick and `_flight` its
+half-row kinetic factor, so the field is alone at every transform.
 `measure_error` and `measure_disturbance` read eps^2 and eta^2, the squared
 root-mean-square error and disturbance, from that one field, eps^2 with the
 screen-edge term that takes it to the line's; neither depends on the spin
@@ -75,22 +76,10 @@ class SpinorField(NamedTuple):
     grid: Grid1D
     psi: np.ndarray
 
-    def norm_sq(self) -> float:
-        # squared in place: one temporary of half the field's size, not two
-        dens = np.abs(self.psi)
-        dens *= dens
-        return float(np.sum(dens) * self.grid.dz)
-
-    def edge_probability(self) -> float:
-        """Probability in the outermost cells on each side."""
-        c = _EDGE_CELLS
-        # only the 2c edge columns are squared, not the whole field
-        dens = np.sum(np.abs(self.psi[:, np.r_[:c, -c:0]]) ** 2, axis=0)
-        return float((np.sum(dens[:c]) + np.sum(dens[c:])) * self.grid.dz)
-
 
 def _grid(p: SGParams, probe: GaussianProbe, n: int) -> Grid1D:
-    """propagate's grid, wide enough for the deflected, spread packets."""
+    """propagate's grid, wide enough for the deflected, spread packets and
+    fine enough to resolve the probe in k and in z, checked before any row."""
     # it sizes one packet, so every field is one value
     require_scalar(p)
     require_scalar(probe)
@@ -103,6 +92,10 @@ def _grid(p: SGParams, probe: GaussianProbe, n: int) -> Grid1D:
     k = abs(p.mu * p.B1) * p.dt / p.hbar + 8.0 * abs(probe.lam) / np.sqrt(probe.lambda_re)
     if not (k <= np.pi / grid.dz):
         raise ValueError(f"probe wavenumber {k:.3g} unresolvable: need <= {np.pi / grid.dz:.3g}")
+    # only dz can fail the width: half is at least 8 sigma_t(0), 8 widths
+    width = np.sqrt(probe.var_z)
+    if not (width >= 4.0 * grid.dz):
+        raise ValueError(f"probe width {width:.3g} unresolvable: need >= {4.0 * grid.dz:.3g}")
     return grid
 
 
@@ -110,10 +103,6 @@ def _start_field(grid: Grid1D, probe: GaussianProbe) -> SpinorField:
     """The branch pair (xi, xi) / sqrt(2) of the sampled Gaussian probe xi,
     before the magnet: what measure_error and measure_disturbance read once
     evolved.  The 1/sqrt(2) is the equal branch weight of sigma_y+."""
-    # only dz can fail the width: _grid's half is at least 8 sigma_t(0), 8 widths
-    width = np.sqrt(probe.var_z)
-    if not (width >= 4.0 * grid.dz):
-        raise ValueError(f"probe width {width:.3g} unresolvable: need >= {4.0 * grid.dz:.3g}")
     psi = np.empty((2, grid.n), dtype=complex)
     # exp(-lam z^2), its exponent formed part by part in place
     xi = psi[0]
@@ -146,29 +135,36 @@ def propagate(p: SGParams, probe: GaussianProbe, n: int = 1024) -> SpinorField:
     Fleck & Steiger, J. Comput. Phys. 47, 412, 1982).  It holds for z on
     the line; on the periodic grid z wraps around at the edges, so the
     norm and edge checks run on every propagation.
+
+    _grid checks both resolution rules, _half_kick forms and checks each half
+    kick, and propagate checks the norm drift and the leak at the edge cells.
     """
     field = _start_field(_grid(p, probe, n), probe)
     grid, psi = field
-    # each half kick is formed just before it is applied and freed after, so
-    # the field is alone at every transform
-    _kick(psi, _half_kick(grid, p))
+    _half_kick(psi, grid, p)
     _flight(psi, grid, p.dt, p)
-    _kick(psi, _half_kick(grid, p))
+    _half_kick(psi, grid, p)
     if p.tau > 0.0:
         _flight(psi, grid, p.tau, p)
-    # _start_field gives every start field norm 1; a nan fails both checks
-    drift = field.norm_sq() - 1.0
+    # _start_field gives every start field norm 1; a nan fails both checks.
+    # |psi|^2 is squared in place for the norm, and for the leak at 2c columns
+    dens = np.abs(psi)
+    dens *= dens
+    drift = float(np.sum(dens) * grid.dz) - 1.0
     if not (abs(drift) <= NORM_TOL):
         raise RuntimeError(f"norm drift {drift:.3e}")
-    leak = field.edge_probability()
+    c = _EDGE_CELLS
+    dens = np.sum(np.abs(psi[:, np.r_[:c, -c:0]]) ** 2, axis=0)
+    leak = float((np.sum(dens[:c]) + np.sum(dens[c:])) * grid.dz)
     if not (leak <= LEAK_TOL):
         raise RuntimeError(f"boundary leakage {leak:.3e} exceeds {LEAK_TOL}")
     return field
 
 
-def _half_kick(grid: Grid1D, p: SGParams) -> np.ndarray:
-    """exp(-1j mu (b0 + B1 z) dt / (2 hbar)), the half kick of the up row,
-    as a new complex row that the caller drops once applied.
+def _half_kick(psi: np.ndarray, grid: Grid1D, p: SGParams) -> None:
+    """The magnet's half kick in place: row 0, which sees +mu (B0 + B1 z),
+    times exp(-1j mu (b0 + B1 z) dt / (2 hbar)), and row 1, which sees its
+    negative, times the conjugate, formed in the same new row and dropped.
 
     Its exponent is formed left to right in place in the row's imaginary
     part.  B0's phase counts mod 2 pi: reduced, a large B0 cannot round the
@@ -188,13 +184,6 @@ def _half_kick(grid: Grid1D, p: SGParams) -> np.ndarray:
         exponent /= 2.0 * p.hbar
     check_finite("kick", exponent)
     np.exp(kick, out=kick)
-    return kick
-
-
-def _kick(psi: np.ndarray, kick: np.ndarray) -> None:
-    """Row 0, which sees +mu (B0 + B1 z), times the half kick and row 1, which
-    sees its negative, times the conjugate, formed in place in the kick row,
-    which is not used again."""
     psi[0] *= kick
     psi[1] *= np.conjugate(kick, out=kick)
 

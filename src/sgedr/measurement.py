@@ -48,7 +48,9 @@ class MeasuringProcess:
         if xi.ndim not in (1, 2) or xi.shape[-1] < 1:
             raise ValueError("probe_state must have shape (d,) or (n, d) with d >= 1")
         d = xi.shape[-1]
-        # written as not (<=) so that a nan, which compares False, is rejected
+        for name, arr in (("probe_state", xi), ("unitary", u), ("meter", m)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if not np.all(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) <= NORM_TOL):
             raise ValueError("probe_state is not normalized within 1e-12")
         if u.shape != (2 * d, 2 * d):

@@ -13,6 +13,7 @@ written out, at 30.06 and 29.19 MB (medians of 11 runs, 2-vCPU x86-64 VM).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +43,16 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _det_2x2(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m / 2^e and e, 2^e the power of two just above m's largest real or
+    imaginary part.  The division is exact unless an entry is below 2^-1021
+    times the largest, so the products of the scaled entries stay in the
+    float range wherever the result does, and a result scaled back by the
+    power of two it carries keeps its bits."""
+    e = max(math.frexp(float(np.max(np.abs([m.real, m.imag]))))[1], -1021)
+    return m * math.ldexp(1.0, -e), e
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,8 @@ class PauliObservable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("observable must be 2x2")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("observable must be finite")
         if not _is_hermitian(m):
             raise ValueError("observable is not Hermitian within 1e-12")
         m.setflags(write=False)
@@ -132,19 +145,26 @@ def expectation(state: QubitState, obs: PauliObservable) -> float:
     """Tr(rho . obs); an imaginary residue above 1e-12 times the trace's
     terms sum_ij |rho_ij obs_ji| is an error, so the verdict does not
     depend on the units of obs."""
-    val = complex(np.trace(_mul(state.rho, obs.matrix)))
-    if abs(val.imag) > HERMITICITY_TOL * np.sum(np.abs(state.rho * obs.matrix.T)):
+    return _expectation(state.rho, obs.matrix)
+
+
+def _expectation(rho: np.ndarray, m: np.ndarray) -> float:
+    val = complex(np.trace(_mul(rho, m)))
+    if abs(val.imag) > HERMITICITY_TOL * np.sum(np.abs(rho * m.T)):
         raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 
 
 def std_dev(state: QubitState, obs: PauliObservable) -> float:
     """sqrt(<obs^2> - <obs>^2), clamped at zero: the constructors reject bad
-    input, so a negative difference is rounding, which grows as |obs|^2."""
-    m = obs.matrix
-    mean_sq = expectation(state, PauliObservable(_mul(m, m)))
-    mean = expectation(state, obs)
-    return float(np.sqrt(max(mean_sq - mean * mean, 0.0)))
+    input, so a negative difference is rounding, which grows as |obs|^2.
+    It is formed for obs / 2^e (_unit_scaled) and scaled back.  obs^2 is
+    contracted as a bare matrix: its fused rounding can leave Im (obs^2)_00
+    at 1e-11 for an obs that is exactly Hermitian."""
+    m, e = _unit_scaled(obs.matrix)
+    mean_sq = _expectation(state.rho, _mul(m, m))
+    mean = _expectation(state.rho, m)
+    return math.ldexp(float(np.sqrt(max(mean_sq - mean * mean, 0.0))), e)
 
 
 def d_quantity(
@@ -155,13 +175,17 @@ def d_quantity(
     The singular values of a 2x2 matrix M give (Tr|M|)^2 = ||M||_F^2 +
     2 |det M|.  For M = sqrt(rho) C sqrt(rho) that is Tr(C^dag rho C rho) +
     2 det(rho) |det C|, so no square root of rho is formed.  det rho is
-    floored at 0 against rounding.
+    floored at 0 against rounding.  It is formed for A / 2^i and B / 2^j
+    (_unit_scaled) and scaled back by 2^(i + j); a D past the float range
+    raises OverflowError.
     """
     rho = state.rho
-    comm = _mul(a.matrix, b.matrix) - _mul(b.matrix, a.matrix)
+    (a, i), (b, j) = _unit_scaled(a.matrix), _unit_scaled(b.matrix)
+    comm = _mul(a, b) - _mul(b, a)
     frob_sq = np.trace(_mul(_mul(_mul(comm.conj().T, rho), comm), rho)).real
     det_rho = max(_det_2x2(rho).real, 0.0)
-    return 0.5 * float(np.sqrt(max(frob_sq + 2.0 * det_rho * abs(_det_2x2(comm)), 0.0)))
+    root = float(np.sqrt(max(frob_sq + 2.0 * det_rho * abs(_det_2x2(comm)), 0.0)))
+    return math.ldexp(0.5 * root, i + j)
 
 
 def hat_transform(v):
@@ -185,10 +209,13 @@ def evaluate_edrs(
     has that shape.  Scalar input gives Python floats and bools.  An a or b
     whose square is not the identity within 1e-12 raises ValueError.
     """
-    for name, obs in (("a", a), ("b", b)):
-        m = obs.matrix
-        if not np.max(np.abs(_mul(m, m) - IDENTITY_2)) <= HERMITICITY_TOL:
-            raise ValueError(f"{name} is not +-1-valued: its square is not the identity within 1e-12")
+    # a large a or b overflows its square: only the ValueError escapes
+    with np.errstate(all="ignore"):
+        for name, m in (("a", a.matrix), ("b", b.matrix)):
+            if not np.max(np.abs(_mul(m, m) - IDENTITY_2)) <= HERMITICITY_TOL:
+                raise ValueError(
+                    f"{name} is not +-1-valued: its square is not the identity within 1e-12"
+                )
     check_in("eps_sq", eps_sq, 0, 4, closed=True)
     check_in("eta_sq", eta_sq, 0, 4, closed=True)
     shapes = np.shape(eps_sq), np.shape(eta_sq)

@@ -1,8 +1,8 @@
 """Quantities only the tests compute: the grid references' wavenumbers and
-kinetic factor, spinor-field moments on the grid, the grid process's own
-eps^2, the beam-flux speed density and the Robertson uncertainty product.
-The physics checks compare them with the closed forms; no command runs
-them."""
+kinetic factor, spinor-field norms and moments on the grid, the grid
+process's own eps^2, the beam-flux speed density and the Robertson
+uncertainty product.  The physics checks compare them with the closed
+forms; no command runs them."""
 import numpy as np
 
 from sgedr._arrays import check_in
@@ -23,9 +23,13 @@ def kinetic(grid: Grid1D, p: SGParams, t: float) -> np.ndarray:
     return np.exp(-1j * p.hbar * wavenumbers(grid) ** 2 * t / (2.0 * p.mass))
 
 
+def norm_sq(field: SpinorField) -> float:
+    return float(np.sum(np.abs(field.psi) ** 2) * field.grid.dz)
+
+
 def mean_z_sq(field: SpinorField) -> float:
     density = np.sum(np.abs(field.psi) ** 2, axis=0)
-    return float(np.sum(field.grid.z**2 * density) * field.grid.dz / field.norm_sq())
+    return float(np.sum(field.grid.z**2 * density) * field.grid.dz / norm_sq(field))
 
 
 def mean_p_sq(field: SpinorField, hbar: float) -> float:
@@ -34,7 +38,7 @@ def mean_p_sq(field: SpinorField, hbar: float) -> float:
     amp = np.fft.fft(field.psi) / n
     k = wavenumbers(field.grid)
     total = float(np.sum((hbar * k) ** 2 * np.abs(amp) ** 2)) * n * field.grid.dz
-    return total / field.norm_sq()
+    return total / norm_sq(field)
 
 
 def mean_sigma_x(field: SpinorField) -> float:

@@ -23,7 +23,7 @@ from sgedr.sgmodel import SGParams, disturbance_sq, error_sq
 from sgedr.spin import STATE_SY_PLUS, PauliObservable
 from sgedr.validation import ETA_REL_FLOOR, default_cases, run_case, run_validation
 
-from helpers import grid_error_sq, kinetic, mean_p_sq, mean_sigma_x, mean_z_sq
+from helpers import grid_error_sq, kinetic, mean_p_sq, mean_sigma_x, mean_z_sq, norm_sq
 
 
 def unit_params(mu_b1=1.0, b0=0.0, tau=0.0, dt=1.0):
@@ -145,7 +145,7 @@ class TestInitState:
     def test_normalized_equal_branches(self):
         probe = GaussianProbe(1.0)
         field = start_field(unit_params(), probe)
-        assert field.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(field) == pytest.approx(1.0, abs=1e-12)
         up_norm = np.sum(np.abs(field.psi[0]) ** 2) * field.grid.dz
         assert up_norm == pytest.approx(0.5, abs=1e-12)
 
@@ -163,9 +163,20 @@ class TestInitState:
         assert mean_sigma_x(start_field(unit_params(), probe)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unresolvable_width(self):
-        grid = Grid1D(256, 0.5)
-        with pytest.raises(ValueError, match=r"^probe width 0\.005 unresolvable: need >= 0\.0156$"):
-            gridsim._start_field(grid, GaussianProbe(10000.0))
+        # at m = 2500 the packet spreads to 8 widths, so the n = 256 grid's
+        # dz is 0.0025, fine enough for the wavenumber 800 but not the width
+        p = replace(unit_params(mu_b1=0.0), mass=2500.0)
+        with pytest.raises(ValueError, match=r"^probe width 0\.005 unresolvable: need >= 0\.0101$"):
+            gridsim._grid(p, GaussianProbe(10000.0), 256)
+
+    def test_width_is_checked_before_the_field_is_built(self, monkeypatch):
+        def unreachable(grid, probe):
+            raise AssertionError("_start_field called on an unresolvable grid")
+
+        monkeypatch.setattr(gridsim, "_start_field", unreachable)
+        p = replace(unit_params(mu_b1=0.0), mass=2500.0)
+        with pytest.raises(ValueError, match=r"^probe width 0\.005 unresolvable"):
+            propagate(p, GaussianProbe(10000.0), 256)
 
 
 def start_field(p, probe, n=1024):
@@ -216,7 +227,7 @@ class TestEvolve:
 
     def test_norm_preserved(self):
         field = propagate(unit_params(mu_b1=3.0, b0=0.5, tau=1.0), GaussianProbe(1.0, 0.5))
-        assert abs(field.norm_sq() - 1.0) <= 1e-10
+        assert abs(norm_sq(field) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("index", range(8))
     def test_keeps_the_bits_of_whole_row_expressions(self, index):
@@ -365,7 +376,7 @@ class TestQrmsDefinitions:
         assert abs(eta**2 - measure_disturbance(field)) <= 1e-13
 
     # inside the oracle's domain at n = 512: over this box the probe width
-    # stays at least 1.16 times the 4 dz that _start_field requires.  Each
+    # stays at least 1.16 times the 4 dz that _grid requires.  Each
     # example builds a 1024 x 1024 unitary, about 0.8 s.
     @settings(max_examples=5, deadline=timedelta(seconds=20))
     @given(

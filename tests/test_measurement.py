@@ -84,14 +84,25 @@ class TestMeasuringProcess:
             lund_wiseman(np.array([0.0, 0.5, np.nan, 1.0]))
 
     def test_rejects_nan_probe(self):
-        with pytest.raises(ValueError, match="not normalized"):
+        with pytest.raises(ValueError, match=r"^probe_state must be finite$"):
             MeasuringProcess(np.array([np.nan, 0.0]), np.eye(4), SZ.matrix)
 
     def test_rejects_nan_unitary(self):
         u = np.eye(4)
         u[3, 2] = np.nan
-        with pytest.raises(ValueError, match="unitary fails"):
+        with pytest.raises(ValueError, match=r"^unitary must be finite$"):
             MeasuringProcess(np.array([1.0, 0.0]), u, SZ.matrix)
+
+    # inf - inf in the norm, U^dag U or the Hermiticity residue warned, and
+    # a nan meter read as "not Hermitian"
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("field", ["probe_state", "unitary", "meter"])
+    def test_names_a_non_finite_field(self, field, bad):
+        fields = {"probe_state": np.array([1.0, 0.0]), "unitary": np.eye(4), "meter": SZ.matrix}
+        fields[field] = np.array(fields[field], dtype=complex)
+        fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            MeasuringProcess(**fields)
 
 
 class TestStackedProbes:

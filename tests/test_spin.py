@@ -161,6 +161,16 @@ class TestPauliObservable:
         with pytest.raises(ValueError, match=r"^observable is not Hermitian within 1e-12$"):
             PauliObservable([[0, 1], [2, 0]])
 
+    # inf - inf in the Hermiticity residue warned, and a nan read as "not
+    # Hermitian"
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, np.inf)])
+    @pytest.mark.parametrize("index", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, index, bad):
+        m = np.array(SIGMA_Z)
+        m[index] = bad
+        with pytest.raises(ValueError, match=r"^observable must be finite$"):
+            PauliObservable(m)
+
 
 class TestExpectation:
     def test_sy_eigenstate_has_zero_sz_mean(self):
@@ -230,6 +240,15 @@ class TestStdDev:
         state = QubitState((IDENTITY_2 + 0.6 * SIGMA_Z) / 2)
         assert std_dev(state, SZ) == pytest.approx(0.8, abs=1e-12)
 
+    def test_hermitian_observable_with_large_coherence(self):
+        # Im(m01 m10) of |m01|^2 can round to 1e-11 where the product is
+        # fused: taken as an observable, obs^2 failed the Hermiticity check
+        m01 = complex(-291.86150664288874, -671.1573936724052)
+        m = np.array([[-0.22774079398692693, m01], [m01.conjugate(), -0.33799644696948244]])
+        rho = STATE_SY_PLUS.rho
+        want = np.sqrt(np.trace(rho @ m @ m).real - np.trace(rho @ m).real ** 2)
+        assert std_dev(STATE_SY_PLUS, PauliObservable(m)) == pytest.approx(want, rel=1e-12)
+
     # c I has no spread, but <A^2> - <A>^2 rounds by about c^2 ulp, either
     # way: read as corrupted input, it raised from c of about 60 upward
     @settings(max_examples=200, deadline=None)
@@ -238,6 +257,52 @@ class TestStdDev:
     def test_multiple_of_identity_has_no_spread(self, v, c):
         spread = std_dev(bloch(*v), PauliObservable(c * IDENTITY_2))
         assert 0.0 <= spread <= 1e-6 * c
+
+
+# 0 or a size in [2^-10, 8]: times 2^k, |k| <= 1000, every entry stays a
+# normal float
+parts = st.one_of(st.just(0.0), st.floats(2.0**-10, 8.0), st.floats(-8.0, -(2.0**-10)))
+hermitian_observables = st.builds(
+    lambda a, d, re, im: np.array([[a, complex(re, im)], [complex(re, -im), d]]),
+    parts, parts, parts, parts,
+)
+
+
+class TestPowerOfTwoScaling:
+    # std_dev and d_quantity are homogeneous in each observable, and a power
+    # of two scales every float operation exactly: both must keep that,
+    # where unscaled products of 2^600 entries overflow and of 2^-600 ones
+    # underflow to 0
+    @settings(max_examples=200, deadline=None)
+    @given(ball_vectors, hermitian_observables, st.integers(-1000, 1000))
+    @example((0.0, 1.0, 0.0), SIGMA_Z, 600)
+    @example((0.0, 1.0, 0.0), SIGMA_Z, -600)
+    def test_std_dev(self, v, m, k):
+        state = bloch(*v)
+        got = std_dev(state, PauliObservable(2.0**k * m))
+        assert got == 2.0**k * std_dev(state, PauliObservable(m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ball_vectors, hermitian_observables, hermitian_observables,
+        st.integers(-500, 500), st.integers(-500, 500),
+    )
+    @example((0.0, 1.0, 0.0), SIGMA_Z, SIGMA_X, 400, 400)
+    @example((0.0, 1.0, 0.0), SIGMA_Z, SIGMA_X, -400, -400)
+    def test_d_quantity(self, v, a, b, j, k):
+        state = bloch(*v)
+        got = d_quantity(state, PauliObservable(2.0**j * a), PauliObservable(2.0**k * b))
+        assert got == 2.0**j * (2.0**k * d_quantity(state, PauliObservable(a), PauliObservable(b)))
+
+    @pytest.mark.parametrize("c", [1e155, 1e-170])
+    def test_std_dev_near_the_float_range_ends(self, c):
+        got = std_dev(STATE_SY_PLUS, PauliObservable(c * SIGMA_Z))
+        assert got == pytest.approx(c, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e100, 1e-100])
+    def test_d_quantity_near_the_float_range_ends(self, c):
+        d = d_quantity(STATE_SY_PLUS, PauliObservable(c * SIGMA_Z), PauliObservable(c * SIGMA_X))
+        assert d == pytest.approx(c * c, rel=1e-15, abs=0.0)
 
 
 def d_quantity_oracle(rho, comm):
@@ -365,10 +430,14 @@ class TestEvaluateEDRs:
         (PauliObservable(2 * SIGMA_Z), SX, "a"),
         (PauliObservable((IDENTITY_2 + SIGMA_Z) / 2), SX, "a"),
         (SZ, PauliObservable((IDENTITY_2 + SIGMA_Z) / 2), "b"),
+        (PauliObservable(1e200 * SIGMA_Z), SX, "a"),
+        (SZ, PauliObservable(-1e200 * SIGMA_X), "b"),
     ])
     def test_rejects_observable_not_pm1_valued(self, a, b, name):
         # the [0, 4] ranges, hat_transform and the tight disk all assume
-        # +-1-valued observables; 2 sigma_z used to report a Branciard violation
+        # +-1-valued observables; 2 sigma_z used to report a Branciard
+        # violation, and the square of 1e200 sigma_z warned of its overflow
+        # before the ValueError
         with pytest.raises(ValueError, match=rf"^{name} is not \+-1-valued"):
             evaluate_edrs(0.5, 0.5, STATE_SY_PLUS, a, b)
 
