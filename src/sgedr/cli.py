@@ -77,6 +77,9 @@ def _write_table(
 ) -> None:
     """Write a command's tables, each a name mapped to (header, columns).
 
+    A table's columns are arrays that broadcast to one shape, and its rows
+    follow that shape in C order, so a column that does not vary along an
+    axis is passed, and spelled, without it.
     Every output is opened before anything is written (see _open_outputs),
     then the summary, if any, is printed, then the tables follow.  The
     summary goes to stdout, or to stderr when the tables do ('-'), so that
@@ -90,7 +93,8 @@ def _write_table(
 
     Each cell carries the separators around it (_spelled), so a block of
     _BLOCK_ROWS rows is one join of its cells, and Python's pure-Python
-    indenting encoder never runs.
+    indenting encoder never runs.  Nothing is sorted: a first np.unique or
+    argsort raises a fresh process's max RSS (see _spelled).
     """
     names = ["rows"] if fmt == "json" else list(tables)
     paths = [path if name == "rows" or path == "-" else f"{path}.{name}.csv" for name in names]
@@ -107,16 +111,14 @@ def _write_table(
             fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
             for name, (header, columns) in tables.items():
                 fh.write(f",\n  {json.dumps(name)}: [")
-                if len(columns[0]):  # an empty list is "[]"
-                    # each cell opens with the "," that ends the line before
-                    # it, column 0's also with its row's "{"; the last column's
-                    # cell closes the row's "}"
-                    opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
-                    closes = [""] * (len(header) - 1) + ["\n    }"]
-                    cells = [
-                        _spelled(c, fmt, f"{o}      {json.dumps(h)}: ", e)
-                        for c, h, o, e in zip(columns, header, opens, closes)
-                    ]
+                # each cell opens with the "," that ends the line before it,
+                # column 0's also with its row's "{"; the last column's cell
+                # closes the row's "}"
+                opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
+                closes = [""] * (len(header) - 1) + ["\n    }"]
+                befores = [f"{o}      {json.dumps(h)}: " for o, h in zip(opens, header)]
+                cells = _table_cells(columns, fmt, befores, closes)
+                if len(cells[0]):  # an empty list is "[]"
                     cells[0][0] = cells[0][0][1:]  # the first row follows "[" with no ","
                     _write_rows(fh, cells)
                     fh.write("\n  ")
@@ -127,43 +129,54 @@ def _write_table(
             label = command if name == "rows" else f"{command}-{name}"
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
             seps = [","] * (len(columns) - 1) + ["\n"]
-            _write_rows(fh, [_spelled(c, fmt, "", sep) for c, sep in zip(columns, seps)])
+            _write_rows(fh, _table_cells(columns, fmt, [""] * len(columns), seps))
 
 
 # as fast as 4,096 rows per block, but a 4,096-row block of lw's seven float
 # columns lifted a command's peak RSS by 0.7 MB over per-row writing
 _BLOCK_ROWS = 1024
-# a bool column's cells, looked up by the column's Python bools
-_BOOL_CELLS = {"csv": {True: "1", False: "0"}, "json": {True: "true", False: "false"}}
+# a bool column's two cells, True's then False's
+_BOOL_CELLS = {"csv": ("1", "0"), "json": ("true", "false")}
+
+
+def _table_cells(columns, fmt: str, befores: list[str], afters: list[str]) -> list[np.ndarray]:
+    """Each column's framed cells, broadcast to the table's shape and
+    flattened in C order: one writable 1-D object array per column."""
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    return [
+        np.broadcast_to(_spelled(c, fmt, b, a), shape).flatten()
+        for c, b, a in zip(columns, befores, afters)
+    ]
 
 
 def _spelled(c: np.ndarray, fmt: str, before: str, after: str) -> np.ndarray:
-    """A column's cells, each framed by before and after, as an object array
-    of str.  CSV floats take %.17g, JSON floats float.__repr__, and a JSON
-    column holding nan or inf takes json.dumps's spelling of each value (NaN,
-    Infinity, -Infinity); bools read 1 or 0, true or false.
+    """Every cell of a column, each framed by before and after, as an object
+    array of str in c's shape.  CSV floats take %.17g, JSON floats
+    float.__repr__, and a JSON column holding nan or inf takes json.dumps's
+    spelling of each value (NaN, Infinity, -Infinity); bools read 1 or 0,
+    true or false.
 
-    Each distinct value is spelled once and its cells gathered from that
-    spelling.  Floats are told apart by their bit patterns, so -0.0, 0.0 and
-    every nan keep their own spelling.  A product-grid sweep repeats its
-    values: in region's rows eps^2 does not depend on B0, nor eta^2 on tau,
-    so --steps 16 puts about 4,096 distinct values in each 65,536-row column.
+    Every value is spelled, repeated or not: no column is deduplicated by a
+    sort.  In a fresh process the first np.unique(x, return_inverse=True)
+    of 4,096 floats raised max RSS by 0.46 MB over a bare numpy import, and
+    np.argsort alone by 0.35 MB (medians of 7 cold runs, 2-vCPU x86-64 VM);
+    every command that writes a table paid it.  The one table whose values
+    repeat, region's rows, passes eps^2 and eta^2 over their own axes of the
+    product grid (cmd_region), so each distinct value is spelled once.
     """
     if c.dtype == bool:
-        spell, keys = _BOOL_CELLS[fmt].__getitem__, c
+        framed = np.array([before + cell + after for cell in _BOOL_CELLS[fmt]], dtype=object)
+        return np.where(c, framed[:1], framed[1:])
+    if fmt == "csv":
+        spell = "%.17g".__mod__
+    elif np.isfinite(c).all():
+        spell = repr
     else:
-        keys = c.view(np.int64)
-        if fmt == "csv":
-            spell = "%.17g".__mod__
-        elif np.isfinite(c).all():
-            spell = repr
-        else:
-            import json
+        import json
 
-            spell = json.dumps
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = distinct.view(c.dtype).tolist()
-    return np.array([before + spell(v) + after for v in values], dtype=object)[inverse]
+        spell = json.dumps
+    cells = np.array([before + spell(v) + after for v in c.ravel().tolist()], dtype=object)
+    return cells.reshape(c.shape)
 
 
 def _write_rows(fh, cells) -> None:
@@ -238,10 +251,19 @@ def cmd_region(args) -> int:
             1j * _axis("--lambda-im", args.lambda_im, steps),
         ).ravel()
         b0, tau = _axis("--b0", args.b0, steps), _axis("--tau", args.tau, steps)
-    eps_sq, eta_sq = sweep_region(base, lambdas, b0, tau).T
-    edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
+    rows = sweep_region(base, lambdas, b0, tau)
+    edr = evaluate_edrs(*rows.T, STATE_SY_PLUS, _SZ, _SX)
     tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
-    columns = (eps_sq, eta_sq, in_region(eps_sq, eta_sq), tight_ok, ~edr.heisenberg_satisfied)
+    # the rows are the product grid (lambda, B0, tau): eps^2 does not depend
+    # on B0, nor eta^2 on tau, so each is written, and in_region's erfc
+    # taken, over its own axes
+    shape = (len(lambdas), len(b0), len(tau))
+    grid = rows.reshape(*shape, 2)
+    eps_sq, eta_sq = grid[:, :1, :, 0], grid[:, :, :1, 1]
+    columns = (
+        eps_sq, eta_sq, in_region(eps_sq, eta_sq),
+        tight_ok.reshape(shape), ~edr.heisenberg_satisfied.reshape(shape),
+    )
     b_eps_sq = np.linspace(0.0, 4.0, 1024)
     boundary = (b_eps_sq, region_bound(b_eps_sq))
     _write_table(args.out, args.format, "region", {

@@ -55,6 +55,14 @@ def _unit_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     return m * math.ldexp(1.0, -e), e
 
 
+def _scaled_back(name: str, x: float, e: int) -> float:
+    """x * 2^e, or ValueError naming the quantity when that leaves the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        raise ValueError(f"{name} is not finite: the inputs leave the float range") from None
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Density matrix of a single qubit.
@@ -160,11 +168,12 @@ def std_dev(state: QubitState, obs: PauliObservable) -> float:
     input, so a negative difference is rounding, which grows as |obs|^2.
     It is formed for obs / 2^e (_unit_scaled) and scaled back.  obs^2 is
     contracted as a bare matrix: its fused rounding can leave Im (obs^2)_00
-    at 1e-11 for an obs that is exactly Hermitian."""
+    at 1e-11 for an obs that is exactly Hermitian.  A result past the float
+    range raises ValueError naming std_dev."""
     m, e = _unit_scaled(obs.matrix)
     mean_sq = _expectation(state.rho, _mul(m, m))
     mean = _expectation(state.rho, m)
-    return math.ldexp(float(np.sqrt(max(mean_sq - mean * mean, 0.0))), e)
+    return _scaled_back("std_dev", float(np.sqrt(max(mean_sq - mean * mean, 0.0))), e)
 
 
 def d_quantity(
@@ -177,7 +186,7 @@ def d_quantity(
     2 det(rho) |det C|, so no square root of rho is formed.  det rho is
     floored at 0 against rounding.  It is formed for A / 2^i and B / 2^j
     (_unit_scaled) and scaled back by 2^(i + j); a D past the float range
-    raises OverflowError.
+    raises ValueError naming d_quantity.
     """
     rho = state.rho
     (a, i), (b, j) = _unit_scaled(a.matrix), _unit_scaled(b.matrix)
@@ -185,7 +194,7 @@ def d_quantity(
     frob_sq = np.trace(_mul(_mul(_mul(comm.conj().T, rho), comm), rho)).real
     det_rho = max(_det_2x2(rho).real, 0.0)
     root = float(np.sqrt(max(frob_sq + 2.0 * det_rho * abs(_det_2x2(comm)), 0.0)))
-    return math.ldexp(0.5 * root, i + j)
+    return _scaled_back("d_quantity", 0.5 * root, i + j)
 
 
 def hat_transform(v):

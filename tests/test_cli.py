@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 import sgedr
 from sgedr import validation
 from sgedr._arrays import MAX_ROWS
-from sgedr.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _write_table, main
+from sgedr.cli import (
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, TIGHT_FLAG_MARGIN, _write_table, main,
+)
+from sgedr.sgmodel import SGParams, in_region, sweep_region
+from sgedr.spin import STATE_SY_PLUS, PauliObservable, evaluate_edrs
 
 
 def read_csv(path):
@@ -136,6 +140,42 @@ class TestRegion:
         form = "range must be lo:hi, two finite numbers"
         assert err == f"error: argument --lambda-re: {form}; got {spec!r}\n"
         assert "_finite_range" not in err
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_rows_are_sweep_regions_row_for_row(self, steps, fmt, tmp_path):
+        # the writer takes eps^2 and eta^2 over their own axes of the product
+        # grid; written out, each row must still be sweep_region's, and each
+        # flag the one evaluated on the full columns (%.17g and repr read
+        # back exactly)
+        out = tmp_path / f"region.{fmt}"
+        argv = ["region", "--steps", str(steps), "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        if fmt == "csv":
+            _, rows = read_csv(out)
+            eps_sq, eta_sq = (np.array([float(r[i]) for r in rows]) for i in (0, 1))
+            flags = [np.array([r[i] == "1" for r in rows]) for i in (2, 3, 4)]
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            eps_sq, eta_sq = (np.array([r[k] for r in rows]) for k in ("eps_sq", "eta_sq"))
+            flags = [
+                np.array([r[k] for r in rows])
+                for k in ("in_region", "tight_ok", "heisenberg_violated")
+            ]
+        lambdas = np.add.outer(
+            np.linspace(0.25, 4.0, steps), 1j * np.linspace(-2.0, 2.0, steps)
+        ).ravel()
+        axis = np.linspace(0.0, 2.0, steps)
+        base = SGParams(mu=1.0, B0=0.0, B1=3.0, mass=1.0, hbar=1.0, dt=1.0)
+        want = sweep_region(base, lambdas, axis, axis)
+        assert np.array_equal(eps_sq.view(np.int64), want[:, 0].view(np.int64))
+        assert np.array_equal(eta_sq.view(np.int64), want[:, 1].view(np.int64))
+        edr = evaluate_edrs(want[:, 0], want[:, 1], STATE_SY_PLUS, PauliObservable.z(),
+                            PauliObservable.x())
+        assert np.array_equal(flags[0], in_region(want[:, 0], want[:, 1]))
+        assert np.array_equal(flags[1], edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN)
+        assert np.array_equal(flags[2], ~edr.heisenberg_satisfied)
 
 
 class TestExperiment:
@@ -430,6 +470,25 @@ class TestTopLevel:
         want = f"error: {field} must be an integer in [{low}, {high}], got {argv[2]}\n"
         assert captured.err == want
 
+    # the first np.unique in a process raised its max RSS by 0.46 MB, and
+    # np.argsort alone by 0.35 MB, so no command may sort
+    @pytest.mark.parametrize("argv, code", [
+        (["lw"], EXIT_OK),
+        (["region"], EXIT_OK),
+        (["region", "--format", "json"], EXIT_OK),
+        (["tau-opt"], EXIT_OK),
+        (["experiment"], EXIT_VALIDATION),
+    ], ids=["lw", "region", "region-json", "tau-opt", "experiment"])
+    def test_no_command_sorts(self, argv, code, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command sorted")
+
+        for name in ("unique", "sort", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        out = ["--out", str(tmp_path / "out")] if argv[0] != "experiment" else []
+        assert main(argv + out) == code
+        capsys.readouterr()
+
     def test_row_cap_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "k.cfg"
         cfg.write_text("K_steps = 1e20\n")
@@ -554,16 +613,29 @@ def column(draw, n):
 
 
 @st.composite
-def writer_inputs(draw):
+def writer_inputs(draw, broadcast=False):
+    """Tables of 1-D columns of one length, or, when broadcast, of columns
+    that broadcast to one (a, b, c) shape, as region's do: each is shaped
+    (c,), (a, 1, c), (a, b, 1) or (a, b, c)."""
     names = ["rows", *draw(st.lists(st.sampled_from(["boundary", "extra", "t_2"]),
                                     max_size=2, unique=True), label="tables")]
     tables = {}
     for name in names:
-        n = draw(st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025, 4095, 4096, 4097]),
-                 label=f"{name} rows")
+        if broadcast:
+            a, b, c = draw(st.tuples(*[st.sampled_from([0, 1, 2, 3, 7, 16])] * 3),
+                           label=f"{name} shape")
+        else:
+            n = draw(st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025, 4095, 4096, 4097]),
+                     label=f"{name} rows")
         header = draw(st.lists(st.sampled_from(["eps_sq", "eta", "a%d", "q\"x", "é", "t_1"]),
                                min_size=1, max_size=6, unique=True), label=f"{name} header")
-        tables[name] = (header, tuple(draw(column(n)) for _ in header))
+        shapes = [
+            draw(st.sampled_from([(c,), (a, 1, c), (a, b, 1), (a, b, c)]), label=f"{h} shape")
+            for h in header
+        ] if broadcast else [(n,)] * len(header)
+        tables[name] = (header, tuple(
+            draw(column(math.prod(shape))).reshape(shape) for shape in shapes
+        ))
     fields = draw(st.dictionaries(st.sampled_from(["tau0", "x", "note"]),
                                   st.none() | cell_floats, max_size=2), label="fields")
     return tables, fields
@@ -589,6 +661,30 @@ class TestWriteTable:
         want = {
             name: reference_csv("cmd" if name == "rows" else f"cmd-{name}", header, columns)
             for name, (header, columns) in tables.items()
+        }
+        got = write_table_text("csv", tables, {}, to_stdout)
+        if to_stdout:
+            assert got == {"out": "".join(want.values())}
+        else:
+            assert got == {
+                ("out" if name == "rows" else f"out.{name}.csv"): text
+                for name, text in want.items()
+            }
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(writer_inputs(broadcast=True), st.booleans())
+    def test_broadcast_columns_write_their_full_rows(self, inputs, to_stdout):
+        tables, fields = inputs
+        full = {
+            name: (header, tuple(c.ravel() for c in np.broadcast_arrays(*columns)))
+            for name, (header, columns) in tables.items()
+        }
+        want = reference_json("cmd", full, fields)
+        assert write_table_text("json", tables, fields, to_stdout) == {"out": want}
+        want = {
+            name: reference_csv("cmd" if name == "rows" else f"cmd-{name}", header, columns)
+            for name, (header, columns) in full.items()
         }
         got = write_table_text("csv", tables, {}, to_stdout)
         if to_stdout:

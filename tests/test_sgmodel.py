@@ -364,7 +364,7 @@ class TestErfc:
 
     @pytest.mark.parametrize("x", [0.7, np.float64(0.7), np.array(0.7), 0.0, 27.3, -1.5, math.nan])
     def test_single_value_is_a_float_with_the_array_bits(self, x):
-        # a 0-d input skips np.unique and calls math.erfc itself
+        # a 0-d input takes the elementwise route and comes back a Python float
         got = erfc(x)
         assert type(got) is float
         assert np.array_equal(np.float64(got).view(np.int64), erfc(np.array([x]))[0].view(np.int64))

@@ -304,6 +304,18 @@ class TestPowerOfTwoScaling:
         d = d_quantity(STATE_SY_PLUS, PauliObservable(c * SIGMA_Z), PauliObservable(c * SIGMA_X))
         assert d == pytest.approx(c * c, rel=1e-15, abs=0.0)
 
+    # the true value lies past the float range, where scaling back by the
+    # power of two raised math.ldexp's OverflowError, which names no input
+    def test_std_dev_past_the_float_range_is_named(self):
+        obs = PauliObservable([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+        with pytest.raises(ValueError, match=r"^std_dev is not finite: the inputs leave"):
+            std_dev(QubitState(IDENTITY_2 / 2), obs)
+
+    def test_d_quantity_past_the_float_range_is_named(self):
+        a, b = PauliObservable(1e200 * SIGMA_Z), PauliObservable(1e200 * SIGMA_X)
+        with pytest.raises(ValueError, match=r"^d_quantity is not finite: the inputs leave"):
+            d_quantity(STATE_SY_PLUS, a, b)
+
 
 def d_quantity_oracle(rho, comm):
     """(1/2) Tr|sqrt(rho) C sqrt(rho)| at 200 bits: sqrt(rho) from the
