@@ -11,9 +11,10 @@ row needs about half the working memory of one call on both, or less).
 half-row kinetic factor, so the field is alone at every transform.
 `measure_error` and `measure_disturbance` read eps^2 and eta^2, the squared
 root-mean-square error and disturbance, from that one field, eps^2 with the
-screen-edge term that takes it to the line's; neither depends on the spin
-state, so neither takes one.  Intended for order-unity (hbar = m = 1)
-parameters; feed SI-scale inputs through a rescaling, not directly.
+screen-edge terms that take it to the line's to sixth order in dz, from
+the five cells about z = 0; neither depends on the spin state, so neither
+takes one.  Intended for order-unity (hbar = m = 1) parameters; feed
+SI-scale inputs through a rescaling, not directly.
 """
 from __future__ import annotations
 
@@ -223,7 +224,7 @@ def _flight(psi: np.ndarray, grid: Grid1D, t: float, p: SGParams) -> None:
 
 def measure_error(field: SpinorField) -> float:
     """eps^2 of the sign-of-position meter against sigma_z on the line, read
-    to O(dz^4) from the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
+    to O(dz^6) from the propagated branch pair (U_up xi, U_down xi) / sqrt(2).
 
     The meter follows the deflection: it reads +1 on the side the up branch
     is pushed to, z < 0 for mu B1 > 0 (z = 0, at index n // 2, counts as
@@ -235,22 +236,39 @@ def measure_error(field: SpinorField) -> float:
     weights cancel the first-order part.
 
     The Euler-Maclaurin edge terms at the meter's jump take it to the
-    line's (Abramowitz & Stegun 23.1.30).  With f = |up|^2 and g =
-    |down|^2, the integrals of f over z >= 0 and of g over z < 0 exceed dz
-    times the grid's sums by (dz/2)(g(0) - f(0)) + (dz^2/12)(f'(0) - g'(0))
-    + O(dz^4), which this adds, times 4; the mirror meter swaps f and g,
-    and so the sign.  The derivatives are central differences at the z = 0
-    grid point, exact to O(dz^2).  The dz term is zero to rounding for the
-    even Gaussian probe, whose branches mirror each other in z; it is kept,
-    so no symmetry is assumed.
+    line's (Abramowitz & Stegun 23.1.30).  Away from the jump the densities
+    are smooth and decay fast, so there the sums converge faster than any
+    power of dz (Trefethen & Weideman, SIAM Review 56, 385, 2014): the jump
+    is the one algebraic error.  With f = |up|^2 and g = |down|^2,
+    dz sum_{i >= n/2} f_i = int_0^inf f + (dz/2) f(0) - (dz^2/12) f'(0)
+    + (dz^4/720) f'''(0) + O(dz^6), and the grid's z < 0 sum of g is its
+    mirror, with the odd derivatives' signs flipped.  So the integrals of
+    f over z >= 0 and of g over z < 0 exceed dz times the grid's sums by
+    (dz/2)(g(0) - f(0)) + (dz^2/12)(f'(0) - g'(0)) - (dz^4/720)(f'''(0) -
+    g'''(0)) + O(dz^6), which this adds, times 4; the mirror meter swaps f
+    and g, and so the sign.  For an O(dz^6) sum, f' must be exact to
+    O(dz^4) and f''' to O(dz^2): the three-point central difference of f'
+    would leave an O(dz^4) error, and f''' needs two cells on each side.
+    So they take the five-point stencils
+    f'(0) = d1(f) / (12 dz) with d1(f) = -f_2 + 8 f_1 - 8 f_-1 + f_-2, and
+    f'''(0) = d3(f) / (2 dz^3) with d3(f) = f_2 - 2 f_1 + 2 f_-1 - f_-2,
+    f_j the density j cells from z = 0: the readout reads cells n/2 - 2 to
+    n/2 + 2, with no extra FFT or row.  The stencils are linear, so with
+    e = f - g the edge term, times 4, is
+    -2 dz e_0 + (dz/36) d1(e) - (dz/360) d3(e).
+    The dz term is zero to rounding for the even Gaussian probe, whose
+    branches mirror each other in z; it is kept, so no symmetry is assumed.
     """
     h, dz = field.grid.n // 2, field.grid.dz
     (up_below, up_above), (down_below, down_above) = (
         (np.sum(np.abs(row[:h]) ** 2), np.sum(np.abs(row[h:]) ** 2)) for row in field.psi
     )
     wrong, mirror = up_above + down_below, up_below + down_above
-    f, g = np.abs(field.psi[:, h - 1 : h + 2]) ** 2
-    edge = -2.0 * dz * (f[1] - g[1]) + (dz / 6.0) * ((f[2] - f[0]) - (g[2] - g[0]))
+    f, g = np.abs(field.psi[:, h - 2 : h + 3]) ** 2
+    e = f - g
+    d1 = -e[4] + 8.0 * e[3] - 8.0 * e[1] + e[0]
+    d3 = e[4] - 2.0 * e[3] + 2.0 * e[1] - e[0]
+    edge = -2.0 * dz * e[2] + (dz / 36.0) * d1 - (dz / 360.0) * d3
     # the branch amplitudes carry 1/sqrt(2): P = 2 * sum |amplitude|^2 dz
     return float(4.0 * min(wrong, mirror) * dz + (edge if wrong <= mirror else -edge))
 

@@ -298,7 +298,7 @@ class TestValidate:
     def test_gate_is_the_oracles_measured_error(self, n, closed_form, rel, capsys, monkeypatch):
         # every default case passes at every n, but a closed form off by
         # 1e-4 (eps^2) or 1e-12 (eta^2) fails every case: the gate follows
-        # the oracle's n^-4 error down to its rounding floor
+        # the oracle's n^-6 error down to the floor its 8 sigma span sets
         assert main(["validate", "--grid-n", str(n)]) == EXIT_OK
         assert capsys.readouterr().out.count(" PASS\n") == 8
         exact = getattr(validation, closed_form)
