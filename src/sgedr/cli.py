@@ -21,9 +21,9 @@ from ._arrays import MAX_ROWS, check_count, check_finite
 from .experiment import (
     ExperimentConfig1922,
     format_table,
+    heisenberg_verdict,
     parse_config,
     reference_checks,
-    report_to_json,
     run_chain,
 )
 from .gridsim import Grid1D
@@ -84,17 +84,11 @@ def _write_table(
     then the summary, if any, is printed, then the tables follow.  The
     summary goes to stdout, or to stderr when the tables do ('-'), so that
     stdout holds the tables alone.
-    JSON is one payload: schema, command, the extra fields, then each table
-    as a list of row objects under its name, byte for byte what
-    json.dumps(payload, indent=2) writes.  CSV writes the "rows" table to
+    JSON is one payload written by _write_json: schema, command, the extra
+    fields, then each table under its name.  CSV writes the "rows" table to
     path and every other table to path.<name>.csv, labelled <command>-<name>;
     on stdout ('-') they follow each other.  CSV floats carry 17 significant
     digits and bools read 1 or 0.
-
-    Each cell carries the separators around it (_spelled), so a block of
-    _BLOCK_ROWS rows is one join of its cells, and Python's pure-Python
-    indenting encoder never runs.  Nothing is sorted: a first np.unique or
-    argsort raises a fresh process's max RSS (see _spelled).
     """
     names = ["rows"] if fmt == "json" else list(tables)
     paths = [path if name == "rows" or path == "-" else f"{path}.{name}.csv" for name in names]
@@ -103,33 +97,46 @@ def _write_table(
         if summary is not None:
             print(summary, file=sys.stderr if path == "-" else sys.stdout)
         if fmt == "json":
-            # json is imported where JSON is written: a CSV command never loads it
-            import json
-
-            fh = handles[0]
-            head = json.dumps({"schema": SCHEMA_VERSION, "command": command, **fields}, indent=2)
-            fh.write(head[:-2])  # reopen the object: drop its closing "\n}"
-            for name, (header, columns) in tables.items():
-                fh.write(f",\n  {json.dumps(name)}: [")
-                # each cell opens with the "," that ends the line before it,
-                # column 0's also with its row's "{"; the last column's cell
-                # closes the row's "}"
-                opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
-                closes = [""] * (len(header) - 1) + ["\n    }"]
-                befores = [f"{o}      {json.dumps(h)}: " for o, h in zip(opens, header)]
-                cells = _table_cells(columns, fmt, befores, closes)
-                if len(cells[0]):  # an empty list is "[]"
-                    cells[0][0] = cells[0][0][1:]  # the first row follows "[" with no ","
-                    _write_rows(fh, cells)
-                    fh.write("\n  ")
-                fh.write("]")
-            fh.write("\n}\n")
+            payload = {"schema": SCHEMA_VERSION, "command": command, **fields, **tables}
+            _write_json(handles[0], payload)
             return
         for fh, (name, (header, columns)) in zip(handles, tables.items()):
             label = command if name == "rows" else f"{command}-{name}"
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
             seps = [","] * (len(columns) - 1) + ["\n"]
             _write_rows(fh, _table_cells(columns, fmt, [""] * len(columns), seps))
+
+
+def _write_json(fh, payload: dict) -> None:
+    """Write payload and a newline, byte for byte json.dumps(payload, indent=2).
+
+    A (header, columns) tuple value is a table (see _write_table): a list of
+    row objects whose cells carry their separators (_spelled), so a block of
+    _BLOCK_ROWS rows is one join and json's pure-Python indenting encoder
+    never runs over it.  Any other value is json.dumps's, one level in; JSON
+    has no tuples, so a record such as a NamedTuple goes in as its _asdict().
+    """
+    import json  # imported where JSON is written: a CSV command never loads it
+
+    fh.write("{")
+    for i, (key, value) in enumerate(payload.items()):
+        fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
+        if not isinstance(value, tuple):
+            # a string spells a newline as \n, so each raw one opens a line
+            fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            continue
+        header, columns = value
+        # each cell opens with the "," that ends the line before it, column 0's
+        # also with its row's "{"; the last column's cell closes the row's "}"
+        opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
+        closes = [""] * (len(header) - 1) + ["\n    }"]
+        befores = [f"{o}      {json.dumps(h)}: " for o, h in zip(opens, header)]
+        cells = _table_cells(columns, "json", befores, closes)
+        if len(cells[0]):  # the first row follows "[" with no ","
+            cells[0][0] = "[" + cells[0][0][1:]
+            _write_rows(fh, cells)
+        fh.write("\n  ]" if len(cells[0]) else "[]")
+    fh.write("\n}\n")
 
 
 # as fast as 4,096 rows per block, but a 4,096-row block of lw's seven float
@@ -283,9 +290,12 @@ def cmd_experiment(args) -> int:
         cfg = replace(cfg, **{k: v for k, v in k_flags.items() if v is not None})
 
     report = run_chain(cfg)
-    print(format_table(report))
-    print()
-    print(report_to_json(report))
+    print(format_table(report) + "\n")
+    _write_json(sys.stdout, {
+        **report._asdict(), "rows": (report.rows._fields, report.rows),
+        "edr_at_min": report.edr_at_min._asdict(), "edr_at_max": report.edr_at_max._asdict(),
+        "heisenberg": dict(zip(("product_max", "bound", "violated"), heisenberg_verdict(report))),
+    })
 
     if cfg != ExperimentConfig1922(K_min=cfg.K_min, K_max=cfg.K_max, K_steps=cfg.K_steps):
         return EXIT_OK  # reference values only apply to the default apparatus

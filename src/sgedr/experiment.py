@@ -3,7 +3,7 @@
 Ingests the published apparatus geometry and CODATA constants, runs the full
 calculation chain (atom mass, beam velocity, collimator posterior, deflection,
 error and disturbance), and brackets the result over the resolution scale
-factor K in [0.6, 1].
+factor K in [0.6, 1], each intermediate over K one array of a KTable.
 """
 from __future__ import annotations
 
@@ -60,18 +60,18 @@ class ExperimentConfig1922:
         check_count("K_steps", self.K_steps, 1)
 
 
-class KRow(NamedTuple):
-    """Chain intermediates at one value of the scale factor K."""
+class KTable(NamedTuple):
+    """Chain intermediates over the scale factor K, each a 1-D array over K."""
 
-    K: float
-    D_p: float
-    D_z: float
-    var_z: float
-    sigma_dt_sq: float
-    erfc_arg: float
-    damping_exponent: float
-    eps_sq: float
-    eta_sq: float
+    K: np.ndarray
+    D_p: np.ndarray
+    D_z: np.ndarray
+    var_z: np.ndarray
+    sigma_dt_sq: np.ndarray
+    erfc_arg: np.ndarray
+    damping_exponent: np.ndarray
+    eps_sq: np.ndarray
+    eta_sq: np.ndarray
 
 
 class ChainReport(NamedTuple):
@@ -84,7 +84,7 @@ class ChainReport(NamedTuple):
     delta_p: float
     delta_z: float
     g0: float
-    rows: tuple[KRow, ...]
+    rows: KTable
     eps_sq_min: float
     eps_sq_max: float
     eta_sq: float
@@ -132,21 +132,22 @@ def run_chain(cfg: ExperimentConfig1922) -> ChainReport:
     D_p, D_z = 1.25 * K * delta_p, 1.25 * K * delta_z
     probe = collimator_posterior(D_p, D_z, HBAR)
     eps_sq, eta_sq = error_sq(params, probe), disturbance_sq(params, probe)
-    columns = (
+    rows = KTable(
         K, D_p, D_z, probe.var_z, np.square(sigma_t(probe, dt + tau, HBAR, m)),
         erfc_arg(params, probe), damping_exponent(params, probe), eps_sq, eta_sq,
     )
-    rows = tuple(KRow(*row) for row in zip(*(col.tolist() for col in columns)))
 
     # each end of the eps^2 interval with the eta^2 of its own K
-    low, high = rows[np.argmin(eps_sq)], rows[np.argmax(eps_sq)]
+    low, high = np.argmin(eps_sq), np.argmax(eps_sq)
+    eps_min, eps_max = eps_sq[low].item(), eps_sq[high].item()
+    eta_min, eta_max = eta_sq[low].item(), eta_sq[high].item()
     sz, sx = PauliObservable.z(), PauliObservable.x()
-    edr_min = evaluate_edrs(low.eps_sq, low.eta_sq, STATE_SY_PLUS, sz, sx)
-    edr_max = evaluate_edrs(high.eps_sq, high.eta_sq, STATE_SY_PLUS, sz, sx)
+    edr_min = evaluate_edrs(eps_min, eta_min, STATE_SY_PLUS, sz, sx)
+    edr_max = evaluate_edrs(eps_max, eta_max, STATE_SY_PLUS, sz, sx)
     return ChainReport(
         m=m, v_y=v_y, dt=dt, tau=tau, delta_p=delta_p, delta_z=delta_z, g0=g0(params),
-        rows=rows, eps_sq_min=low.eps_sq, eps_sq_max=high.eps_sq, eta_sq=high.eta_sq,
-        error_prob_bound=high.eps_sq / 4.0, edr_at_min=edr_min, edr_at_max=edr_max,
+        rows=rows, eps_sq_min=eps_min, eps_sq_max=eps_max, eta_sq=eta_max,
+        error_prob_bound=eps_max / 4.0, edr_at_min=edr_min, edr_at_max=edr_max,
     )
 
 
@@ -185,45 +186,33 @@ def reference_checks(report: ChainReport) -> list[tuple[str, float, float, bool]
     quantity has its own relative tolerance in _REFERENCE_VALUES.
     """
     cfg = ExperimentConfig1922()
-    by_k = {round(r.K, 12): r for r in report.rows}
-    any_row = report.rows[0]
+    rows = report.rows
+    K = rows.K[0]  # a K-independent coefficient reads the same at every K
     computed = {
         "m": report.m,
         "v_y": report.v_y,
         "dt": report.dt,
         "1.25*delta_z": 1.25 * report.delta_z,
         "1.25*delta_p": 1.25 * report.delta_p,
-        "var_z*K^2": any_row.var_z * any_row.K**2,
-        "sigma_dt_sq/K^2": any_row.sigma_dt_sq / any_row.K**2,
+        "var_z*K^2": rows.var_z[0] * K**2,
+        "sigma_dt_sq/K^2": rows.sigma_dt_sq[0] / K**2,
         "g0": report.g0,
-        "erfc_arg*K": any_row.erfc_arg * any_row.K,
+        "erfc_arg*K": rows.erfc_arg[0] * K,
         "mu*B1*dt/hbar": abs(MU_ELECTRON * cfg.B1 * report.dt / HBAR),
-        "damping_exponent/K^2": any_row.damping_exponent / any_row.K**2,
+        "damping_exponent/K^2": rows.damping_exponent[0] / K**2,
         "eta_sq": report.eta_sq,
     }
-    if 1.0 in by_k:
-        computed["eps_sq(K=1)"] = by_k[1.0].eps_sq
-    if 0.6 in by_k:
-        computed["eps_sq(K=0.6)"] = by_k[0.6].eps_sq
+    # the eps^2 endpoints at the last K that rounds to each
+    for k, name in ((1.0, "eps_sq(K=1)"), (0.6, "eps_sq(K=0.6)")):
+        at_k = np.flatnonzero(np.round(rows.K, 12) == k)
+        if at_k.size:
+            computed[name] = rows.eps_sq[at_k[-1]]
     results = []
     for name, value in computed.items():
         expected, rtol = _REFERENCE_VALUES[name]
         ok = abs(value - expected) <= rtol * abs(expected)
         results.append((name, float(value), expected, ok))
     return results
-
-
-def report_to_json(report: ChainReport) -> str:
-    """The full report and its Heisenberg verdict as indented JSON."""
-    import json
-
-    d = report._asdict()
-    d["rows"] = [row._asdict() for row in report.rows]
-    d["edr_at_min"] = report.edr_at_min._asdict()
-    d["edr_at_max"] = report.edr_at_max._asdict()
-    product_max, bound, violated = heisenberg_verdict(report)
-    d["heisenberg"] = {"product_max": product_max, "bound": bound, "violated": violated}
-    return json.dumps(d, indent=2)
 
 
 def format_table(report: ChainReport) -> str:
@@ -242,10 +231,9 @@ def format_table(report: ChainReport) -> str:
         "",
         "  K      erfc arg     eps^2        eta^2",
     ]
-    for r in report.rows:
-        lines.append(
-            f"  {r.K:<6.3f} {r.erfc_arg:<12.4f} {r.eps_sq:<12.4e} {r.eta_sq:.4f}"
-        )
+    rows = report.rows
+    for K, arg, eps_sq, eta_sq in zip(rows.K, rows.erfc_arg, rows.eps_sq, rows.eta_sq):
+        lines.append(f"  {K:<6.3f} {arg:<12.4f} {eps_sq:<12.4e} {eta_sq:.4f}")
     lines += [
         "",
         f"eps^2 interval                [{report.eps_sq_min:.3e}, {report.eps_sq_max:.3e}]",

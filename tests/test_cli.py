@@ -18,7 +18,8 @@ import sgedr
 from sgedr import validation
 from sgedr._arrays import MAX_ROWS
 from sgedr.cli import (
-    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, TIGHT_FLAG_MARGIN, _write_table, main,
+    EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, TIGHT_FLAG_MARGIN, _write_json, _write_table,
+    main,
 )
 from sgedr.sgmodel import SGParams, in_region, sweep_region
 from sgedr.spin import STATE_SY_PLUS, PauliObservable, evaluate_edrs
@@ -553,11 +554,16 @@ class TestWholeProcess:
 # payload, and each CSV cell formatted on its own.  _write_table must write
 # exactly these bytes.
 def reference_json(command, tables, fields):
-    payload = {"schema": 1, "command": command, **fields}
-    for name, (header, columns) in tables.items():
-        rows = zip(*(c.tolist() for c in columns))
-        payload[name] = [dict(zip(header, r)) for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({"schema": 1, "command": command, **fields, **json_tables(tables)},
+                      indent=2) + "\n"
+
+
+def json_tables(tables):
+    """Each table as json.dumps takes it: a list of row objects."""
+    return {
+        name: [dict(zip(header, r)) for r in zip(*(c.tolist() for c in columns))]
+        for name, (header, columns) in tables.items()
+    }
 
 
 def reference_csv(label, header, columns):
@@ -636,9 +642,19 @@ def writer_inputs(draw, broadcast=False):
         tables[name] = (header, tuple(
             draw(column(math.prod(shape))).reshape(shape) for shape in shapes
         ))
-    fields = draw(st.dictionaries(st.sampled_from(["tau0", "x", "note"]),
-                                  st.none() | cell_floats, max_size=2), label="fields")
+    fields = draw(st.dictionaries(st.sampled_from(["tau0", "x", "note"]), field_values,
+                                  max_size=3), label="fields")
     return tables, fields
+
+
+# a field's value: a float, None, a bool, a string (its newlines escaped), or
+# a list or dict of them, nested
+field_values = st.recursive(
+    st.none() | st.booleans() | cell_floats | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
 
 
 class TestWriteTable:
@@ -649,10 +665,19 @@ class TestWriteTable:
     # the column's one nan lies past the first block, yet the whole column
     # takes json.dumps's spelling
     @example(({"rows": (["x"], (np.append(np.arange(1024.0), np.nan),))}, {}), False)
+    # fields after a table, as experiment's report has them
+    @example((
+        {"rows": (["x", "b"], (np.array([0.5, np.inf]), np.array([True, False])))},
+        {"note": {"a": None, "b": [True, {"c": 1e-300}], "d": {}}, "x": None, "tau0": False},
+    ), True)
     def test_json_matches_json_dumps(self, inputs, to_stdout):
         tables, fields = inputs
         want = reference_json("cmd", tables, fields)
         assert write_table_text("json", tables, fields, to_stdout) == {"out": want}
+        # _write_json alone, with the fields after the tables
+        buf = io.StringIO()
+        _write_json(buf, {**tables, **fields})
+        assert buf.getvalue() == json.dumps({**json_tables(tables), **fields}, indent=2) + "\n"
 
     @settings(max_examples=40, deadline=None)
     @given(writer_inputs(), st.booleans())

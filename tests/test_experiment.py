@@ -1,21 +1,23 @@
+import contextlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from sgedr.cli import main
 from sgedr.experiment import (
     HBAR,
     MU_ELECTRON,
     ChainReport,
     ExperimentConfig1922,
-    KRow,
+    KTable,
     format_table,
     heisenberg_verdict,
     parse_config,
     reference_checks,
-    report_to_json,
     rms_velocity,
     run_chain,
     silver_mass,
@@ -118,9 +120,9 @@ class TestRunChain:
         assert report.g0 == pytest.approx(9.26e-5, rel=5e-3)
 
     def test_k_bracketing(self, report):
-        assert [r.K for r in report.rows] == [0.6, 1.0]
+        assert report.rows.K.tolist() == [0.6, 1.0]
         assert report.eps_sq_min < report.eps_sq_max
-        assert report.eps_sq_min == report.rows[0].eps_sq
+        assert report.eps_sq_min == report.rows.eps_sq[0]
 
     def test_headline_interval(self, report):
         assert report.eps_sq_max == pytest.approx(3.38e-1, rel=1e-2)
@@ -158,12 +160,12 @@ class TestRunChain:
             dt=report.dt, tau=report.tau,
         )
         delta_p = (cfg.d1 + cfg.d2) / (2.0 * cfg.L1) * report.m * report.v_y
-        assert len(report.rows) == 7
-        for k, row in zip(k_values, report.rows):
+        assert all(c.shape == (7,) for c in report.rows)
+        for i, k in enumerate(k_values):
             D_p, D_z = 1.25 * k * delta_p, 1.25 * k * (cfg.d2 / 2.0)
             probe = collimator_posterior(D_p, D_z, HBAR)
             spread = sigma_t(probe, report.dt + report.tau, HBAR, report.m)
-            assert row == KRow(
+            assert KTable(*(c[i] for c in report.rows)) == KTable(
                 K=k, D_p=D_p, D_z=D_z, var_z=moments(probe, HBAR)[0],
                 sigma_dt_sq=spread * spread, erfc_arg=erfc_arg(params, probe),
                 damping_exponent=damping_exponent(params, probe),
@@ -175,12 +177,12 @@ class TestRunChain:
         # so pairing the eps^2 maximum with the K_min row's eta^2 gave
         # sqrt(eps^2(K=1) eta^2(K=0.6)) = 0.259, a product no K produces
         report = run_chain(ExperimentConfig1922(B1=-1e-3, K_steps=3))
-        low, high = report.rows[0], report.rows[-1]
-        assert low.eps_sq < report.rows[1].eps_sq < high.eps_sq
-        assert low.eta_sq < 0.5 * high.eta_sq
-        for edr, row in ((report.edr_at_min, low), (report.edr_at_max, high)):
-            assert edr.heisenberg_lhs == pytest.approx(np.sqrt(row.eps_sq * row.eta_sq), rel=1e-12)
-        assert report.eta_sq == high.eta_sq
+        eps_sq, eta_sq = report.rows.eps_sq, report.rows.eta_sq
+        assert eps_sq[0] < eps_sq[1] < eps_sq[-1]
+        assert eta_sq[0] < 0.5 * eta_sq[-1]
+        for edr, i in ((report.edr_at_min, 0), (report.edr_at_max, -1)):
+            assert edr.heisenberg_lhs == pytest.approx(np.sqrt(eps_sq[i] * eta_sq[i]), rel=1e-12)
+        assert report.eta_sq == eta_sq[-1]
         assert heisenberg_verdict(report)[0] == pytest.approx(0.4282, abs=1e-4)
 
     def test_longer_flight_reduces_error_here(self):
@@ -231,31 +233,85 @@ class TestReferenceChecks:
         assert computed["sigma_dt_sq/K^2"] == pytest.approx(4.57e-9, rel=5e-3)
 
 
+# experiment's JSON before the CLI's table writer took its K table: the report
+# as a dict, each K a row object, through json.dumps.  experiment must print
+# exactly these bytes.
+def reference_json(report):
+    d = report._asdict()
+    d["rows"] = [dict(zip(KTable._fields, row)) for row in zip(*(c.tolist() for c in report.rows))]
+    d["edr_at_min"] = report.edr_at_min._asdict()
+    d["edr_at_max"] = report.edr_at_max._asdict()
+    product_max, bound, violated = heisenberg_verdict(report)
+    d["heisenberg"] = {"product_max": product_max, "bound": bound, "violated": violated}
+    return json.dumps(d, indent=2)
+
+
+def experiment_json(capsys):
+    """The JSON report `sgedr experiment` prints after its table."""
+    main(["experiment"])
+    return json.loads("{" + capsys.readouterr().out.split("{", 1)[1])
+
+
 class TestReportSerialization:
-    def test_json_round_trip(self, report):
-        data = json.loads(report_to_json(report))
+    def test_json_round_trip(self, report, capsys):
+        data = experiment_json(capsys)
         assert data["m"] == report.m
         assert len(data["rows"]) == 2
         assert data["heisenberg"]["violated"] is True
 
-    def test_json_nests_each_record_as_an_object(self, report):
+    def test_json_nests_each_record_as_an_object(self, report, capsys):
         # a record serialised as a list instead would lose its field names
-        data = json.loads(report_to_json(report))
+        data = experiment_json(capsys)
         assert list(data) == [*ChainReport._fields, "heisenberg"]
         for row in data["rows"]:
-            assert list(row) == list(KRow._fields)
-        assert [KRow(**row) for row in data["rows"]] == list(report.rows)
+            assert list(row) == list(KTable._fields)
+        for name, column in zip(KTable._fields, report.rows):
+            assert [row[name] for row in data["rows"]] == column.tolist()
         for name in ("edr_at_min", "edr_at_max"):
             assert list(data[name]) == list(EDRReport._fields)
 
-    def test_dict_contains_verdict(self, report):
-        d = json.loads(report_to_json(report))
+    def test_dict_contains_verdict(self, capsys):
+        d = experiment_json(capsys)
         assert d["heisenberg"]["product_max"] < d["heisenberg"]["bound"]
 
     def test_table_mentions_verdict(self, report):
         table = format_table(report)
         assert "VIOLATED" in table
         assert "eps^2 interval" in table
+
+    # B1 = -1e150 damps totally: its damping_exponent column reads Infinity
+    @pytest.mark.parametrize("argv, cfg, code", [
+        ([], CFG, 2),
+        (["--k-steps", "7"], replace(CFG, K_steps=7), 2),
+        (["--k-min", "0.8", "--k-max", "0.8", "--k-steps", "1"],
+         replace(CFG, K_min=0.8, K_max=0.8, K_steps=1), 2),
+        (["--k-min", "0.9", "--k-max", "0.7", "--k-steps", "3"],
+         replace(CFG, K_min=0.9, K_max=0.7, K_steps=3), 2),
+        (["--config", "B1 = -1e150"], replace(CFG, B1=-1e150), 0),
+    ])
+    def test_stdout_is_the_table_and_the_reference_json(self, argv, cfg, code, tmp_path, capsys):
+        if argv[:1] == ["--config"]:
+            (tmp_path / "run.cfg").write_text(argv[1] + "\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["experiment", *argv]) == code
+        report = run_chain(cfg)
+        want = format_table(report) + "\n\n" + reference_json(report) + "\n"
+        assert capsys.readouterr().out == want
+        assert ('"damping_exponent": Infinity' in want) == (cfg.B1 == -1e150)
+
+    def test_memory_per_k_row(self, tmp_path, capsys):
+        # the K table is written from its columns: at 20,000 K the traced peak
+        # measured 18.6 MiB, and 49.6 MiB when each K was a tuple of floats
+        # and a dict through json.dumps
+        with open(tmp_path / "out.txt", "w") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(["experiment", "--k-steps", "20000"]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 30 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestExperimentConfig:
@@ -277,7 +333,7 @@ class TestParseConfig:
     def test_defaults_when_empty(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, "# nothing here\n\n"))
         assert cfg == ExperimentConfig1922()
-        assert [r.K for r in run_chain(cfg).rows] == [0.6, 1.0]
+        assert run_chain(cfg).rows.K.tolist() == [0.6, 1.0]
 
     def test_overrides_and_comments(self, tmp_path):
         text = "T = 1200  # cooler oven\nB1 = -2e3\nK_min = 0.7\nK_max=0.9\nK_steps = 3\n"
@@ -286,11 +342,11 @@ class TestParseConfig:
         assert cfg.B1 == -2e3
         assert cfg.L2 == 3.5e-2
         assert (cfg.K_min, cfg.K_max, cfg.K_steps) == (0.7, 0.9, 3.0)
-        assert [r.K for r in run_chain(cfg).rows] == pytest.approx([0.7, 0.8, 0.9])
+        assert run_chain(cfg).rows.K.tolist() == pytest.approx([0.7, 0.8, 0.9])
 
     def test_single_k(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, "K_min = 0.8\nK_steps = 1\n"))
-        assert [r.K for r in run_chain(cfg).rows] == [0.8]
+        assert run_chain(cfg).rows.K.tolist() == [0.8]
 
     def test_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key"):

@@ -137,8 +137,8 @@ class TestCollimator:
 
     def test_posterior_variance(self):
         report = run_chain(ExperimentConfig1922(K_steps=3))
-        for row in report.rows:
-            assert row.var_z * row.K * row.K == pytest.approx(5.03e-20, rel=5e-3)
+        for K, var_z in zip(report.rows.K, report.rows.var_z):
+            assert var_z * K * K == pytest.approx(5.03e-20, rel=5e-3)
 
     def test_momentum_term_dominates_for_wide_slit(self):
         probe = collimator_posterior(self.D_P, 0.625, HBAR)  # a 1 m slit

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from sgedr._arrays import MAX_ROWS
 from sgedr.cli import EXIT_USAGE, main
 from sgedr.validation import ValidationResult, default_cases
 
@@ -56,3 +57,14 @@ def test_quoted_gate_is_the_one_validate_applies(n):
     for bound, field in ((eps_bound, "eps_sq_grid"), (eta_bound, "eta_sq_grid")):
         assert exact._replace(**{field: 1.0 + bound * (1.0 - 1e-2)}).passed, field
         assert not exact._replace(**{field: 1.0 + bound * (1.0 + 1e-2)}).passed, field
+
+
+# README's row-cap sentence quotes the cap and validate's largest grid, the
+# largest power of two within it
+def test_quoted_row_caps_are_max_rows():
+    text = README.read_text()
+    rows = re.search(r"at most\s+([\d,]+)\s+rows", text)
+    grid = re.search(r"`validate --grid-n`\s+up\s+to\s+([\d,]+)", text)
+    assert rows and grid, "README no longer states the row caps"
+    assert int(rows.group(1).replace(",", "")) == MAX_ROWS
+    assert int(grid.group(1).replace(",", "")) == 1 << (MAX_ROWS.bit_length() - 1)
