@@ -79,7 +79,7 @@ def _write_table(
 
     A table's columns are arrays that broadcast to one shape, and its rows
     follow that shape in C order, so a column that does not vary along an
-    axis is passed, and spelled, without it.
+    axis is passed, and spelled, without it (see _write_rows).
     Every output is opened before anything is written (see _open_outputs),
     then the summary, if any, is printed, then the tables follow.  The
     summary goes to stdout, or to stderr when the tables do ('-'), so that
@@ -104,17 +104,17 @@ def _write_table(
             label = command if name == "rows" else f"{command}-{name}"
             fh.write(f"# sgedr {label} schema v{SCHEMA_VERSION}\n{','.join(header)}\n")
             seps = [","] * (len(columns) - 1) + ["\n"]
-            _write_rows(fh, _table_cells(columns, fmt, [""] * len(columns), seps))
+            _write_rows(fh, columns, fmt, [""] * len(columns), seps)
 
 
 def _write_json(fh, payload: dict) -> None:
     """Write payload and a newline, byte for byte json.dumps(payload, indent=2).
 
     A (header, columns) tuple value is a table (see _write_table): a list of
-    row objects whose cells carry their separators (_spelled), so a block of
-    _BLOCK_ROWS rows is one join and json's pure-Python indenting encoder
-    never runs over it.  Any other value is json.dumps's, one level in; JSON
-    has no tuples, so a record such as a NamedTuple goes in as its _asdict().
+    row objects written by _write_rows, whose cells carry their separators,
+    so json's pure-Python indenting encoder never runs over it.  Any other
+    value is json.dumps's, one level in; JSON has no tuples, so a record
+    such as a NamedTuple goes in as its _asdict().
     """
     import json  # imported where JSON is written: a CSV command never loads it
 
@@ -126,16 +126,13 @@ def _write_json(fh, payload: dict) -> None:
             fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
             continue
         header, columns = value
-        # each cell opens with the "," that ends the line before it, column 0's
-        # also with its row's "{"; the last column's cell closes the row's "}"
+        # each cell opens with the "," that ends the line before it ("[" on the
+        # first row), column 0's also with its row's "{"; the last closes the "}"
         opens = [",\n    {\n"] + [",\n"] * (len(header) - 1)
         closes = [""] * (len(header) - 1) + ["\n    }"]
         befores = [f"{o}      {json.dumps(h)}: " for o, h in zip(opens, header)]
-        cells = _table_cells(columns, "json", befores, closes)
-        if len(cells[0]):  # the first row follows "[" with no ","
-            cells[0][0] = "[" + cells[0][0][1:]
-            _write_rows(fh, cells)
-        fh.write("\n  ]" if len(cells[0]) else "[]")
+        rows = _write_rows(fh, columns, "json", befores, closes, "[")
+        fh.write("\n  ]" if rows else "[]")
     fh.write("\n}\n")
 
 
@@ -146,31 +143,37 @@ _BLOCK_ROWS = 1024
 _BOOL_CELLS = {"csv": ("1", "0"), "json": ("true", "false")}
 
 
-def _table_cells(columns, fmt: str, befores: list[str], afters: list[str]) -> list[np.ndarray]:
-    """Each column's framed cells, broadcast to the table's shape and
-    flattened in C order: one writable 1-D object array per column."""
+def _write_rows(fh, columns, fmt: str, befores: list[str], afters: list[str], opening="") -> int:
+    """Write a table's rows, each cell framed by its column's before and
+    after and opening put over the first row's first characters, and
+    return how many rows there are.  The columns broadcast to the table's
+    shape, rows in C order, and go a slab of about _BLOCK_ROWS rows of the
+    first axis at a time, one join each: no table's cells are held whole,
+    and each column's slab is spelled over that column's own axes."""
     shape = np.broadcast_shapes(*map(np.shape, columns))
-    return [
-        np.broadcast_to(_spelled(c, fmt, b, a), shape).flatten()
-        for c, b, a in zip(columns, befores, afters)
-    ]
+    rows = math.prod(shape)
+    if not rows:
+        return 0
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    # each column on the table's axes: one of length 1 on the first serves every slab whole
+    columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
+    for start in range(0, shape[0], step):
+        slab = np.broadcast_arrays(*(
+            _spelled(c if len(c) == 1 else c[start:start + step], fmt, b, a)
+            for c, b, a in zip(columns, befores, afters)
+        ))
+        text = "".join(chain.from_iterable(zip(*(c.ravel().tolist() for c in slab))))
+        fh.write(text if start else opening + text[len(opening):])
+    return rows
 
 
 def _spelled(c: np.ndarray, fmt: str, before: str, after: str) -> np.ndarray:
-    """Every cell of a column, each framed by before and after, as an object
-    array of str in c's shape.  CSV floats take %.17g, JSON floats
-    float.__repr__, and a JSON column holding nan or inf takes json.dumps's
-    spelling of each value (NaN, Infinity, -Infinity); bools read 1 or 0,
-    true or false.
-
-    Every value is spelled, repeated or not: no column is deduplicated by a
-    sort.  In a fresh process the first np.unique(x, return_inverse=True)
-    of 4,096 floats raised max RSS by 0.46 MB over a bare numpy import, and
-    np.argsort alone by 0.35 MB (medians of 7 cold runs, 2-vCPU x86-64 VM);
-    every command that writes a table paid it.  The one table whose values
-    repeat, region's rows, passes eps^2 and eta^2 over their own axes of the
-    product grid (cmd_region), so each distinct value is spelled once.
-    """
+    """Every cell of c, each framed by before and after, as an object array
+    of str in c's shape.  CSV floats take %.17g, JSON floats float.__repr__
+    or, where c holds nan or inf, json.dumps, which spells a finite float
+    the same; bools read 1 or 0, true or false.  No value is deduplicated
+    by a sort, for the reason sgmodel.erfc gives: region's repeated values
+    come over their own axes of the product grid instead (cmd_region)."""
     if c.dtype == bool:
         framed = np.array([before + cell + after for cell in _BOOL_CELLS[fmt]], dtype=object)
         return np.where(c, framed[:1], framed[1:])
@@ -184,13 +187,6 @@ def _spelled(c: np.ndarray, fmt: str, before: str, after: str) -> np.ndarray:
         spell = json.dumps
     cells = np.array([before + spell(v) + after for v in c.ravel().tolist()], dtype=object)
     return cells.reshape(c.shape)
-
-
-def _write_rows(fh, cells) -> None:
-    """Write the rows of a table of framed cells, one join per _BLOCK_ROWS rows."""
-    for start in range(0, len(cells[0]), _BLOCK_ROWS):
-        block = (c[start:start + _BLOCK_ROWS].tolist() for c in cells)
-        fh.write("".join(chain.from_iterable(zip(*block))))
 
 
 def _open_outputs(stack: contextlib.ExitStack, paths: list[str]) -> list:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._arrays import check_finite, check_in, clamp_sq, require_in, require_scalar, unwrap
+from ._arrays import check_finite, check_in, require_in, require_scalar, unwrap
 from .probe import GaussianProbe, moments, sigma_t
 
 REGION_TOL = 1e-12
@@ -28,11 +28,12 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 def erfc(x):
     """Complementary error function: math.erfc applied to every value of x.
 
-    No value is deduplicated first: the first np.unique of 4,096 floats in
-    a process raised its max RSS by 0.46 MB over a bare numpy import
-    (medians of 7 cold runs, 2-vCPU x86-64 VM), which every command paid.
-    The one caller whose values repeat, in_region over region's product
-    grid, is handed each factor over its own axes instead (cli.cmd_region)."""
+    No value is deduplicated first, here or in cli._spelled: the first
+    np.unique of 4,096 floats in a process raised its max RSS by 0.46 MB
+    over a bare numpy import (np.argsort alone 0.35 MB; medians of 7 cold
+    runs, 2-vCPU x86-64 VM), which every command paid.  The one caller
+    whose values repeat, in_region over region's product grid, is handed
+    each factor over its own axes instead (cli.cmd_region)."""
     return unwrap(np.asarray(_erfc(x), dtype=float))
 
 
@@ -197,12 +198,14 @@ def sweep_region(
     """(eps^2, eta^2) over a grid of (lambda, B0, tau), shape (N, 2).
 
     Rows follow the itertools.product order of the inputs; deterministic for
-    fixed inputs.  base supplies every field but B0 and tau.
+    fixed inputs.  base supplies every field but B0 and tau.  No value needs
+    clipping: eps^2 = 2 erfc(x >= 0) lies in [0, 2], and eta^2 = 2 - (2 damping)
+    cos(phase), damping in [0, 1], in [0, 4], both ends exact and rounding monotone.
     """
     lam = np.fromiter(lambdas, complex).reshape(-1, 1, 1)
     b0 = np.fromiter(b0_values, float).reshape(1, -1, 1)
     tau = np.fromiter(taus, float).reshape(1, 1, -1)
     probe = GaussianProbe(lam.real, lam.imag)
     params = dataclasses.replace(base, B0=b0, tau=tau)
-    eps_sq, eta_sq = np.broadcast_arrays(error_sq(params, probe), disturbance_sq(params, probe))
-    return clamp_sq(np.stack([eps_sq.ravel(), eta_sq.ravel()], axis=1))
+    grid = np.broadcast_arrays(error_sq(params, probe), disturbance_sq(params, probe))
+    return np.stack(grid, axis=-1).reshape(-1, 2)

@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ class TestRegion:
         assert np.array_equal(flags[0], in_region(want[:, 0], want[:, 1]))
         assert np.array_equal(flags[1], edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN)
         assert np.array_equal(flags[2], ~edr.heisenberg_satisfied)
+
+    @pytest.mark.parametrize("steps", [4, 8])
+    def test_json_spells_each_distinct_value_once(self, steps, capsys, monkeypatch):
+        # eps^2 is spelled over (lambda, tau) and eta^2 over (lambda, B0), a
+        # slab of lambdas at a time; spelling blocks of the full grid would
+        # spell each once per row (2,560 and 10,240 values, not 2,176 and 3,072)
+        spelled = []
+
+        def counting_repr(value):
+            spelled.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(sgedr.cli, "repr", counting_repr, raising=False)
+        assert main(["region", "--steps", str(steps), "--format", "json"]) == EXIT_OK
+        capsys.readouterr()
+        lambdas = steps * steps
+        # and the boundary table's two columns of 1,024 values
+        assert len(spelled) == lambdas * steps + lambdas * steps + 2 * 1024
 
 
 class TestExperiment:
@@ -430,6 +449,12 @@ class TestTopLevel:
         assert main([]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "sgedr 0.1.0\n"
+
     def test_unwritable_output(self, capsys):
         assert main(["lw", "--out", "/no/such/dir/out.csv"]) == EXIT_IO
         assert "I/O error" in capsys.readouterr().err
@@ -662,8 +687,8 @@ class TestWriteTable:
 
     @settings(max_examples=40, deadline=None)
     @given(writer_inputs(), st.booleans())
-    # the column's one nan lies past the first block, yet the whole column
-    # takes json.dumps's spelling
+    # the column's one nan lies past the first slab: only that slab takes
+    # json.dumps's spelling, which reads as repr's for every finite value
     @example(({"rows": (["x"], (np.append(np.arange(1024.0), np.nan),))}, {}), False)
     # fields after a table, as experiment's report has them
     @example((
@@ -719,6 +744,20 @@ class TestWriteTable:
                 ("out" if name == "rows" else f"out.{name}.csv"): text
                 for name, text in want.items()
             }
+
+    # the rows go a slab of about 1,024 at a time, peaking at 1.3 MiB (CSV)
+    # and 1.6 MiB (JSON); spelling every cell first peaked at 54.6 and 64.0
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_one_slab(self, fmt, tmp_path):
+        columns = tuple(np.random.default_rng(7).standard_normal((7, 100_000)))
+        tables = {"rows": ([f"c{i}" for i in range(7)], columns)}
+        tracemalloc.start()
+        try:
+            _write_table(str(tmp_path / "out"), fmt, "cmd", tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def write_table_text(fmt, tables, fields, to_stdout):

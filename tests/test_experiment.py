@@ -300,9 +300,10 @@ class TestReportSerialization:
         assert ('"damping_exponent": Infinity' in want) == (cfg.B1 == -1e150)
 
     def test_memory_per_k_row(self, tmp_path, capsys):
-        # the K table is written from its columns: at 20,000 K the traced peak
-        # measured 18.6 MiB, and 49.6 MiB when each K was a tuple of floats
-        # and a dict through json.dumps
+        # the K table is written from its columns a slab at a time: at 20,000 K
+        # the traced peak measured 4.3 MiB, 18.6 MiB when every cell was
+        # spelled before the first row was written, and 49.6 MiB when each K
+        # was a tuple of floats and a dict through json.dumps
         with open(tmp_path / "out.txt", "w") as fh, contextlib.redirect_stdout(fh):
             tracemalloc.start()
             try:
@@ -311,7 +312,19 @@ class TestReportSerialization:
             finally:
                 tracemalloc.stop()
         capsys.readouterr()
-        assert peak < 30 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_default_k_rows_are_printed(self, capsys):
+        # as text: test_stdout_is_the_table_and_the_reference_json reads the
+        # table through format_table itself
+        main(["experiment"])
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("  K      erfc arg     eps^2        eta^2")
+        assert lines[at + 1:at + 4] == [
+            "  0.600  1.6154       4.4685e-02   2.0000",
+            "  1.000  0.9692       3.4094e-01   2.0000",
+            "",
+        ]
 
 
 class TestExperimentConfig:

@@ -429,16 +429,21 @@ class TestValidation:
         off = res._replace(eps_sq_model=0.0)
         assert off.eps_rel == math.inf and not off.passed
 
-    # the default cases all have hbar = m = 1; these check that the grid and
-    # the closed forms take both constants from SGParams alike.  validate's
-    # eps^2 gate is measured on the default cases alone: the worst case here
-    # (index 6, hbar = 0.5, m = 0.25) reads 1.71e-9 at n = 1024, past its
-    # 1.57e-10; the other eight read 1.2e-13 to 8.7e-13
-    @pytest.mark.parametrize("hbar, mass", [(2.0, 3.0), (0.5, 0.25), (3.0, 1.0)])
+    # the default cases all have hbar = m = dt = 1; these check that the grid
+    # and the closed forms take the three constants from SGParams alike.
+    # validate's eps^2 gate is measured on the default cases alone: the worst
+    # case here (index 6, hbar = 0.5, m = 0.25) reads 1.71e-9 at n = 1024,
+    # past its 1.57e-10; the others read 1.1e-13 to 5.7e-10 (index 6, dt = 2).
+    # The unit-dt cases keep their ids
+    @pytest.mark.parametrize("hbar, mass, dt", [
+        pytest.param(2.0, 3.0, 1.0, id="2.0-3.0"), pytest.param(0.5, 0.25, 1.0, id="0.5-0.25"),
+        pytest.param(3.0, 1.0, 1.0, id="3.0-1.0"),
+        pytest.param(1.0, 1.0, 0.5, id="dt=0.5"), pytest.param(1.0, 1.0, 2.0, id="dt=2.0"),
+    ])
     @pytest.mark.parametrize("index", [3, 5, 6])
-    def test_closed_forms_at_non_unit_constants(self, hbar, mass, index):
+    def test_closed_forms_at_non_unit_constants(self, hbar, mass, dt, index):
         p, probe = default_cases()[index]
-        p = replace(p, hbar=hbar, mass=mass)
+        p = replace(p, hbar=hbar, mass=mass, dt=dt)
         field = propagate(p, probe)
         eps_sq, eta_sq = measure_error(field), measure_disturbance(field)
         assert eps_sq == pytest.approx(error_sq(p, probe), rel=2e-8)

@@ -104,6 +104,14 @@ class TestMeasuringProcess:
         with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
             MeasuringProcess(**fields)
 
+    def test_real_lists_are_stored_read_only_complex(self):
+        mp = MeasuringProcess([1.0, 0.0], np.eye(4).tolist(), [[1.0, 0.0], [0.0, -1.0]])
+        for field in ("probe_state", "unitary", "meter"):
+            arr = getattr(mp, field)
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.complex128, field
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0.0
+
 
 class TestStackedProbes:
     @given(bloch_vectors, theta_arrays)

@@ -148,6 +148,12 @@ class TestQubitState:
         with pytest.raises(ValueError, match=r"^density matrix must be 2x2, got \(3, 3\)$"):
             QubitState(np.eye(3) / 3)
 
+    def test_real_list_is_stored_read_only_complex(self):
+        rho = QubitState([[0.5, 0.0], [0.0, 0.5]]).rho
+        assert rho.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            rho[0, 0] = 1.0
+
 
 class TestPauliObservable:
     def test_custom_hermitian_ok(self):
@@ -156,6 +162,12 @@ class TestPauliObservable:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match=r"^observable must be 2x2$"):
             PauliObservable(np.eye(3))
+
+    def test_real_list_is_stored_read_only_complex(self):
+        m = PauliObservable([[1.0, 0.0], [0.0, -1.0]]).matrix
+        assert m.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match=r"^observable is not Hermitian within 1e-12$"):
@@ -429,9 +441,9 @@ class TestHatTransform:
 
 class TestEvaluateEDRs:
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eps_sq must lie in \[0, 4\], got -0.1$"):
             evaluate_edrs(-0.1, 1.0, STATE_SY_PLUS, SZ, SX)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eta_sq must lie in \[0, 4\], got 4.1$"):
             evaluate_edrs(1.0, 4.1, STATE_SY_PLUS, SZ, SX)
 
     def test_rejects_mismatched_shapes(self):
