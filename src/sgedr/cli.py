@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
@@ -158,11 +157,11 @@ def _write_rows(fh, columns, fmt: str, befores: list[str], afters: list[str], op
     # each column on the table's axes: one of length 1 on the first serves every slab whole
     columns = [np.reshape(c, (1,) * (len(shape) - np.ndim(c)) + np.shape(c)) for c in columns]
     for start in range(0, shape[0], step):
-        slab = np.broadcast_arrays(*(
+        slab = np.stack(np.broadcast_arrays(*(
             _spelled(c if len(c) == 1 else c[start:start + step], fmt, b, a)
             for c, b, a in zip(columns, befores, afters)
-        ))
-        text = "".join(chain.from_iterable(zip(*(c.ravel().tolist() for c in slab))))
+        )), axis=-1)
+        text = "".join(slab.ravel().tolist())
         fh.write(text if start else opening + text[len(opening):])
     return rows
 
@@ -254,18 +253,15 @@ def cmd_region(args) -> int:
             1j * _axis("--lambda-im", args.lambda_im, steps),
         ).ravel()
         b0, tau = _axis("--b0", args.b0, steps), _axis("--tau", args.tau, steps)
-    rows = sweep_region(base, lambdas, b0, tau)
-    edr = evaluate_edrs(*rows.T, STATE_SY_PLUS, _SZ, _SX)
-    tight_ok = edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN
     # the rows are the product grid (lambda, B0, tau): eps^2 does not depend
-    # on B0, nor eta^2 on tau, so each is written, and in_region's erfc
-    # taken, over its own axes
-    shape = (len(lambdas), len(b0), len(tau))
-    grid = rows.reshape(*shape, 2)
+    # on B0, nor eta^2 on tau, so each is evaluated and written, and
+    # in_region's erfc taken, over its own axes
+    grid = sweep_region(base, lambdas, b0, tau).reshape(len(lambdas), len(b0), len(tau), 2)
     eps_sq, eta_sq = grid[:, :1, :, 0], grid[:, :, :1, 1]
+    edr = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, _SZ, _SX)
     columns = (
         eps_sq, eta_sq, in_region(eps_sq, eta_sq),
-        tight_ok.reshape(shape), ~edr.heisenberg_satisfied.reshape(shape),
+        edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN, ~edr.heisenberg_satisfied,
     )
     b_eps_sq = np.linspace(0.0, 4.0, 1024)
     boundary = (b_eps_sq, region_bound(b_eps_sq))

@@ -85,15 +85,16 @@ def _rms_deviation(
     """
     # the products stay on BLAS, unlike spin's written-out 2x2 ones: d is any
     # probe dimension, and the elementwise form took a test of 1024 x 1024
-    # unitaries from 3.5 s to 106.5 s.  Loading OpenBLAS costs lw's child
-    # about 0.4 MB of RSS, and its 29.7 MB peak stays below region's
+    # unitaries from 3.5 s to 106.5 s.  OpenBLAS adds about 0.4 MB to a cold
+    # lw's 30.2 MB peak, level with region 8's 30.1 (2-vCPU x86-64 VM)
     xi = mp.probe_state
     d = xi.shape[-1]
     initial = np.kron(system_obs, np.eye(d))
     evolved = np.kron(IDENTITY_2, mp.meter) if heisenberg_probe_meter else initial
     delta = mp.unitary.conj().T @ evolved @ mp.unitary - initial
-    joint = (IDENTITY_2[:, :, None] * xi[..., None, None, :]).reshape(-1, 2 * d)
-    v = (joint @ delta.T).reshape(*xi.shape[:-1], 2, 2 * d)
+    # the (2n, 2d) joint rows |i> x xi live only inside the product, freed before the einsum
+    v = (IDENTITY_2[:, :, None] * xi[..., None, None, :]).reshape(-1, 2 * d) @ delta.T
+    v = v.reshape(*xi.shape[:-1], 2, 2 * d)
     sq = np.einsum("...ik,ji,...jk->...", v.conj(), state.rho, v).real
     return unwrap(np.sqrt(np.maximum(sq, 0.0)))
 

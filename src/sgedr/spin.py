@@ -214,9 +214,9 @@ def evaluate_edrs(
     the squared error and disturbance eps_sq, eta_sq in [0, 4] of +-1-valued
     observables.
 
-    The two may be arrays of one shape; every lhs and flag of the report then
-    has that shape.  Scalar input gives Python floats and bools.  An a or b
-    whose square is not the identity within 1e-12 raises ValueError.
+    The two may be arrays that broadcast together, to the shape of every lhs
+    and flag of the report.  Scalar input gives Python floats and bools.  An
+    a or b whose square is not the identity within 1e-12 raises ValueError.
     """
     # a large a or b overflows its square: only the ValueError escapes
     with np.errstate(all="ignore"):
@@ -228,8 +228,10 @@ def evaluate_edrs(
     check_in("eps_sq", eps_sq, 0, 4, closed=True)
     check_in("eta_sq", eta_sq, 0, 4, closed=True)
     shapes = np.shape(eps_sq), np.shape(eta_sq)
-    if shapes[0] != shapes[1]:
-        raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}")
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ValueError(f"eps_sq and eta_sq shapes differ: {shapes[0]} and {shapes[1]}") from None
     eps = np.sqrt(eps_sq)
     eta = np.sqrt(eta_sq)
 

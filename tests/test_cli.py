@@ -179,6 +179,20 @@ class TestRegion:
         assert np.array_equal(flags[1], edr.tight_lhs <= 4.0 + TIGHT_FLAG_MARGIN)
         assert np.array_equal(flags[2], ~edr.heisenberg_satisfied)
 
+    def test_edrs_are_evaluated_over_each_values_own_axes(self, capsys, monkeypatch):
+        # eps^2 over (lambda, 1, tau) and eta^2 over (lambda, B0, 1), as
+        # in_region and the writer take them, not as (N,) columns
+        shapes = []
+
+        def spy(eps_sq, eta_sq, *args):
+            shapes.append((np.shape(eps_sq), np.shape(eta_sq)))
+            return evaluate_edrs(eps_sq, eta_sq, *args)
+
+        monkeypatch.setattr(sgedr.cli, "evaluate_edrs", spy)
+        assert main(["region", "--steps", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert shapes == [((9, 1, 3), (9, 3, 1))]
+
     @pytest.mark.parametrize("steps", [4, 8])
     def test_json_spells_each_distinct_value_once(self, steps, capsys, monkeypatch):
         # eps^2 is spelled over (lambda, tau) and eta^2 over (lambda, B0), a

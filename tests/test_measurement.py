@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +277,16 @@ class TestLwSweep:
         )
         assert lw_sweep(2001).shape == (2001, 2)
         assert calls == {"error": 1, "disturbance": 1}
+
+    def test_memory_per_row(self):
+        # the (2n, 4) joint rows are freed before the einsum: 100,000 angles
+        # peak at 30.1 MiB, 42.3 MiB while they were held through it; v and
+        # its conjugate, about 256 B a row, are most of what is left
+        lw_sweep(2)
+        tracemalloc.start()
+        try:
+            lw_sweep(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2**20, f"{peak / 2**20:.2f} MiB"

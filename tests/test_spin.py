@@ -450,6 +450,20 @@ class TestEvaluateEDRs:
         with pytest.raises(ValueError, match=r"shapes differ: \(3,\) and \(4,\)"):
             evaluate_edrs(np.zeros(3), np.zeros(4), STATE_SY_PLUS, SZ, SX)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(lambda s: st.tuples(
+        arrays(np.float64, (s[0], 1, s[2]), elements=st.floats(0, 4)),
+        arrays(np.float64, (s[0], s[1], 1), elements=st.floats(0, 4)),
+    )))
+    def test_broadcast_inputs_match_their_broadcast_arrays(self, pair):
+        # region passes eps^2 over (lambda, 1, tau) and eta^2 over (lambda, B0, 1)
+        eps_sq, eta_sq = pair
+        rep = evaluate_edrs(eps_sq, eta_sq, STATE_SY_PLUS, SZ, SX)
+        full = evaluate_edrs(*np.broadcast_arrays(eps_sq, eta_sq), STATE_SY_PLUS, SZ, SX)
+        for name, got, want in zip(rep._fields, rep, full):
+            got, want = ((a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, (got, want)))
+            assert got == want, name
+
     @pytest.mark.parametrize("a, b, name", [
         (PauliObservable(2 * SIGMA_Z), SX, "a"),
         (PauliObservable((IDENTITY_2 + SIGMA_Z) / 2), SX, "a"),
