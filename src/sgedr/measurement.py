@@ -80,23 +80,22 @@ def _rms_deviation(
     O(0) is the system observable A x 1.  With ``heisenberg_probe_meter``
     O(tau) = U^dag (1 x M) U is the evolved probe meter; otherwise it is
     U^dag (A x 1) U (disturbance case).  Delta is formed once as a 2d x 2d
-    matrix, never squared, and applied to the basis vectors |i> x xi of every
-    probe at once as the rows of one 2-D product: v = joint Delta^T.
+    matrix, never squared; v_i = Delta |i> x xi is its i-th block of d columns
+    applied to xi, and Tr(rho G) sums over i a term conjugating v_i alone.
     """
-    # the products stay on BLAS, unlike spin's written-out 2x2 ones: d is any
+    # Delta stays on BLAS, unlike spin's written-out 2x2 products: d is any
     # probe dimension, and the elementwise form took a test of 1024 x 1024
     # unitaries from 3.5 s to 106.5 s.  OpenBLAS adds about 0.4 MB to a cold
-    # lw's 30.2 MB peak, level with region 8's 30.1 (2-vCPU x86-64 VM)
+    # lw's 29.9 MB peak, below region 8's 30.1 (medians of 11, 2-vCPU x86-64 VM)
     xi = mp.probe_state
     d = xi.shape[-1]
     initial = np.kron(system_obs, np.eye(d))
     evolved = np.kron(IDENTITY_2, mp.meter) if heisenberg_probe_meter else initial
     delta = mp.unitary.conj().T @ evolved @ mp.unitary - initial
-    # the (2n, 2d) joint rows |i> x xi live only inside the product, freed before the einsum
-    v = (IDENTITY_2[:, :, None] * xi[..., None, None, :]).reshape(-1, 2 * d) @ delta.T
-    v = v.reshape(*xi.shape[:-1], 2, 2 * d)
-    sq = np.einsum("...ik,ji,...jk->...", v.conj(), state.rho, v).real
-    return unwrap(np.sqrt(np.maximum(sq, 0.0)))
+    v = np.einsum("...j,kij->...ik", xi, delta.reshape(2 * d, 2, d))
+    sq = sum(np.einsum("...k,...jk,j->...", v[..., i, :].conj(), v, state.rho[:, i])
+             for i in range(2))
+    return unwrap(np.sqrt(np.maximum(sq.real, 0.0)))
 
 
 def qrms_error(

@@ -1,13 +1,15 @@
 """Quantities only the tests compute: the grid references' wavenumbers and
 kinetic factor, spinor-field norms and moments on the grid, the grid
-process's own eps^2, the beam-flux speed density and the Robertson
-uncertainty product.  The physics checks compare them with the closed
-forms; no command runs them."""
+process's own eps^2, the beam-flux speed density, the Robertson
+uncertainty product, random measuring processes and the q-rms values of
+operator squaring.  The physics checks compare them with the closed forms
+and sgedr.measurement; no command runs them."""
 import numpy as np
 
 from sgedr._arrays import check_in
 from sgedr.experiment import K_B
 from sgedr.gridsim import Grid1D, SpinorField
+from sgedr.measurement import MeasuringProcess
 from sgedr.sgmodel import SGParams
 from sgedr.spin import HERMITICITY_TOL, PauliObservable, QubitState, std_dev
 
@@ -75,3 +77,34 @@ def robertson_check(
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     rhs = 0.5 * abs(complex(np.trace(state.rho @ comm)))
     return lhs, rhs, lhs >= rhs - HERMITICITY_TOL
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random n x n unitary (QR with the phases of R's diagonal)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_process(rng: np.random.Generator, d: int, n_probes: int) -> MeasuringProcess:
+    """Any joint unitary, a stack of n_probes complex probe vectors of
+    dimension d and a meter of spectrum +-1 in a random basis."""
+    xi = rng.normal(size=(n_probes, d)) + 1j * rng.normal(size=(n_probes, d))
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    basis = random_unitary(rng, d)
+    meter = (basis * rng.choice([-1.0, 1.0], size=d)) @ basis.conj().T
+    return MeasuringProcess(xi, random_unitary(rng, 2 * d), meter)
+
+
+def dense_qrms_oracle(mp: MeasuringProcess, rho: np.ndarray, obs: np.ndarray, error_side: bool):
+    """The rms definitions by operator squaring, sqrt Tr[(rho x xi xi^dag) Delta^2]
+    for each probe vector xi: a float for one vector, an (n,) array for a stack."""
+    d = mp.probe_state.shape[-1]
+    initial = np.kron(obs, np.eye(d))
+    evolved = np.kron(np.eye(2), mp.meter) if error_side else initial
+    diff = mp.unitary.conj().T @ evolved @ mp.unitary - initial
+    values = np.array([
+        np.sqrt(np.trace(diff @ diff @ np.kron(rho, np.outer(xi, xi.conj()))).real)
+        for xi in np.atleast_2d(mp.probe_state)
+    ])
+    return float(values[0]) if mp.probe_state.ndim == 1 else values

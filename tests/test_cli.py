@@ -234,6 +234,17 @@ class TestExperiment:
         assert captured.out.endswith("\n\nall reference cross-checks passed\n")
         assert captured.err == ""
 
+    def test_k_flags_alone_keep_the_reference_checks(self, capsys):
+        # the apparatus is still the default, so its K-independent references
+        # are checked; the eps^2 endpoints only where the K grid holds 0.6 or 1
+        code = main(["experiment", "--k-min", "0.8", "--k-max", "0.8", "--k-steps", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert err.startswith("\nreference cross-checks FAILED for:\n")
+        assert [line.split(":")[0].strip() for line in err.splitlines()[2:]] == [
+            "1.25*delta_z", "sigma_dt_sq/K^2", "damping_exponent/K^2",
+        ]
+
     def test_custom_config_skips_reference_checks(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("T = 1600\n")

@@ -21,14 +21,14 @@ import sgedr
 from sgedr._arrays import MAX_ROWS
 from sgedr.experiment import ChainReport, ExperimentConfig1922, KTable, run_chain
 from sgedr.gridsim import HALF_MAX, Grid1D, measure_disturbance, measure_error, propagate
-from sgedr.measurement import MeasuringProcess, qrms_disturbance, qrms_error
+from sgedr.measurement import qrms_disturbance, qrms_error
 from sgedr.probe import GaussianProbe
 from sgedr.sgmodel import (
     SGParams, disturbance_sq, error_sq, optimal_tau, region_bound, sweep_region,
 )
 from sgedr.spin import SIGMA_Y, PauliObservable, QubitState
 
-from helpers import grid_error_sq
+from helpers import grid_error_sq, random_process
 
 # rounding slack on the upper end of a q-rms range
 ULP_SLACK = 1e-12
@@ -155,12 +155,6 @@ class TestPropagate:
         assert in_range(measure_disturbance(field), 4.0 + ULP_SLACK)
 
 
-def random_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 class TestQrms:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -170,14 +164,7 @@ class TestQrms:
         bloch_vectors,
     )
     def test_random_processes(self, d, n_probes, seed, v):
-        # any joint unitary, a stack of probes and a meter of spectrum +-1
-        rng = np.random.default_rng(seed)
-        xi = rng.normal(size=(n_probes, d)) + 1j * rng.normal(size=(n_probes, d))
-        xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-        basis = random_unitary(rng, d)
-        signs = rng.choice([-1.0, 1.0], size=d)
-        meter = (basis * signs) @ basis.conj().T
-        mp = MeasuringProcess(xi, random_unitary(rng, 2 * d), meter)
+        mp = random_process(np.random.default_rng(seed), d, n_probes)
         state = QubitState.from_bloch(*v)
         for obs in (PauliObservable.x(), PauliObservable(SIGMA_Y), PauliObservable.z()):
             eps = qrms_error(mp, state, obs)
